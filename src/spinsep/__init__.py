@@ -15,6 +15,7 @@ from .composite import (
 from .decompositions import (
     ProductTerm,
     SeparableDecomposition,
+    VerificationError,
     VerificationResult,
     verify_decomposition,
 )

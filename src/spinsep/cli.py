@@ -2,17 +2,21 @@
 
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
-error (dims, primality, permutation), 4 invalid density under --strict.
+error (dims, primality, permutation, an out-of-range --tol, or a built
+decomposition failing its own verification, as under a --tol too tight for
+double rounding), 4 invalid density (any certify input, or transform
+--strict).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .composite import DimVector, composite_spin, decode, permute_dims, reorder_subsystems
-from .decompositions import verify_decomposition
+from .decompositions import VerificationError, verify_decomposition
 from .io import (
     FileFormatError,
     coefficients_document,
@@ -45,6 +49,10 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_SEMANTIC = 3
 EXIT_INVALID_DENSITY = 4
+
+# Smallest accepted --tol: tolerances below the spacing of doubles near one
+# cannot be resolved on entries of magnitude at most one.
+MIN_TOL = sys.float_info.epsilon
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -186,11 +194,8 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
     if args.emit_decomposition:
         if sufficient is not None and sufficient.verdict == SEPARABLE:
-            dec = sufficient.witness
-            result = verify_decomposition(dec, rho, tol)
-            if not result:
-                raise RuntimeError(f"decomposition failed verification: {result.failure}")
-            write_decomposition_file(args.emit_decomposition, dec)
+            # The certificate verified its witness before returning it.
+            write_decomposition_file(args.emit_decomposition, sufficient.witness)
             print(f"wrote {args.emit_decomposition}")
         else:
             print("no decomposition emitted (not certified separable)")
@@ -226,7 +231,7 @@ def cmd_werner(args, tol: Tolerance) -> int:
         rho = werner_density(WernerSpec(p, n, s))
         result = verify_decomposition(dec, rho, tol)
         if not result:
-            raise RuntimeError(f"decomposition failed verification: {result.failure}")
+            raise VerificationError(f"decomposition failed verification: {result.failure}")
         write_decomposition_file(args.emit_decomposition, dec)
         print(f"wrote {args.emit_decomposition} ({len(dec.terms)} terms, verified)")
     return EXIT_OK
@@ -253,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="override the absolute tolerance (reconstruction tolerance becomes 10x this)",
+        help=f"override the absolute tolerance, at least {MIN_TOL:.2g} "
+        "(reconstruction tolerance becomes 10x this)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,22 +307,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(value: float | None) -> Tolerance:
+    if value is None:
+        return DEFAULT_TOLERANCE
+    if not (math.isfinite(value) and value >= MIN_TOL):
+        raise ValueError(f"--tol must be finite and at least {MIN_TOL:.3g}, got {value!r}")
+    return Tolerance(abs_eps=value, reconstruction_eps=10 * value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None:
-        tol = Tolerance(abs_eps=args.tol, reconstruction_eps=10 * args.tol)
-    else:
-        tol = DEFAULT_TOLERANCE
     try:
-        return args.func(args, tol)
+        return args.func(args, _tolerance(args.tol))
     except FileFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
     except InvalidDensityError as err:
         print(f"error: invalid density: {err}", file=sys.stderr)
         return EXIT_INVALID_DENSITY
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, VerificationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -64,6 +64,12 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match dims product {self.dims.size}"
             )
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0]
+            raise InvalidDensityError(
+                f"non-finite entry {m[i, j]} at ({i}, {j})", float(abs(m[i, j]))
+            )
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -101,15 +107,11 @@ def check_density(
     """Validate a matrix as a density and return it wrapped with its dims.
 
     Raises a distinct error per violated invariant, carrying the worst
-    offending value: NotHermitianError, TraceError, NegativeEigenvalueError.
+    offending value: NotHermitianError, TraceError, NegativeEigenvalueError,
+    and InvalidDensityError itself for a NaN or infinite entry.
     """
-    m = np.array(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] != dims.size:
-        raise ValueError(
-            f"matrix dimension {m.shape[0]} does not match dims product {dims.size}"
-        )
+    rho = DensityMatrix(np.array(m, dtype=complex), dims)
+    m = rho.matrix
     asym = np.abs(m - m.conj().T).max()
     if asym > tol.abs_eps:
         raise NotHermitianError(
@@ -117,11 +119,11 @@ def check_density(
         )
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > tol.abs_eps:
-        raise TraceError(f"trace is {tr:.12g}, expected 1", abs(tr - 1.0))
+        raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
     lo = float(hermitian_eigenvalues(m)[0])
     if lo < -tol.abs_eps:
         raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
-    return DensityMatrix(m, dims)
+    return rho
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .composite import decode, digit_table, encode, strides
 from .decompositions import (
     ProductTerm,
     SeparableDecomposition,
-    VerificationResult,
+    VerificationError,
     verify_decomposition,
 )
 from .linalg import (
@@ -161,6 +162,17 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
     return u, g, beta
 
 
+@lru_cache(maxsize=None)
+def _projection(d: int, j: int, k: int, r: int) -> tuple[bytes, ProjectionSpec]:
+    """Content key and spec of P_(j,k)(r).
+
+    Generators of the same subgroup, such as (1, 2) and (2, 1) for d = 3,
+    give equal projections, so certificate terms are merged on content.
+    """
+    spec = ProjectionSpec(d, SpinLabel(j, k), r)
+    return subgroup_projection(spec).tobytes(), spec
+
+
 def sufficient_certificate(
     rho: DensityMatrix, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> CertificateReport:
@@ -174,7 +186,11 @@ def sufficient_certificate(
     is inconclusive with the norm attached.
 
     Label groups are independent and processed in lexicographic order, so
-    the decomposition is bit-stable run to run.
+    the decomposition is bit-stable run to run.  Expansions that land on the
+    same product of projections are merged into one term, so the witness
+    holds each product once.  The witness is verified before it is
+    returned and VerificationError reports a failure, for example under a
+    tolerance too tight for double rounding.
     """
     dims = rho.dims
     n = dims.size
@@ -184,7 +200,8 @@ def sufficient_certificate(
         return CertificateReport(INCONCLUSIVE, l1_norm=norm)
 
     table = coeffs.table
-    terms: list[ProductTerm] = []
+    # [weight, specs] per distinct product of projections, in first-seen order.
+    merged: dict[tuple[bytes, ...], list] = {}
     seen: set[tuple[int, int]] = set()
     for jf in range(n):
         for kf in range(n):
@@ -217,13 +234,21 @@ def sufficient_certificate(
                 weight = mult * abs(s) * (1.0 + math.cos(theta + arg_omega)) / n
                 if weight < WEIGHT_FLOOR:
                     continue
-                specs = tuple(
-                    ProjectionSpec(d_i, u, l)
+                parts = [
+                    _projection(d_i, u.j, u.k, l)
                     for d_i, (u, _), l in zip(dims, gens, offsets)
-                )
-                factors = tuple(subgroup_projection(sp) for sp in specs)
-                terms.append(ProductTerm(weight, factors, specs))
+                ]
+                key = tuple(content for content, _ in parts)
+                entry = merged.get(key)
+                if entry is None:
+                    merged[key] = [weight, tuple(spec for _, spec in parts)]
+                else:
+                    entry[0] += weight
 
+    terms = [
+        ProductTerm(weight, tuple(subgroup_projection(sp) for sp in specs), specs)
+        for weight, specs in merged.values()
+    ]
     residual = 1.0 - norm
     if residual > WEIGHT_FLOOR:
         terms.append(
@@ -233,12 +258,12 @@ def sufficient_certificate(
                 None,
             )
         )
-    total = sum(term.weight for term in terms)
+    total = math.fsum(term.weight for term in terms)
     terms = [
         ProductTerm(t.weight / total, t.factors, t.factor_specs) for t in terms
     ]
     dec = SeparableDecomposition(dims, tuple(terms))
     result = verify_decomposition(dec, rho, tol)
     if not result:
-        raise RuntimeError(f"internal decomposition failed verification: {result.failure}")
+        raise VerificationError(f"internal decomposition failed verification: {result.failure}")
     return CertificateReport(SEPARABLE, l1_norm=norm, witness=dec)

@@ -177,6 +177,47 @@ class TestCertify:
         write_density_file(src, np.eye(4).astype(complex), DimVector((2, 2)))
         assert main(["certify", "--input", str(src)]) == 4
 
+    @pytest.mark.parametrize(
+        "entry, value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 1), np.nan)]
+    )
+    def test_non_finite_density_exits_4(self, tmp_path, capsys, entry, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[entry] = m[entry[::-1]] = value
+        src = tmp_path / "nonfinite.json"
+        write_density_file(src, m, DimVector((2, 2)))
+        assert main(["certify", "--input", str(src), "--all", "--json"]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_emitted_witness_is_not_verified_twice(self, tmp_path, monkeypatch):
+        import spinsep.cli
+
+        def fail(*args):
+            raise AssertionError("the certificate already verified its witness")
+
+        monkeypatch.setattr(spinsep.cli, "verify_decomposition", fail)
+        w = werner_density(WernerSpec(2, 2, 1 / 3))
+        src = tmp_path / "w.json"
+        out = tmp_path / "w.dec.json"
+        write_density_file(src, w.matrix, w.dims)
+        argv = ["certify", "--input", str(src), "--sufficient", "--emit-decomposition", str(out)]
+        assert main(argv) == 0
+        assert verify_decomposition(read_decomposition_file(out), w)
+
+    def test_certificate_verification_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        import spinsep.separability
+        from spinsep import VerificationResult
+
+        monkeypatch.setattr(
+            spinsep.separability,
+            "verify_decomposition",
+            lambda *args: VerificationResult(False, "forced failure"),
+        )
+        w = werner_density(WernerSpec(2, 2, 1 / 3))
+        src = tmp_path / "w.json"
+        write_density_file(src, w.matrix, w.dims)
+        assert main(["certify", "--input", str(src), "--sufficient"]) == 3
+        assert "forced failure" in capsys.readouterr().err
+
     def test_human_report_lines(self, werner_file, capsys):
         assert main(["certify", "--input", str(werner_file)]) == 0
         out = capsys.readouterr().out
@@ -203,6 +244,32 @@ class TestCertify:
         assert code == 0
         assert not out.exists()
         assert "no decomposition emitted" in capsys.readouterr().out
+
+
+def exact_trace_density(dims: DimVector) -> np.ndarray:
+    """Near-mixed density with a dyadic diagonal summing to exactly one."""
+    n = dims.size
+    diag = np.full(n, 1024 // n)
+    diag[-1] += 1024 - diag.sum()
+    m = np.full((n, n), 0.01 / n, dtype=complex)
+    m[np.diag_indices(n)] = diag / 1024
+    return m
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_below_float_resolution_exits_3(self, tmp_path, capsys, dims):
+        d = DimVector(dims)
+        src = tmp_path / "exact.json"
+        write_density_file(src, exact_trace_density(d), d)
+        assert main(["certify", "--input", str(src), "--all", "--json"]) == 0
+        capsys.readouterr()
+        assert main(["--tol", "1e-17", "certify", "--input", str(src), "--all", "--json"]) == 3
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+    def test_non_positive_or_non_finite_exits_3(self, werner_file, value):
+        assert main([f"--tol={value}", "certify", "--input", str(werner_file)]) == 3
 
 
 class TestWernerCommand:

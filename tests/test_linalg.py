@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
+    DensityMatrix,
     DimVector,
+    InvalidDensityError,
     NegativeEigenvalueError,
     NotHermitianError,
     Tolerance,
@@ -95,6 +97,15 @@ class TestCheckDensity:
     def test_dims_product_must_match(self):
         with pytest.raises(ValueError):
             check_density(np.eye(4) / 4, DimVector((2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_diagonal_rejected(self, value):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[1, 1] = value
+        with pytest.raises(InvalidDensityError, match="non-finite"):
+            check_density(m, DimVector((2,)))
+        with pytest.raises(InvalidDensityError, match="non-finite"):
+            DensityMatrix(m, DimVector((2,)))
 
     def test_tolerance_is_respected(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
