@@ -36,6 +36,7 @@ from .linalg import (
 from .projections import (
     ProductProjectionSpec,
     ProjectionSpec,
+    cyclic_family_decomposition,
     cyclic_family_density,
     expand_spin_power,
     is_prime,

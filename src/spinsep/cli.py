@@ -2,10 +2,10 @@
 
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
-error (dims, primality, permutation, an out-of-range --tol, or a built
-decomposition failing its own verification, as under a --tol too tight for
-double rounding), 4 invalid density (any certify input, or transform
---strict).
+error (dims, primality, permutation, an out-of-range --tol or --s, output
+with NaN or infinite entries, or a built decomposition failing its own
+verification, as under a --tol too tight for double rounding), 4 invalid
+density (any certify input, or transform --strict).
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _emit_document(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    """Print or write ``doc``; ValueError on NaN or infinity, which JSON lacks."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -179,7 +180,7 @@ def cmd_certify(args, tol: Tolerance) -> int:
                     "verdict": report.verdict,
                     "witness": _witness_json(report.witness),
                 }
-        print(json.dumps(doc, indent=2))
+        _emit_document(doc, None)
     else:
         dims_text = ",".join(str(d) for d in dims)
         print(f"dims: {dims_text} (N={dims.size})")
@@ -203,7 +204,9 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 
 def cmd_werner(args, tol: Tolerance) -> int:
-    p, n = args.p, args.n
+    p, n, s = args.p, args.n, args.s
+    if s is not None and not (0.0 <= s <= 1.0):
+        raise ValueError(f"--s must be a finite number in [0, 1], got {s!r}")
     if is_prime(p):
         s_star = werner_threshold(p, n)
         print(f"separability threshold: {s_star!r}")
@@ -214,21 +217,19 @@ def cmd_werner(args, tol: Tolerance) -> int:
             f"necessary-condition bound: {bound!r} "
             "(exact threshold unknown for composite dimension)"
         )
-    s = args.s
+    if args.output is None and not args.emit_decomposition:
+        return EXIT_OK
     if s is None:
         if s_star is None:
-            if args.output or args.emit_decomposition:
-                raise ValueError("--s is required for composite dimensions")
-        else:
-            s = s_star
+            raise ValueError("--s is required for composite dimensions")
+        s = s_star
 
+    rho = werner_density(WernerSpec(p, n, s))
     if args.output is not None:
-        rho = werner_density(WernerSpec(p, n, s))
         _emit_document(density_document(rho.matrix, rho.dims), args.output)
 
     if args.emit_decomposition:
         dec = werner_separable_decomposition(p, n, s)
-        rho = werner_density(WernerSpec(p, n, s))
         result = verify_decomposition(dec, rho, tol)
         if not result:
             raise VerificationError(f"decomposition failed verification: {result.failure}")

@@ -56,12 +56,7 @@ class DimVector:
 
 def strides(dims: DimVector) -> tuple[int, ...]:
     """Place value of each digit under the big-endian encoding."""
-    out = []
-    acc = 1
-    for d in reversed(dims.dims):
-        out.append(acc)
-        acc *= d
-    return tuple(reversed(out))
+    return tuple(math.prod(dims.dims[i + 1 :]) for i in range(len(dims)))
 
 
 def encode(dims: DimVector, digits) -> int:
@@ -99,10 +94,7 @@ def multi_add(dims: DimVector, j, k) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def digit_table(dims: DimVector) -> np.ndarray:
     """Array of shape (size, b) holding the digits of every flat index."""
-    n = dims.size
-    out = np.empty((n, len(dims)), dtype=np.int64)
-    for i, (d, s) in enumerate(zip(dims, strides(dims))):
-        out[:, i] = (np.arange(n) // s) % d
+    out = np.indices(dims.dims, dtype=np.int64).reshape(len(dims), -1).T.copy()
     out.setflags(write=False)
     return out
 
@@ -145,20 +137,27 @@ def permute_dims(dims: DimVector, sigma) -> DimVector:
     return DimVector(tuple(dims[s - 1] for s in sigma))
 
 
+def _index_permutation(dims: DimVector, sigma) -> np.ndarray:
+    """idx[s] = flat index over ``dims`` whose sigma-reordered digits encode to s."""
+    axes = [s - 1 for s in _check_sigma(dims, sigma)]
+    return np.arange(dims.size).reshape(dims.dims).transpose(axes).reshape(-1)
+
+
+def as_square(m: np.ndarray, dims: DimVector) -> np.ndarray:
+    """``m`` as a complex array, checked to be square over ``dims``."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dims.size, dims.size):
+        raise ValueError(f"matrix shape {m.shape} does not match size {dims.size}")
+    return m
+
+
 def permutation_matrix(dims: DimVector, sigma) -> np.ndarray:
     """0/1 matrix Q with Q(j, s) = 1 iff s encodes the sigma-reordered digits of j.
 
     Rows are indexed over ``dims``, columns over ``permute_dims(dims, sigma)``;
     Q is orthogonal, so its inverse is its transpose.
     """
-    sigma = _check_sigma(dims, sigma)
-    perm = permute_dims(dims, sigma)
-    n = dims.size
-    q = np.zeros((n, n), dtype=float)
-    for j in range(n):
-        digits = decode(dims, j)
-        q[j, encode(perm, tuple(digits[s - 1] for s in sigma))] = 1.0
-    return q
+    return np.eye(dims.size)[:, _index_permutation(dims, sigma)]
 
 
 def conjugate_by_permutation(m: np.ndarray, dims: DimVector, sigma) -> np.ndarray:
@@ -166,22 +165,19 @@ def conjugate_by_permutation(m: np.ndarray, dims: DimVector, sigma) -> np.ndarra
 
     For product matrices this undoes a reordering of the tensor factors:
     with sigma = (2, 1) and m = B (x) A on the swapped dimensions, the
-    result is A (x) B.
+    result is A (x) B.  The entries are permuted, never combined.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dims.size, dims.size):
-        raise ValueError(f"matrix shape {m.shape} does not match size {dims.size}")
-    q = permutation_matrix(dims, sigma)
-    return q @ m @ q.T
+    m = as_square(m, dims)
+    inv = np.argsort(_index_permutation(dims, sigma))
+    return m[np.ix_(inv, inv)]
 
 
 def reorder_subsystems(m: np.ndarray, dims: DimVector, sigma) -> np.ndarray:
     """Forward reorder: factor i of the result is factor sigma(i) of the input.
 
     The input lives on ``dims``; the result lives on ``permute_dims(dims, sigma)``.
+    The entries are permuted, never combined.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dims.size, dims.size):
-        raise ValueError(f"matrix shape {m.shape} does not match size {dims.size}")
-    q = permutation_matrix(dims, sigma)
-    return q.T @ m @ q
+    m = as_square(m, dims)
+    idx = _index_permutation(dims, sigma)
+    return m[np.ix_(idx, idx)]

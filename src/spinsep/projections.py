@@ -138,15 +138,12 @@ def product_projection(spec: ProductProjectionSpec) -> np.ndarray:
     return out
 
 
-def cyclic_family_density(
-    d: int, n: int, u_vec, r_vec
-) -> tuple[DensityMatrix, SeparableDecomposition]:
-    """Fully separable density from a cyclic family of phased spin matrices.
+def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomposition:
+    """Separable decomposition of the cyclic-family density, without the density.
 
-    rho = (1/d^n) sum_{m=0}^{d-1} (x)_i (gamma_i eta^{r_i} S_{u_i})^m,
-    returned together with its explicit decomposition: the uniform mixture
-    of products P_{u_1}(r_1+l_1) (x) ... (x) P_{u_n}(r_n+l_n) over all
-    offset vectors with l_1 + ... + l_n = 0 mod d.
+    The uniform mixture of products P_{u_1}(r_1+l_1) (x) ... (x) P_{u_n}(r_n+l_n)
+    over all offset vectors with l_1 + ... + l_n = 0 mod d, in lexicographic
+    order of (l_1, ..., l_{n-1}); the first term has every l_i = 0.
     """
     if n < 1:
         raise ValueError(f"need at least one factor, got n={n}")
@@ -154,29 +151,42 @@ def cyclic_family_density(
     r_vec = [int(r) for r in r_vec]
     if len(u_vec) != n or len(r_vec) != n:
         raise ValueError("u_vec and r_vec must each have n entries")
-    specs = [ProjectionSpec(d, u, r) for u, r in zip(u_vec, r_vec)]
-    dims = DimVector((d,) * n)
-
-    size = dims.size
-    acc = np.zeros((size, size), dtype=complex)
-    for m in range(d):
-        prod = np.ones((1, 1), dtype=complex)
-        for spec in specs:
-            prod = np.kron(prod, _generator_power(spec, m))
-        acc += prod
-    rho = check_density(acc / size, dims)
-
+    # slots[i][l] is the spec of P_{u_i}(r_i + l), factors[i][l] its projection.
+    slots = [[ProjectionSpec(d, u, r + l) for l in range(d)] for u, r in zip(u_vec, r_vec)]
+    factors = [[subgroup_projection(s) for s in slot] for slot in slots]
     weight = 1.0 / d ** (n - 1)
     terms = []
     for free in iter_product(range(d), repeat=n - 1):
-        last = (-sum(free)) % d
-        offsets = free + (last,)
-        term_specs = tuple(
-            ProjectionSpec(d, u, r + l) for u, r, l in zip(u_vec, r_vec, offsets)
+        offsets = free + ((-sum(free)) % d,)
+        terms.append(
+            ProductTerm(
+                weight,
+                tuple(f[l] for f, l in zip(factors, offsets)),
+                tuple(s[l] for s, l in zip(slots, offsets)),
+            )
         )
-        factors = tuple(subgroup_projection(s) for s in term_specs)
-        terms.append(ProductTerm(weight, factors, term_specs))
-    return rho, SeparableDecomposition(dims, tuple(terms))
+    return SeparableDecomposition(DimVector((d,) * n), tuple(terms))
+
+
+def cyclic_family_density(
+    d: int, n: int, u_vec, r_vec
+) -> tuple[DensityMatrix, SeparableDecomposition]:
+    """Fully separable density from a cyclic family of phased spin matrices.
+
+    rho = (1/d^n) sum_{m=0}^{d-1} (x)_i (gamma_i eta^{r_i} S_{u_i})^m, built
+    from the generator powers and validated, returned together with
+    ``cyclic_family_decomposition(d, n, u_vec, r_vec)``.
+    """
+    dec = cyclic_family_decomposition(d, n, u_vec, r_vec)
+    size = dec.dims.size
+    acc = np.zeros((size, size), dtype=complex)
+    for m in range(d):
+        prod = np.ones((1, 1), dtype=complex)
+        # The first term's specs carry the unshifted offsets r_i.
+        for spec in dec.terms[0].factor_specs:
+            prod = np.kron(prod, _generator_power(spec, m))
+        acc += prod
+    return check_density(acc / size, dec.dims), dec
 
 
 def _diag_phase_map(d: int, phases) -> np.ndarray:

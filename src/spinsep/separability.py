@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .composite import decode, digit_table, encode, strides
+from .composite import digit_table, strides
 from .decompositions import (
     ProductTerm,
     SeparableDecomposition,
@@ -200,20 +200,20 @@ def sufficient_certificate(
         return CertificateReport(INCONCLUSIVE, l1_norm=norm)
 
     table = coeffs.table
+    digits = digit_table(dims)
+    # neg[f] is the flat index of the componentwise negation of f's digits.
+    neg = (((-digits) % np.asarray(dims.dims)) @ np.asarray(strides(dims))).tolist()
+    digit_rows = digits.tolist()
     # [weight, specs] per distinct product of projections, in first-seen order.
     merged: dict[tuple[bytes, ...], list] = {}
-    seen: set[tuple[int, int]] = set()
     for jf in range(n):
         for kf in range(n):
-            if (jf, kf) == (0, 0) or (jf, kf) in seen:
+            partner = (neg[jf], neg[kf])
+            # A pair is expanded together with its conjugate partner, at
+            # whichever of the two comes first.
+            if (jf, kf) == (0, 0) or partner < (jf, kf):
                 continue
-            jd = decode(dims, jf)
-            kd = decode(dims, kf)
-            pj = tuple((d - x) % d for d, x in zip(dims, jd))
-            pk = tuple((d - x) % d for d, x in zip(dims, kd))
-            partner = (encode(dims, pj), encode(dims, pk))
-            seen.add((jf, kf))
-            seen.add(partner)
+            jd, kd = digit_rows[jf], digit_rows[kf]
             s = complex(table[jf, kf])
             if abs(s) < WEIGHT_FLOOR:
                 continue

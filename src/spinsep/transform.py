@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import DimVector, composite_spin, decode, encode, flat_add_table
+from .composite import DimVector, as_square, composite_spin, decode, encode, flat_add_table
 from .linalg import DensityMatrix
 from .spin import fourier_matrix, spin_dagger, SpinLabel
 
@@ -50,10 +50,7 @@ def _adjusted_table(matrix: np.ndarray, dims: DimVector) -> np.ndarray:
 
 def spin_table(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
     """Spin coefficients of an arbitrary matrix (no density validation)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (dims.size, dims.size):
-        raise ValueError(f"matrix shape {matrix.shape} does not match size {dims.size}")
-    a = _adjusted_table(matrix, dims)
+    a = _adjusted_table(as_square(matrix, dims), dims)
     mats = [fourier_matrix(d).conj() for d in dims]
     return SpinCoefficients(dims, _apply_factored(mats, a, dims))
 

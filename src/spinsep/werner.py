@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import DimVector, encode
+from .composite import DimVector, digit_table, encode
 from .decompositions import ProductTerm, SeparableDecomposition
 from .linalg import DensityMatrix, check_density
-from .projections import ProjectionSpec, cyclic_family_density, is_prime, subgroup_projection
+from .projections import ProjectionSpec, cyclic_family_decomposition, is_prime, subgroup_projection
+# Not called here: perfbench/layers.py wraps this name for its traced run.
+from .projections import cyclic_family_density  # noqa: F401
 from .spin import SpinLabel
 from .transform import SpinCoefficients
 
@@ -62,17 +64,8 @@ def werner_density(spec: WernerSpec) -> DensityMatrix:
 def ind_set(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All digit tuples over n p-ary digits summing to 0 mod p; p^(n-1) of them."""
     _require_prime(p)
-    out = []
-    for flat in range(p**n):
-        digits = []
-        x = flat
-        for _ in range(n):
-            x, r = divmod(x, p)
-            digits.append(r)
-        digits.reverse()
-        if sum(digits) % p == 0:
-            out.append(tuple(digits))
-    return tuple(out)
+    digits = digit_table(DimVector((p,) * n))
+    return tuple(tuple(row) for row in digits[digits.sum(axis=1) % p == 0].tolist())
 
 
 def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
@@ -85,13 +78,10 @@ def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
     dims = spec.dims
     n = dims.size
     table = np.zeros((n, n), dtype=complex)
+    rows = [encode(dims, j) for j in ind_set(spec.d, spec.n)]
+    cols = [encode(dims, (k,) * spec.n) for k in range(spec.d)]
+    table[np.ix_(rows, cols)] = spec.s
     table[0, 0] = 1.0
-    for j_digits in ind_set(spec.d, spec.n):
-        j = encode(dims, j_digits)
-        for k in range(spec.d):
-            kt = encode(dims, (k,) * spec.n)
-            if (j, kt) != (0, 0):
-                table[j, kt] = spec.s
     return SpinCoefficients(dims, table)
 
 
@@ -149,8 +139,7 @@ def werner_separable_decomposition(
     for j_digits in ind_set(p, n):
         u_vec = tuple(SpinLabel(ji, 1) for ji in j_digits)
         r_vec = _block_offsets(p, j_digits)
-        _, block = cyclic_family_density(p, n, u_vec, r_vec)
-        for term in block.terms:
+        for term in cyclic_family_decomposition(p, n, u_vec, r_vec).terms:
             terms.append(
                 ProductTerm(block_weight * term.weight, term.factors, term.factor_specs)
             )

@@ -6,6 +6,7 @@ import pytest
 
 from spinsep import (
     DimVector,
+    SpinCoefficients,
     WernerSpec,
     composite_spin,
     decode,
@@ -19,6 +20,7 @@ from spinsep.cli import main
 from spinsep.io import (
     read_decomposition_file,
     read_density_file,
+    write_coefficients_file,
     write_density_file,
 )
 
@@ -117,6 +119,23 @@ class TestTransform:
         }
         bad.write_text(json.dumps(doc))
         assert main(["transform", "--input", str(bad)]) == 3
+
+    @pytest.mark.parametrize("direction", ["to-spin", "from-spin"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_output_exits_3(self, tmp_path, capsys, direction, to_file):
+        # NaN has no JSON token, so nothing may be written.
+        table = np.eye(4, dtype=complex)
+        table[1, 2] = np.nan
+        src = tmp_path / "nan.json"
+        if direction == "to-spin":
+            write_density_file(src, table / 4, DimVector((2, 2)))
+        else:
+            write_coefficients_file(src, SpinCoefficients(DimVector((2, 2)), table))
+        out = tmp_path / "out.json"
+        argv = ["transform", "--input", str(src), "--direction", direction]
+        assert main(argv + (["--output", str(out)] if to_file else [])) == 3
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_strict_rejects_invalid_density(self, tmp_path):
         d = DimVector((2,))
@@ -316,6 +335,33 @@ class TestWernerCommand:
             ["werner", "--p", "2", "--n", "2", "--s", "0.5", "--emit-decomposition", str(out)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("p", ["2", "4"])
+    @pytest.mark.parametrize("s", ["1.5", "-0.1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", [None, "--output", "--emit-decomposition"])
+    def test_s_outside_unit_interval_exits_3(self, tmp_path, capsys, p, s, flag):
+        out = tmp_path / "out.json"
+        argv = ["werner", "--p", p, "--n", "2", f"--s={s}"]
+        assert main(argv + ([flag, str(out)] if flag else [])) == 3
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_density_built_once(self, tmp_path, monkeypatch):
+        import spinsep.cli
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return werner_density(spec)
+
+        monkeypatch.setattr(spinsep.cli, "werner_density", counting)
+        rho_path, dec_path = tmp_path / "w.json", tmp_path / "w.dec.json"
+        argv = ["werner", "--p", "2", "--n", "2", "--output", str(rho_path)]
+        assert main(argv + ["--emit-decomposition", str(dec_path)]) == 0
+        assert calls == [WernerSpec(2, 2, 1 / 3)]
+        assert np.array_equal(read_density_file(rho_path)[0], werner_density(calls[0]).matrix)
+        assert verify_decomposition(read_decomposition_file(dec_path), werner_density(calls[0]))
 
 
 class TestPermute:

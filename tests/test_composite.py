@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from spinsep import (
     permutation_matrix,
     permute_dims,
     reorder_subsystems,
+    spin_l1_norm,
     spin_matrix,
+    spin_table,
 )
 from spinsep.composite import flat_add_table, strides
 
@@ -230,3 +233,50 @@ class TestConjugation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             conjugate_by_permutation(np.eye(5), DimVector((2, 3)), (2, 1))
+
+
+@st.composite
+def matrices_and_permutations(draw):
+    """A random complex matrix on 2-3 subsystems of dimension 2-4, and a sigma."""
+    dims = DimVector(tuple(draw(st.lists(st.sampled_from((2, 3, 4)), min_size=2, max_size=3))))
+    sigma = tuple(draw(st.permutations(range(1, len(dims) + 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dims, sigma, random_matrix(dims.size, rng)
+
+
+class TestPermutationProperties:
+    @given(case=matrices_and_permutations())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugation_undoes_reorder_exactly(self, case):
+        dims, sigma, m = case
+        back = conjugate_by_permutation(reorder_subsystems(m, dims, sigma), dims, sigma)
+        assert np.array_equal(back, m)
+
+    @given(case=matrices_and_permutations())
+    @settings(max_examples=40, deadline=None)
+    def test_reorder_matches_explicit_q(self, case):
+        dims, sigma, m = case
+        q = permutation_matrix(dims, sigma)
+        assert np.abs(reorder_subsystems(m, dims, sigma) - q.T @ m @ q).max() <= 1e-15
+
+    @given(case=matrices_and_permutations())
+    @settings(max_examples=25, deadline=None)
+    def test_spin_l1_norm_invariant(self, case):
+        dims, sigma, m = case
+        before = spin_l1_norm(spin_table(m, dims))
+        reordered = reorder_subsystems(m, dims, sigma)
+        after = spin_l1_norm(spin_table(reordered, permute_dims(dims, sigma)))
+        assert math.isclose(after, before, rel_tol=1e-12)
+
+    @given(case=matrices_and_permutations(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_single_nan_stays_single(self, case, data):
+        dims, sigma, m = case
+        i, j = (data.draw(st.integers(0, dims.size - 1)) for _ in range(2))
+        m[i, j] = np.nan
+        for out in (
+            reorder_subsystems(m, dims, sigma),
+            conjugate_by_permutation(m, dims, sigma),
+        ):
+            assert np.isnan(out).sum() == 1
+            assert np.array_equal(np.sort(out[~np.isnan(out)]), np.sort(m[~np.isnan(m)]))

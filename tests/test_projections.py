@@ -12,6 +12,7 @@ from spinsep import (
     ProjectionSpec,
     SpinLabel,
     alpha,
+    cyclic_family_decomposition,
     cyclic_family_density,
     eta,
     expand_spin_power,
@@ -238,6 +239,36 @@ class TestCyclicFamily:
     def test_invalid_label_raises(self):
         with pytest.raises(ValueError):
             cyclic_family_density(4, 2, [SpinLabel(2, 2), SpinLabel(1, 1)], [0, 0])
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 2)])
+    def test_decomposition_matches_density_and_per_term_specs(self, d, n, rng):
+        labels = valid_labels(d)
+        u_vec = [SpinLabel(*labels[rng.integers(len(labels))]) for _ in range(n)]
+        r_vec = [int(rng.integers(d)) for _ in range(n)]
+        dec = cyclic_family_decomposition(d, n, u_vec, r_vec)
+        _, paired = cyclic_family_density(d, n, u_vec, r_vec)
+        # Reference: every factor's spec built on its own, term by term.
+        expected = []
+        for free in itertools.product(range(d), repeat=n - 1):
+            offsets = free + ((-sum(free)) % d,)
+            expected.append(
+                tuple(ProjectionSpec(d, u, r + l) for u, r, l in zip(u_vec, r_vec, offsets))
+            )
+        assert dec.dims == paired.dims == DimVector((d,) * n)
+        assert len(dec.terms) == len(paired.terms) == len(expected)
+        for term, other, specs in zip(dec.terms, paired.terms, expected):
+            assert term.weight == other.weight == 1.0 / d ** (n - 1)
+            assert term.factor_specs == other.factor_specs == specs
+            for f, g, spec in zip(term.factors, other.factors, specs):
+                assert np.array_equal(f, g) and np.array_equal(f, subgroup_projection(spec))
+
+    def test_decomposition_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            cyclic_family_decomposition(4, 2, [SpinLabel(2, 2), SpinLabel(1, 1)], [0, 0])
+        with pytest.raises(ValueError):
+            cyclic_family_decomposition(3, 2, [SpinLabel(1, 1)], [0, 0])
+        with pytest.raises(ValueError):
+            cyclic_family_decomposition(3, 0, [], [])
 
 
 class TestPhaseMixingMaps:

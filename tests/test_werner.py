@@ -175,6 +175,19 @@ class TestSeparableDecomposition:
         with pytest.raises(ValueError):
             werner_separable_decomposition(4, 2)
 
+    def test_builds_no_density(self, monkeypatch):
+        import spinsep.projections
+        import spinsep.werner
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the decomposition needs no density")
+
+        monkeypatch.setattr(spinsep.projections, "check_density", fail)
+        monkeypatch.setattr(spinsep.werner, "check_density", fail)
+        for p, n in PRIME_CASES + [(2, 6), (3, 4), (5, 3)]:
+            dec = werner_separable_decomposition(p, n)
+            assert len(dec.terms) == p + p ** (2 * (n - 1))
+
 
 class TestEndToEndThresholdBehaviour:
     @pytest.mark.parametrize("p,n", PRIME_CASES)
