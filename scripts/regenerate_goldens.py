@@ -1,7 +1,9 @@
 """Regenerate the golden example files under docs/examples/.
 
 Deterministic; run from the repository root after changing the file
-formats or the Werner construction.
+formats or the Werner construction.  ``main(out)`` writes to the
+directory ``out`` instead; the test suite compares those bytes with the
+committed files.
 """
 
 from pathlib import Path
@@ -14,19 +16,20 @@ from spinsep.io import write_decomposition_file, write_density_file
 OUT = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out=OUT) -> None:
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
 
     dims = DimVector((2, 2))
-    write_density_file(OUT / "maximally_mixed_2x2.density.json", np.eye(4) / 4, dims)
+    write_density_file(out / "maximally_mixed_2x2.density.json", np.eye(4) / 4, dims)
 
     w = werner_density(WernerSpec(2, 2, 1 / 3))
-    write_density_file(OUT / "werner_2qubit_third.density.json", w.matrix, w.dims)
+    write_density_file(out / "werner_2qubit_third.density.json", w.matrix, w.dims)
 
     dec = werner_separable_decomposition(2, 2)
-    write_decomposition_file(OUT / "werner_2qubit_third.decomposition.json", dec)
+    write_decomposition_file(out / "werner_2qubit_third.decomposition.json", dec)
 
-    print(f"wrote 3 golden files to {OUT}")
+    print(f"wrote 3 golden files to {out}")
 
 
 if __name__ == "__main__":

@@ -2,16 +2,15 @@
 
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
-error (dims, primality, permutation, an out-of-range --tol or --s, output
-with NaN or infinite entries, or a built decomposition failing its own
-verification, as under a --tol too tight for double rounding), 4 invalid
-density (any certify input, or transform --strict).
+error (dims, primality, permutation, an out-of-range --tol or werner --p,
+--n or --s, output with NaN or infinite entries, or a built decomposition
+failing its own verification, as under a --tol too tight for double
+rounding), 4 invalid density (any certify input, or transform --strict).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -21,6 +20,7 @@ from .io import (
     FileFormatError,
     coefficients_document,
     density_document,
+    document_text,
     read_coefficients_file,
     read_density_file,
     write_decomposition_file,
@@ -64,7 +64,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _emit_document(doc: dict, path: str | None) -> None:
     """Print or write ``doc``; ValueError on NaN or infinity, which JSON lacks."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = document_text(doc)
     if path is None:
         print(text)
     else:
@@ -205,8 +205,8 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 def cmd_werner(args, tol: Tolerance) -> int:
     p, n, s = args.p, args.n, args.s
-    if s is not None and not (0.0 <= s <= 1.0):
-        raise ValueError(f"--s must be a finite number in [0, 1], got {s!r}")
+    # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.
+    WernerSpec(p, n, 0.0 if s is None else s)
     if is_prime(p):
         s_star = werner_threshold(p, n)
         print(f"separability threshold: {s_star!r}")
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except InvalidDensityError as err:
         print(f"error: invalid density: {err}", file=sys.stderr)
         return EXIT_INVALID_DENSITY
-    except (ValueError, OSError, VerificationError) as err:
+    except (ValueError, OSError, OverflowError, VerificationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -149,8 +149,13 @@ def _load(path) -> dict:
         raise FileFormatError(f"{path}: {err}") from err
 
 
+def document_text(doc: dict) -> str:
+    """``doc`` as indented JSON; ValueError on NaN or infinity, which JSON lacks."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
 def _dump(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(document_text(doc) + "\n", encoding="utf-8")
 
 
 def read_density_file(path) -> tuple[np.ndarray, DimVector]:

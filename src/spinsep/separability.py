@@ -8,16 +8,14 @@ whenever the spin L1 norm does not exceed one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
 
-from .composite import digit_table, strides
+from .composite import DimVector, digit_table, strides
 from .decompositions import (
     ProductTerm,
     SeparableDecomposition,
@@ -31,7 +29,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from .projections import ProjectionSpec, subgroup_projection
+from .projections import ProjectionSpec, expand_spin_power, subgroup_projection
 from .spin import RootOfUnity, SpinLabel
 from .transform import spin_l1_norm, to_spin
 
@@ -83,54 +81,43 @@ def necessary_check(
 ) -> CertificateReport:
     """Scan sqrt(rho_jj rho_kk) >= |rho_uv| over all full recombinations.
 
-    The indices j, k run over pairs differing in every component and u, v
+    The indices j < k run over pairs differing in every component and u, v
     over all ways of redistributing the digits {j_a, k_a}.  Any violation
-    beyond the tolerance excludes full separability.
+    beyond the tolerance excludes full separability; the witness is the
+    first largest violation in (j, k, redistribution) order.
     """
     dims = rho.dims
     b = len(dims)
     if b < 2:
         raise ValueError("the necessary condition needs at least two subsystems")
     m = rho.matrix
-    n = dims.size
     digits = digit_table(dims)
     stride = np.asarray(strides(dims), dtype=np.int64)
     diag = np.clip(np.real(np.diagonal(m)), 0.0, None)
-    worst: NecessaryViolation | None = None
-    for jf in range(n):
-        jd = digits[jf]
-        for kf in range(jf + 1, n):
-            kd = digits[kf]
-            if np.any(jd == kd):
-                continue
-            bound = math.sqrt(diag[jf] * diag[kf])
-            for pattern in iter_product((0, 1), repeat=b - 1):
-                ud, vd = [jd[0]], [kd[0]]
-                for a, p in enumerate(pattern, start=1):
-                    if p == 0:
-                        ud.append(jd[a])
-                        vd.append(kd[a])
-                    else:
-                        ud.append(kd[a])
-                        vd.append(jd[a])
-                uf = int(np.dot(ud, stride))
-                vf = int(np.dot(vd, stride))
-                magnitude = abs(m[uf, vf])
-                excess = magnitude - bound
-                if excess > tol.abs_eps and (
-                    worst is None or excess > worst.magnitude - worst.bound
-                ):
-                    worst = NecessaryViolation(
-                        tuple(int(x) for x in jd),
-                        tuple(int(x) for x in kd),
-                        tuple(int(x) for x in ud),
-                        tuple(int(x) for x in vd),
-                        bound,
-                        magnitude,
-                    )
-    if worst is not None:
-        return CertificateReport(INSEPARABLE, witness=worst)
-    return CertificateReport(INCONCLUSIVE)
+    differ = (digits[:, None, :] != digits[None, :, :]).all(axis=2)
+    jf, kf = np.nonzero(np.triu(differ, 1))
+    jd, kd = digits[jf][:, None, :], digits[kf][:, None, :]
+    # swap[r, a]: redistribution r takes digit a of u from k; digit 0 stays with j.
+    swap = np.zeros((2 ** (b - 1), b), dtype=bool)
+    swap[:, 1:] = digit_table(DimVector((2,) * (b - 1)))
+    ud, vd = np.where(swap, kd, jd), np.where(swap, jd, kd)
+    entries = m[ud @ stride, vd @ stride]
+    # hypot rounds as abs() of one entry does; np.abs on arrays may differ in the last bit.
+    magnitude = np.hypot(entries.real, entries.imag)
+    bound = np.sqrt(diag[jf] * diag[kf])
+    excess = magnitude - bound[:, None]
+    p, r = np.unravel_index(np.argmax(excess), excess.shape)
+    if not excess[p, r] > tol.abs_eps:
+        return CertificateReport(INCONCLUSIVE)
+    witness = NecessaryViolation(
+        tuple(jd[p, 0].tolist()),
+        tuple(kd[p, 0].tolist()),
+        tuple(ud[p, r].tolist()),
+        tuple(vd[p, r].tolist()),
+        float(bound[p]),
+        float(magnitude[p, r]),
+    )
+    return CertificateReport(INSEPARABLE, witness=witness)
 
 
 def peres_check(
@@ -163,14 +150,31 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
 
 
 @lru_cache(maxsize=None)
-def _projection(d: int, j: int, k: int, r: int) -> tuple[bytes, ProjectionSpec]:
-    """Content key and spec of P_(j,k)(r).
+def _label_table(d: int) -> tuple[np.ndarray, ...]:
+    """Expansion data of every label j*d + k of a d-level factor.
 
-    Generators of the same subgroup, such as (1, 2) and (2, 1) for d = 3,
-    give equal projections, so certificate terms are merged on content.
+    Per label: the phase beta of S_{j,k} = beta (gamma S_u)^t, and per
+    offset l the weight omega_l of P_u(l) in the expansion of that power,
+    the index of P_u(l) among the distinct projections, its spec and the
+    projection itself.  Generators of one subgroup, such as (1, 2) and
+    (2, 1) for d = 3, give equal projections, so the index is by content.
     """
-    spec = ProjectionSpec(d, SpinLabel(j, k), r)
-    return subgroup_projection(spec).tobytes(), spec
+    beta = np.empty(d * d, dtype=complex)
+    omega = np.empty((d * d, d), dtype=complex)
+    ids = np.empty((d * d, d), dtype=np.int64)
+    specs = np.empty((d * d, d), dtype=object)
+    factors = np.empty((d * d, d), dtype=object)
+    index: dict[bytes, int] = {}
+    for label in range(d * d):
+        u, t, beta[label] = _reduced_generator(d, *divmod(label, d))
+        for l, (w, r) in enumerate(expand_spin_power(ProjectionSpec(d, u), t)):
+            omega[label, l] = w
+            specs[label, l] = ProjectionSpec(d, u, r)
+            factors[label, l] = subgroup_projection(specs[label, l])
+            ids[label, l] = index.setdefault(factors[label, l].tobytes(), len(index))
+    for a in (beta, omega, ids, specs, factors):
+        a.setflags(write=False)
+    return beta, omega, ids, specs, factors
 
 
 def sufficient_certificate(
@@ -178,16 +182,20 @@ def sufficient_certificate(
 ) -> CertificateReport:
     """Certify separability constructively when the spin L1 norm is at most one.
 
-    Each non-identity coefficient is grouped with its conjugate partner,
-    every factor spin matrix is rewritten as a phase times a power of a
-    reduced generator, and the pair expands over product projections with
-    weights |s| (1 + cos(theta - arg eta(l))).  The leftover norm budget
+    Each non-identity coefficient s is grouped with its conjugate partner,
+    every factor spin matrix is rewritten as a phase beta_a times a power
+    of a reduced generator, and the pair expands over the product
+    projections of every offset vector l with weight
+    mult * (|s| + Re(beta s prod_a omega_a(l_a))) / N, where mult is 2 for
+    a pair and 1 for a self-partnered label and omega_a(l_a) are the
+    expansion weights of ``expand_spin_power``.  The leftover norm budget
     becomes a uniform-mixture residual term.  Above the bound the verdict
     is inconclusive with the norm attached.
 
-    Label groups are independent and processed in lexicographic order, so
-    the decomposition is bit-stable run to run.  Expansions that land on the
-    same product of projections are merged into one term, so the witness
+    Label pairs are taken in lexicographic order and offsets in
+    lexicographic order within each pair, so the decomposition is
+    bit-stable run to run.  Expansions that land on the same product of
+    projections are merged into one term at the first, so the witness
     holds each product once.  The witness is verified before it is
     returned and VerificationError reports a failure, for example under a
     tolerance too tight for double rounding.
@@ -201,67 +209,50 @@ def sufficient_certificate(
 
     table = coeffs.table
     digits = digit_table(dims)
+    radix = np.asarray(dims.dims)
     # neg[f] is the flat index of the componentwise negation of f's digits.
-    neg = (((-digits) % np.asarray(dims.dims)) @ np.asarray(strides(dims))).tolist()
-    digit_rows = digits.tolist()
-    # [weight, specs] per distinct product of projections, in first-seen order.
-    merged: dict[tuple[bytes, ...], list] = {}
-    for jf in range(n):
-        for kf in range(n):
-            partner = (neg[jf], neg[kf])
-            # A pair is expanded together with its conjugate partner, at
-            # whichever of the two comes first.
-            if (jf, kf) == (0, 0) or partner < (jf, kf):
-                continue
-            jd, kd = digit_rows[jf], digit_rows[kf]
-            s = complex(table[jf, kf])
-            if abs(s) < WEIGHT_FLOOR:
-                continue
-            mult = 1.0 if partner == (jf, kf) else 2.0
+    neg = ((-digits) % radix) @ np.asarray(strides(dims))
+    jf, kf = np.nonzero(np.abs(table) >= WEIGHT_FLOOR)
+    pj, pk = neg[jf], neg[kf]
+    # A pair is expanded together with its conjugate partner, at whichever
+    # of the two comes first; the identity label is left to the residual.
+    keep = ((pj > jf) | ((pj == jf) & (pk >= kf))) & ((jf > 0) | (kf > 0))
+    jf, kf, pj, pk = jf[keep], kf[keep], pj[keep], pk[keep]
+    s = table[jf, kf]
+    mult = np.where((pj == jf) & (pk == kf), 1.0, 2.0)
+    labels = digits[jf] * radix + digits[kf]
 
-            gens: list[tuple[SpinLabel, int]] = []
-            beta = 1.0 + 0.0j
-            for d_i, j_i, k_i in zip(dims, jd, kd):
-                u, t, b_i = _reduced_generator(d_i, j_i, k_i)
-                gens.append((u, t))
-                beta *= b_i
-            theta = cmath.phase(beta * s)
+    # Rows are the kept pairs, columns the offset vectors in digit_table order.
+    tables = [_label_table(d) for d in dims]
+    beta = np.ones(len(s), dtype=complex)
+    omega = np.ones((len(s), n), dtype=complex)
+    # product[p, o] encodes the distinct projection of every slot, mixed-radix.
+    product = np.zeros((len(s), n), dtype=np.int64)
+    for a, (beta_d, omega_d, ids_d, _, _) in enumerate(tables):
+        lab = labels[:, a]
+        beta = beta * beta_d[lab]
+        omega = omega * omega_d[lab][:, digits[:, a]]
+        product = product * (ids_d.max() + 1) + ids_d[lab][:, digits[:, a]]
+    weights = mult[:, None] * (np.abs(s)[:, None] + ((beta * s)[:, None] * omega).real) / n
+    flat = np.flatnonzero(weights >= WEIGHT_FLOOR)
+    keys = product.reshape(-1)[flat]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged = np.bincount(inverse, weights=weights.reshape(-1)[flat])[order]
 
-            for offsets in iter_product(*[range(d_i) for d_i in dims]):
-                arg_omega = -2.0 * math.pi * sum(
-                    l * t / d_i for l, (_, t), d_i in zip(offsets, gens, dims)
-                )
-                weight = mult * abs(s) * (1.0 + math.cos(theta + arg_omega)) / n
-                if weight < WEIGHT_FLOOR:
-                    continue
-                parts = [
-                    _projection(d_i, u.j, u.k, l)
-                    for d_i, (u, _), l in zip(dims, gens, offsets)
-                ]
-                key = tuple(content for content, _ in parts)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [weight, tuple(spec for _, spec in parts)]
-                else:
-                    entry[0] += weight
-
-    terms = [
-        ProductTerm(weight, tuple(subgroup_projection(sp) for sp in specs), specs)
-        for weight, specs in merged.values()
-    ]
+    # Each merged term keeps the specs and factors of its first expansion.
+    pair, offset = np.divmod(flat[first[order]], n)
+    slots = [(t, labels[pair, a], digits[offset, a]) for a, t in enumerate(tables)]
+    specs = list(zip(*(t[3][lab, l] for t, lab, l in slots)))
+    factors = list(zip(*(t[4][lab, l] for t, lab, l in slots)))
+    parts = merged.tolist()
     residual = 1.0 - norm
     if residual > WEIGHT_FLOOR:
-        terms.append(
-            ProductTerm(
-                residual,
-                tuple(np.eye(d, dtype=complex) / d for d in dims),
-                None,
-            )
-        )
-    total = math.fsum(term.weight for term in terms)
-    terms = [
-        ProductTerm(t.weight / total, t.factors, t.factor_specs) for t in terms
-    ]
+        parts.append(residual)
+        factors.append(tuple(np.eye(d, dtype=complex) / d for d in dims))
+        specs.append(None)
+    total = math.fsum(parts)
+    terms = [ProductTerm(w / total, f, sp) for w, f, sp in zip(parts, factors, specs)]
     dec = SeparableDecomposition(dims, tuple(terms))
     result = verify_decomposition(dec, rho, tol)
     if not result:

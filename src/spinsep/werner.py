@@ -117,9 +117,6 @@ def werner_separable_decomposition(
     family per zero-digit-sum index; below it the threshold decomposition
     is mixed convexly with the maximally mixed state.
     """
-    _require_prime(p)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     s_star = werner_threshold(p, n)
     if s is None:
         s = s_star

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from spinsep import (
 )
 from spinsep.cli import main
 from spinsep.io import (
+    coefficients_document,
+    density_document,
     read_decomposition_file,
     read_density_file,
-    write_coefficients_file,
     write_density_file,
 )
 
@@ -128,9 +130,11 @@ class TestTransform:
         table[1, 2] = np.nan
         src = tmp_path / "nan.json"
         if direction == "to-spin":
-            write_density_file(src, table / 4, DimVector((2, 2)))
+            doc = density_document(table / 4, DimVector((2, 2)))
         else:
-            write_coefficients_file(src, SpinCoefficients(DimVector((2, 2)), table))
+            doc = coefficients_document(SpinCoefficients(DimVector((2, 2)), table))
+        # The library writers refuse NaN, so the text is written directly.
+        src.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
         argv = ["transform", "--input", str(src), "--direction", direction]
         assert main(argv + (["--output", str(out)] if to_file else [])) == 3
@@ -203,7 +207,8 @@ class TestCertify:
         m = np.eye(4, dtype=complex) / 4
         m[entry] = m[entry[::-1]] = value
         src = tmp_path / "nonfinite.json"
-        write_density_file(src, m, DimVector((2, 2)))
+        # The library writers refuse NaN and infinity, so the text is written directly.
+        src.write_text(json.dumps(density_document(m, DimVector((2, 2)))))
         assert main(["certify", "--input", str(src), "--all", "--json"]) == 4
         assert "non-finite" in capsys.readouterr().err
 
@@ -346,6 +351,16 @@ class TestWernerCommand:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "p, n", [("0", "0"), ("2", "2000"), ("4", "1"), ("1", "3"), ("-3", "2")]
+    )
+    def test_p_or_n_out_of_range_exits_3(self, capsys, p, n):
+        assert main(["werner", "--p", p, "--n", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli
 
@@ -392,6 +407,17 @@ class TestPermute:
         assert main(["permute", "--input", str(src), "--sigma", "1,2,3"]) == 3
 
 
+class TestLibraryWriters:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_density_refused_without_a_file(self, tmp_path, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] = value
+        path = tmp_path / "nonfinite.json"
+        with pytest.raises(ValueError):
+            write_density_file(path, m, DimVector((2, 2)))
+        assert not path.exists()
+
+
 class TestGoldenFiles:
     def test_round_trip_identity(self, tmp_path):
         for name in (
@@ -403,6 +429,17 @@ class TestGoldenFiles:
             copy = tmp_path / name
             write_density_file(copy, matrix, dims)
             assert json.loads(path.read_text()) == json.loads(copy.read_text())
+
+    def test_regenerated_goldens_are_byte_identical(self, tmp_path, capsys):
+        script = GOLDEN_DIR.parent.parent / "scripts" / "regenerate_goldens.py"
+        spec = importlib.util.spec_from_file_location("regenerate_goldens", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        names = sorted(p.name for p in GOLDEN_DIR.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
     def test_golden_decomposition_verifies(self):
         dec = read_decomposition_file(GOLDEN_DIR / "werner_2qubit_third.decomposition.json")
