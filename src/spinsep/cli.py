@@ -24,6 +24,7 @@ from .io import (
     read_coefficients_file,
     read_density_file,
     write_decomposition_file,
+    write_text_file,
 )
 from .linalg import DEFAULT_TOLERANCE, InvalidDensityError, Tolerance, check_density
 from .projections import is_prime
@@ -40,6 +41,7 @@ from .separability import (
 from .transform import from_spin, spin_l1_norm, spin_table
 from .werner import (
     WernerSpec,
+    werner_bound,
     werner_density,
     werner_separable_decomposition,
     werner_threshold,
@@ -68,8 +70,7 @@ def _emit_document(doc: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text_file(path, text)
         print(f"wrote {path}")
 
 
@@ -212,7 +213,7 @@ def cmd_werner(args, tol: Tolerance) -> int:
         print(f"separability threshold: {s_star!r}")
     else:
         s_star = None
-        bound = 1.0 / (1.0 + p ** (n - 1))
+        bound = werner_bound(p, n)
         print(
             f"necessary-condition bound: {bound!r} "
             "(exact threshold unknown for composite dimension)"

@@ -79,22 +79,33 @@ def _factor_table(
     appears, and every term's factors as indices into the distinct list.
 
     Factors are keyed on the slot dimension, shape and bytes, so equal
-    matrices parsed separately from a file are recognised as one.
+    matrices parsed separately from a file are recognised as one.  An
+    object already keyed in the same slot dimension is found by identity
+    first; the terms keep every factor alive, so no id is reused meanwhile.
+    ValueError if a term does not hold one factor per subsystem.
     """
+    # id -> index, one dict per slot dimension, shared by the slots of it.
+    by_dim: dict[int, dict[int, int]] = {}
+    seen = [by_dim.setdefault(d, {}) for d in dims]
     index: dict[tuple, int] = {}
     factors: list[np.ndarray] = []
     first: list[tuple[int, int]] = []
     rows = []
     for i, term in enumerate(terms):
+        if len(term.factors) != len(dims):
+            raise ValueError(f"term {i}: {len(term.factors)} factors for {len(dims)} subsystems")
         row = []
-        for a, (f, d) in enumerate(zip(term.factors, dims)):
-            f = np.asarray(f, dtype=complex)
-            key = (d, f.shape, f.tobytes())
-            k = index.get(key)
+        for a, (f, ids) in enumerate(zip(term.factors, seen)):
+            k = ids.get(id(f))
             if k is None:
-                k = index[key] = len(factors)
-                factors.append(f)
-                first.append((i, a))
+                arr = np.asarray(f, dtype=complex)
+                key = (dims[a], arr.shape, arr.tobytes())
+                k = index.get(key)
+                if k is None:
+                    k = index[key] = len(factors)
+                    factors.append(arr)
+                    first.append((i, a))
+                ids[id(f)] = k
             row.append(k)
         rows.append(tuple(row))
     return factors, first, rows

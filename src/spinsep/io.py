@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .composite import DimVector
-from .decompositions import ProductTerm, SeparableDecomposition
+from .decompositions import ProductTerm, SeparableDecomposition, _factor_table
 from .transform import SpinCoefficients
 
 FORMAT_VERSION = 1
@@ -154,8 +154,35 @@ def document_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _dump(path, doc: dict) -> None:
-    Path(path).write_text(document_text(doc) + "\n", encoding="utf-8")
+def write_text_file(path, text: str) -> None:
+    """Write already-rendered ``text`` and a newline.
+
+    Callers render before calling, so a ValueError on NaN or infinity
+    leaves no file behind.
+    """
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def decomposition_text(dec: SeparableDecomposition) -> str:
+    """``document_text(decomposition_document(dec))``, rendering each
+    distinct factor (by content) once instead of once per term."""
+    factors, _, rows = _factor_table(dec.dims, dec.terms)
+    # Factors sit 4 levels deep in the document: 8 spaces at indent 2.
+    blocks = [
+        json.dumps(_matrix_entries(f), indent=2, allow_nan=False).replace("\n", "\n        ")
+        for f in factors
+    ]
+    head = document_text({"format_version": FORMAT_VERSION, "dims": list(dec.dims), "terms": []})
+    if not dec.terms:
+        return head
+    terms = ",\n".join(
+        f'    {{\n      "weight": {json.dumps(float(term.weight), allow_nan=False)},\n'
+        '      "factors": [\n        '
+        + ",\n        ".join(blocks[k] for k in row)
+        + "\n      ]\n    }"
+        for term, row in zip(dec.terms, rows)
+    )
+    return head.removesuffix("[]\n}") + "[\n" + terms + "\n  ]\n}"
 
 
 def read_density_file(path) -> tuple[np.ndarray, DimVector]:
@@ -163,7 +190,7 @@ def read_density_file(path) -> tuple[np.ndarray, DimVector]:
 
 
 def write_density_file(path, matrix: np.ndarray, dims: DimVector) -> None:
-    _dump(path, density_document(matrix, dims))
+    write_text_file(path, document_text(density_document(matrix, dims)))
 
 
 def read_coefficients_file(path) -> SpinCoefficients:
@@ -171,7 +198,7 @@ def read_coefficients_file(path) -> SpinCoefficients:
 
 
 def write_coefficients_file(path, coeffs: SpinCoefficients) -> None:
-    _dump(path, coefficients_document(coeffs))
+    write_text_file(path, document_text(coefficients_document(coeffs)))
 
 
 def read_decomposition_file(path) -> SeparableDecomposition:
@@ -179,4 +206,4 @@ def read_decomposition_file(path) -> SeparableDecomposition:
 
 
 def write_decomposition_file(path, dec: SeparableDecomposition) -> None:
-    _dump(path, decomposition_document(dec))
+    write_text_file(path, decomposition_text(dec))

@@ -85,12 +85,23 @@ def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
     return SpinCoefficients(dims, table)
 
 
+def werner_bound(p: int, n: int) -> float:
+    """1/(1 + p^(n-1)): the threshold for prime p, a necessary-condition
+    bound otherwise.  ValueError when p^(n-1) overflows a double."""
+    try:
+        return 1.0 / (1.0 + p ** (n - 1))
+    except OverflowError:
+        raise ValueError(
+            f"--p {p} --n {n}: p^(n-1) overflows a double, so 1/(1 + p^(n-1)) cannot be computed"
+        ) from None
+
+
 def werner_threshold(p: int, n: int) -> float:
     """Exact full-separability threshold 1/(1 + p^(n-1)) for prime p."""
     _require_prime(p)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return 1.0 / (1.0 + p ** (n - 1))
+    return werner_bound(p, n)
 
 
 def _block_offsets(p: int, j_digits: tuple[int, ...]) -> tuple[int, ...]:

@@ -361,6 +361,14 @@ class TestWernerCommand:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_overflowing_bound_names_p_and_n(self, capsys, p):
+        assert main(["werner", "--p", p, "--n", "2000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--p {p} --n 2000" in captured.err
+        assert "1/(1 + p^(n-1))" in captured.err
+
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli
 

@@ -1,0 +1,214 @@
+"""The decomposition writer, which renders each distinct factor once,
+against the one-pass indented encoder it replaces: the same bytes on
+certificate witnesses, Werner decompositions, parsed files, CLI output and
+random mixtures, and no file on NaN or infinity."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinsep import (
+    DimVector,
+    ProductTerm,
+    SeparableDecomposition,
+    sufficient_certificate,
+    werner_separable_decomposition,
+    werner_threshold,
+)
+from spinsep.cli import main
+from spinsep.decompositions import _factor_table
+from spinsep.io import (
+    decomposition_document,
+    document_text,
+    read_decomposition_file,
+    write_decomposition_file,
+    write_density_file,
+)
+
+from conftest import mixed_to_norm
+
+
+def reference_bytes(dec) -> bytes:
+    return (document_text(decomposition_document(dec)) + "\n").encode("utf-8")
+
+
+def written_bytes(dec, path) -> bytes:
+    write_decomposition_file(path, dec)
+    return path.read_bytes()
+
+
+def content_table(dims, terms):
+    """``_factor_table`` keyed on content alone, without the identity lookup."""
+    index, factors, first, rows = {}, [], [], []
+    for i, term in enumerate(terms):
+        row = []
+        for a, (f, d) in enumerate(zip(term.factors, dims)):
+            f = np.asarray(f, dtype=complex)
+            key = (d, f.shape, f.tobytes())
+            if key not in index:
+                index[key] = len(factors)
+                factors.append(f)
+                first.append((i, a))
+            row.append(index[key])
+        rows.append(tuple(row))
+    return factors, first, rows
+
+
+def assert_same_table(dec):
+    factors, first, rows = _factor_table(dec.dims, dec.terms)
+    ref_factors, ref_first, ref_rows = content_table(dec.dims, dec.terms)
+    assert (first, rows) == (ref_first, ref_rows)
+    assert len(factors) == len(ref_factors)
+    for f, g in zip(factors, ref_factors):
+        assert f.shape == g.shape and f.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("norm", [1.0, 0.6])
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (2, 3), (3, 3), (2, 2, 3), (2, 8), (2, 2, 2, 2, 2)], ids=str
+)
+def test_certificate_witness_bytes(dims, norm, tmp_path, rng):
+    rho = mixed_to_norm(DimVector(dims), norm, rng)
+    dec = sufficient_certificate(rho).witness
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+    assert_same_table(dec)
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize(
+    "p, n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+)
+def test_werner_decomposition_bytes(p, n, below, tmp_path):
+    s = 0.55 * werner_threshold(p, n) if below else None
+    dec = werner_separable_decomposition(p, n, s)
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+    assert_same_table(dec)
+
+
+def test_empty_decomposition_bytes(tmp_path):
+    dec = SeparableDecomposition(DimVector((2, 3)), ())
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+def test_content_equal_factors_in_distinct_objects(tmp_path):
+    dec = werner_separable_decomposition(3, 3)
+    copies = SeparableDecomposition(
+        dec.dims,
+        tuple(ProductTerm(t.weight, tuple(np.array(f) for f in t.factors)) for t in dec.terms),
+    )
+    assert len(_factor_table(copies.dims, copies.terms)[0]) == len(
+        _factor_table(dec.dims, dec.terms)[0]
+    )
+    assert written_bytes(copies, tmp_path / "copies.json") == reference_bytes(dec)
+    assert_same_table(copies)
+
+
+def test_mixed_slot_dimensions(tmp_path):
+    """One 2x2 object in both 2-level slots and, malformed, in the 3-level
+    slot: the slot dimension keeps the 3-level use a separate factor."""
+    a = np.diag([0.25, 0.75]).astype(complex)
+    b = np.eye(3, dtype=complex) / 3
+    dims = DimVector((2, 3, 2))
+    terms = (
+        ProductTerm(0.5, (a, b, a)),
+        ProductTerm(0.25, (a, a, np.array(a))),
+        ProductTerm(0.25, (np.eye(2) / 2, b, a)),
+    )
+    dec = SeparableDecomposition(dims, terms)
+    factors, first, rows = _factor_table(dims, terms)
+    assert rows == [(0, 1, 0), (0, 2, 0), (3, 1, 0)]
+    assert first == [(0, 0), (0, 1), (1, 1), (2, 0)]
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+    assert_same_table(dec)
+
+
+def test_decomposition_read_back_from_a_file(tmp_path, rng):
+    rho = mixed_to_norm(DimVector((2, 2, 2)), 1.0, rng)
+    first = tmp_path / "first.json"
+    write_decomposition_file(first, sufficient_certificate(rho).witness)
+    parsed = read_decomposition_file(first)
+    assert written_bytes(parsed, tmp_path / "second.json") == first.read_bytes()
+    assert first.read_bytes() == reference_bytes(parsed)
+    assert_same_table(parsed)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def decompositions(draw):
+    """Small mixtures of arbitrary finite matrices, drawn from a per-slot
+    pool so objects and contents repeat, some as fresh copies."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    pools = [
+        [
+            np.array(draw(st.lists(finite, min_size=2 * d * d, max_size=2 * d * d)))
+            .view(complex)
+            .reshape(d, d)
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        for d in dims
+    ]
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        factors = []
+        for pool in pools:
+            f = pool[draw(st.integers(0, len(pool) - 1))]
+            factors.append(np.array(f) if draw(st.booleans()) else f)
+        terms.append(ProductTerm(draw(finite), tuple(factors)))
+    return SeparableDecomposition(DimVector(tuple(dims)), tuple(terms))
+
+
+@given(dec=decompositions())
+@settings(max_examples=100, deadline=None)
+def test_random_decomposition_bytes(dec, tmp_path_factory):
+    path = tmp_path_factory.mktemp("random") / "dec.json"
+    assert written_bytes(dec, path) == reference_bytes(dec)
+    assert_same_table(dec)
+
+
+class TestCliOutput:
+    def test_certify_emit_decomposition(self, tmp_path, rng, capsys):
+        rho = mixed_to_norm(DimVector((2, 2, 3)), 1.0, rng)
+        src, out = tmp_path / "rho.json", tmp_path / "dec.json"
+        write_density_file(src, rho.matrix, rho.dims)
+        assert main(["certify", "--input", str(src), "--emit-decomposition", str(out)]) == 0
+        assert out.read_bytes() == reference_bytes(sufficient_certificate(rho).witness)
+
+    def test_werner_emit_decomposition(self, tmp_path, capsys):
+        out = tmp_path / "dec.json"
+        argv = ["werner", "--p", "3", "--n", "3", "--s", "0.05", "--emit-decomposition", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == reference_bytes(werner_separable_decomposition(3, 3, 0.05))
+
+
+class TestRefusedWithoutAFile:
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, tmp_path, weight):
+        dec = werner_separable_decomposition(2, 2)
+        terms = (ProductTerm(weight, dec.terms[0].factors),) + dec.terms[1:]
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError):
+            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("entry", [complex(np.nan, 0), complex(0, np.inf), -np.inf])
+    def test_non_finite_factor_entry(self, tmp_path, entry):
+        dec = werner_separable_decomposition(2, 3)
+        last = dec.terms[-1]
+        bad = np.array(last.factors[1])
+        bad[1, 0] = entry
+        terms = dec.terms[:-1] + (ProductTerm(last.weight, (last.factors[0], bad) + last.factors[2:]),)
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError):
+            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+        assert not path.exists()
+
+    def test_wrong_factor_count(self, tmp_path):
+        dec = werner_separable_decomposition(2, 2)
+        terms = dec.terms[:-1] + (ProductTerm(dec.terms[-1].weight, dec.terms[-1].factors[:1]),)
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError, match="1 factors for 2 subsystems"):
+            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+        assert not path.exists()
