@@ -21,7 +21,7 @@ from spinsep import (
     werner_density,
     werner_threshold,
 )
-from spinsep.projections import is_prime
+from spinsep.werner import is_prime
 
 
 def main() -> None:

@@ -39,7 +39,6 @@ from .projections import (
     cyclic_family_decomposition,
     cyclic_family_density,
     expand_spin_power,
-    is_prime,
     m2_map,
     m3_map,
     product_projection,
@@ -83,6 +82,7 @@ from .transform import (
 from .werner import (
     WernerSpec,
     ind_set,
+    is_prime,
     werner_density,
     werner_separable_decomposition,
     werner_spin_coeffs,

@@ -27,7 +27,6 @@ from .io import (
     write_text_file,
 )
 from .linalg import DEFAULT_TOLERANCE, InvalidDensityError, Tolerance, check_density
-from .projections import is_prime
 from .separability import (
     INCONCLUSIVE,
     INSEPARABLE,
@@ -41,6 +40,7 @@ from .separability import (
 from .transform import from_spin, spin_l1_norm, spin_table
 from .werner import (
     WernerSpec,
+    is_prime,
     werner_bound,
     werner_density,
     werner_separable_decomposition,
@@ -235,7 +235,7 @@ def cmd_werner(args, tol: Tolerance) -> int:
         if not result:
             raise VerificationError(f"decomposition failed verification: {result.failure}")
         write_decomposition_file(args.emit_decomposition, dec)
-        print(f"wrote {args.emit_decomposition} ({len(dec.terms)} terms, verified)")
+        print(f"wrote {args.emit_decomposition} ({len(dec.weights)} terms, verified)")
     return EXIT_OK
 
 

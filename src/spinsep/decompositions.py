@@ -2,15 +2,22 @@
 verification against a target density.
 
 Decompositions built from subgroup projections reuse a handful of local
-factors across thousands of terms, so both assembly and verification work
-on the distinct factors (compared by content, not identity) and on the
-distinct factor tuples, with the weights of repeated tuples summed.
+factors across thousands of terms, so a decomposition is held by columns:
+
+- ``weights``, shape (T,): the weight of each term;
+- ``index``, shape (T, b): the entry of each slot that each term uses;
+- ``factors[a]`` and ``specs[a]``: the entries of slot a that its terms
+  use, one per distinct (content, spec).
+
+Builders fill the columns directly; ``SeparableDecomposition(dims, terms)``
+derives them from product terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -46,17 +53,92 @@ class ProductTerm:
     factor_specs: Optional[tuple[Optional["ProjectionSpec"], ...]] = None
 
 
-@dataclass(frozen=True)
 class SeparableDecomposition:
-    """Weighted mixture of product states over a fixed tensor decomposition."""
+    """Weighted mixture of product states over a fixed tensor decomposition,
+    held by columns (see the module docstring)."""
 
     dims: DimVector
-    terms: tuple[ProductTerm, ...]
+    weights: np.ndarray
+    index: np.ndarray
+    factors: tuple[tuple[np.ndarray, ...], ...]
+    specs: tuple[tuple[Optional["ProjectionSpec"], ...], ...]
+
+    def __init__(self, dims: DimVector, terms):
+        """From product terms; each slot keeps one entry per distinct
+        (shape, bytes, spec).  ValueError if a term does not hold one
+        factor per subsystem."""
+        b = len(dims)
+        keys: list[dict] = [{} for _ in range(b)]
+        factors: list[list] = [[] for _ in range(b)]
+        specs: list[list] = [[] for _ in range(b)]
+        rows = []
+        for i, term in enumerate(terms):
+            if len(term.factors) != b:
+                raise ValueError(f"term {i}: {len(term.factors)} factors for {b} subsystems")
+            row, term_specs = [], term.factor_specs or (None,) * b
+            for a, (f, spec) in enumerate(zip(term.factors, term_specs, strict=True)):
+                f = np.asarray(f, dtype=complex)
+                k = keys[a].setdefault((f.shape, f.tobytes(), spec), len(factors[a]))
+                if k == len(factors[a]):
+                    factors[a].append(f)
+                    specs[a].append(spec)
+                row.append(k)
+            rows.append(row)
+        self._fill(dims, [t.weight for t in terms], rows, factors, specs)
+        self.__dict__["terms"] = tuple(terms)
+
+    @classmethod
+    def from_columns(cls, dims: DimVector, weights, index, factors, specs):
+        """From the columns themselves; each slot keeps only the entries that
+        some term uses, in their order."""
+        dec = cls.__new__(cls)
+        dec._fill(dims, weights, index, factors, specs)
+        return dec
+
+    def _fill(self, dims, weights, index, factors, specs) -> None:
+        self.dims = dims
+        self.weights = np.asarray(weights, dtype=float)
+        index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims))
+        kept = [np.unique(column, return_inverse=True) for column in index.T]
+        self.index = np.column_stack([column for _, column in kept])
+        self.factors = tuple(tuple(f[k] for k in used) for f, (used, _) in zip(factors, kept))
+        self.specs = tuple(tuple(s[k] for k in used) for s, (used, _) in zip(specs, kept))
+
+    @cached_property
+    def terms(self) -> tuple[ProductTerm, ...]:
+        """The terms as ProductTerms, built on first use from the columns;
+        a term without specs has ``factor_specs`` None."""
+        out, none = [], (None,) * len(self.dims)
+        for w, row in zip(self.weights.tolist(), self.index.tolist()):
+            specs = tuple(s[k] for s, k in zip(self.specs, row))
+            factors = tuple(f[k] for f, k in zip(self.factors, row))
+            out.append(ProductTerm(w, factors, None if specs == none else specs))
+        return tuple(out)
 
     def assemble(self) -> np.ndarray:
-        """Sum of weight * tensor-product over all terms."""
-        factors, _, rows = _factor_table(self.dims, self.terms)
-        return _assemble(self.dims, factors, rows, [t.weight for t in self.terms])
+        """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.
+
+        The subsystems split into a left and a right block.  Per chunk of
+        terms the weighted left products and the right products are built
+        batch-wise from the per-slot factor stacks, and one tensordot over
+        the term axis adds sum_t L_t (x) R_t into the result as a matrix
+        product.
+        """
+        dims, w, idx = self.dims, self.weights, self.index
+        h = len(dims) // 2
+        n_left, n_right = math.prod(dims[:h]), math.prod(dims[h:])
+        n = n_left * n_right
+        if not len(w):
+            return np.zeros((n, n), dtype=complex)
+        tables = [np.stack(f) for f in self.factors]
+        acc = np.zeros((n_left, n_left, n_right, n_right), dtype=complex)
+        chunk = max(1, CHUNK_ENTRIES // n**2)
+        for s in range(0, len(w), chunk):
+            factors = [t[k] for t, k in zip(tables, idx[s : s + chunk].T)]
+            left = _batched_kron(factors[:h], w[s : s + chunk])
+            right = _batched_kron(factors[h:], np.ones(len(left)))
+            acc += np.tensordot(left, right, axes=(0, 0))
+        return acc.transpose(0, 2, 1, 3).reshape(n, n)
 
 
 class VerificationError(RuntimeError):
@@ -72,45 +154,6 @@ class VerificationResult:
         return self.ok
 
 
-def _factor_table(
-    dims: DimVector, terms
-) -> tuple[list[np.ndarray], list[tuple[int, int]], list[tuple[int, ...]]]:
-    """Distinct factors by content, the (term, slot) where each first
-    appears, and every term's factors as indices into the distinct list.
-
-    Factors are keyed on the slot dimension, shape and bytes, so equal
-    matrices parsed separately from a file are recognised as one.  An
-    object already keyed in the same slot dimension is found by identity
-    first; the terms keep every factor alive, so no id is reused meanwhile.
-    ValueError if a term does not hold one factor per subsystem.
-    """
-    # id -> index, one dict per slot dimension, shared by the slots of it.
-    by_dim: dict[int, dict[int, int]] = {}
-    seen = [by_dim.setdefault(d, {}) for d in dims]
-    index: dict[tuple, int] = {}
-    factors: list[np.ndarray] = []
-    first: list[tuple[int, int]] = []
-    rows = []
-    for i, term in enumerate(terms):
-        if len(term.factors) != len(dims):
-            raise ValueError(f"term {i}: {len(term.factors)} factors for {len(dims)} subsystems")
-        row = []
-        for a, (f, ids) in enumerate(zip(term.factors, seen)):
-            k = ids.get(id(f))
-            if k is None:
-                arr = np.asarray(f, dtype=complex)
-                key = (dims[a], arr.shape, arr.tobytes())
-                k = index.get(key)
-                if k is None:
-                    k = index[key] = len(factors)
-                    factors.append(arr)
-                    first.append((i, a))
-                ids[id(f)] = k
-            row.append(k)
-        rows.append(tuple(row))
-    return factors, first, rows
-
-
 def _batched_kron(blocks, weights: np.ndarray) -> np.ndarray:
     """weights[t] * blocks[0][t] (x) blocks[1][t] (x) ... for every t."""
     out = weights.astype(complex).reshape(-1, 1, 1)
@@ -119,38 +162,6 @@ def _batched_kron(blocks, weights: np.ndarray) -> np.ndarray:
         d = f.shape[1]
         out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(t, m * d, m * d)
     return out
-
-
-def _assemble(dims: DimVector, factors, rows, weights) -> np.ndarray:
-    """Sum of weight * (x)_a factors[row[a]], over terms merged by row.
-
-    The subsystems split into a left and a right block.  Per chunk of
-    merged terms the weighted left products and the right products are
-    built batch-wise, and one tensordot over the term axis adds
-    sum_t L_t (x) R_t into the result as a matrix product.
-    """
-    merged: dict[tuple[int, ...], float] = {}
-    for row, w in zip(rows, weights):
-        merged[row] = merged.get(row, 0.0) + w
-    b, h = len(dims), len(dims) // 2
-    n_left, n_right = math.prod(dims[:h]), math.prod(dims[h:])
-    n = n_left * n_right
-    if not merged:
-        return np.zeros((n, n), dtype=complex)
-    idx = np.array(list(merged), dtype=np.intp)
-    w = np.fromiter(merged.values(), dtype=float, count=len(merged))
-    tables = []
-    for a in range(b):
-        used, idx[:, a] = np.unique(idx[:, a], return_inverse=True)
-        tables.append(np.stack([factors[k] for k in used]))
-    acc = np.zeros((n_left, n_left, n_right, n_right), dtype=complex)
-    chunk = max(1, CHUNK_ENTRIES // n**2)
-    for s in range(0, len(w), chunk):
-        part = slice(s, s + chunk)
-        left = _batched_kron([tables[a][idx[part, a]] for a in range(h)], w[part])
-        right = _batched_kron([tables[a][idx[part, a]] for a in range(h, b)], np.ones(len(left)))
-        acc += np.tensordot(left, right, axes=(0, 0))
-    return acc.transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def verify_decomposition(
@@ -162,32 +173,35 @@ def verify_decomposition(
 
     Weights finite, non-negative and summing to one, every factor a valid
     local density, and the reassembled mixture matching the target
-    entrywise within the reconstruction tolerance.  Each distinct factor
-    is validated once, at its first appearance.  Every comparison fails on
-    NaN.  A failure is named in the result.
+    entrywise within the reconstruction tolerance.  Each distinct factor,
+    across slots, is validated once, at the first term that uses it.
+    Every comparison fails on NaN.  A failure is named in the result.
     """
     if dec.dims != target.dims:
         raise ValueError(f"dims mismatch: {dec.dims.dims} vs {target.dims.dims}")
-    for i, term in enumerate(dec.terms):
-        if not math.isfinite(term.weight):
-            return VerificationResult(False, f"term {i}: non-finite weight {term.weight!r}")
-        if not (term.weight >= -tol.abs_eps):
-            return VerificationResult(False, f"term {i}: negative weight {term.weight:.3e}")
-        if len(term.factors) != len(dec.dims):
-            return VerificationResult(
-                False, f"term {i}: {len(term.factors)} factors for {len(dec.dims)} subsystems"
-            )
-    factors, first, rows = _factor_table(dec.dims, dec.terms)
-    for factor, (i, a) in zip(factors, first):
+    w = dec.weights
+    bad = np.flatnonzero(~np.isfinite(w) | ~(w >= -tol.abs_eps))
+    if len(bad):
+        i, weight = bad[0], float(w[bad[0]])
+        if not math.isfinite(weight):
+            return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
+        return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
+    # (slot dimension, shape, bytes) -> (first term, slot, entry) using it
+    first: dict[tuple, tuple[int, int, int]] = {}
+    for a, slot in enumerate(dec.factors):
+        used, at = np.unique(dec.index[:, a], return_index=True)
+        for k, i in zip(used.tolist(), at.tolist()):
+            key = (dec.dims[a], slot[k].shape, slot[k].tobytes())
+            first[key] = min(first.get(key, (i, a, k)), (i, a, k))
+    for i, a, k in sorted(first.values()):
         try:
-            check_density(factor, DimVector((dec.dims[a],)), tol)
+            check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
         except (InvalidDensityError, ValueError) as err:
             return VerificationResult(False, f"term {i}, factor {a}: {err}")
-    weights = [term.weight for term in dec.terms]
-    total = math.fsum(weights)
+    total = math.fsum(w.tolist())
     if not (abs(total - 1.0) <= tol.abs_eps):
         return VerificationResult(False, f"weights sum to {total:.17g}, expected 1")
-    defect = float(np.abs(_assemble(dec.dims, factors, rows, weights) - target.matrix).max())
+    defect = float(np.abs(dec.assemble() - target.matrix).max())
     if not (defect <= tol.reconstruction_eps):
         return VerificationResult(False, f"reconstruction defect {defect:.3e}")
     return VerificationResult(True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .composite import DimVector
-from .decompositions import ProductTerm, SeparableDecomposition, _factor_table
+from .decompositions import ProductTerm, SeparableDecomposition
 from .transform import SpinCoefficients
 
 FORMAT_VERSION = 1
@@ -42,7 +42,10 @@ def _parse_entries(rows, n: int, what: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise FileFormatError(f"{what}: entry ({i},{j}) must be a [real, imaginary] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise FileFormatError(f"{what}: entry ({i},{j}) does not fit a double") from None
     return out
 
 
@@ -127,6 +130,10 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
         weight = raw["weight"]
         if not isinstance(weight, (int, float)) or isinstance(weight, bool):
             raise FileFormatError(f"term {i}: weight must be a number")
+        try:
+            weight = float(weight)
+        except OverflowError:
+            raise FileFormatError(f"term {i}: weight does not fit a double") from None
         raw_factors = raw["factors"]
         if not isinstance(raw_factors, list) or len(raw_factors) != len(dims):
             raise ValueError(
@@ -137,15 +144,16 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
             _parse_entries(rows, d, f"term {i}, factor {a}")
             for a, (rows, d) in enumerate(zip(raw_factors, dims))
         )
-        terms.append(ProductTerm(float(weight), factors))
+        terms.append(ProductTerm(weight, factors))
     return SeparableDecomposition(dims, tuple(terms))
 
 
 def _load(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    """The parsed document; FileFormatError naming ``path`` if the file is
+    not UTF-8, not JSON, or nested too deeply to parse."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise FileFormatError(f"{path}: {err}") from err
 
 
@@ -165,22 +173,24 @@ def write_text_file(path, text: str) -> None:
 
 def decomposition_text(dec: SeparableDecomposition) -> str:
     """``document_text(decomposition_document(dec))``, rendering each
-    distinct factor (by content) once instead of once per term."""
-    factors, _, rows = _factor_table(dec.dims, dec.terms)
-    # Factors sit 4 levels deep in the document: 8 spaces at indent 2.
-    blocks = [
-        json.dumps(_matrix_entries(f), indent=2, allow_nan=False).replace("\n", "\n        ")
-        for f in factors
-    ]
+    distinct factor once instead of once per term."""
+    # Factors sit 4 levels deep in the document: 8 spaces at indent 2.  Equal
+    # content in several slots, such as one projection, is rendered once.
+    distinct = {(f.shape, f.tobytes()): f for slot in dec.factors for f in slot}
+    rendered = {
+        key: json.dumps(_matrix_entries(f), indent=2, allow_nan=False).replace("\n", "\n        ")
+        for key, f in distinct.items()
+    }
+    blocks = [[rendered[f.shape, f.tobytes()] for f in slot] for slot in dec.factors]
     head = document_text({"format_version": FORMAT_VERSION, "dims": list(dec.dims), "terms": []})
-    if not dec.terms:
+    if not len(dec.weights):
         return head
     terms = ",\n".join(
-        f'    {{\n      "weight": {json.dumps(float(term.weight), allow_nan=False)},\n'
+        f'    {{\n      "weight": {json.dumps(weight, allow_nan=False)},\n'
         '      "factors": [\n        '
-        + ",\n        ".join(blocks[k] for k in row)
+        + ",\n        ".join(b[k] for b, k in zip(blocks, row))
         + "\n      ]\n    }"
-        for term, row in zip(dec.terms, rows)
+        for weight, row in zip(dec.weights.tolist(), dec.index.tolist())
     )
     return head.removesuffix("[]\n}") + "[\n" + terms + "\n  ]\n}"
 

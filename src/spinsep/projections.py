@@ -14,27 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
-from .composite import DimVector
-from .decompositions import ProductTerm, SeparableDecomposition
+from .composite import DimVector, digit_table
+from .decompositions import SeparableDecomposition
 from .linalg import DensityMatrix, check_density
 from .spin import RootOfUnity, SpinLabel, fourier_matrix, spin_matrix
 from .transform import SpinCoefficients, spin_table
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate at desk scale."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def valid_generator(d: int, j: int, k: int) -> bool:
@@ -151,21 +138,14 @@ def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomp
     r_vec = [int(r) for r in r_vec]
     if len(u_vec) != n or len(r_vec) != n:
         raise ValueError("u_vec and r_vec must each have n entries")
-    # slots[i][l] is the spec of P_{u_i}(r_i + l), factors[i][l] its projection.
-    slots = [[ProjectionSpec(d, u, r + l) for l in range(d)] for u, r in zip(u_vec, r_vec)]
-    factors = [[subgroup_projection(s) for s in slot] for slot in slots]
-    weight = 1.0 / d ** (n - 1)
-    terms = []
-    for free in iter_product(range(d), repeat=n - 1):
-        offsets = free + ((-sum(free)) % d,)
-        terms.append(
-            ProductTerm(
-                weight,
-                tuple(f[l] for f, l in zip(factors, offsets)),
-                tuple(s[l] for s, l in zip(slots, offsets)),
-            )
-        )
-    return SeparableDecomposition(DimVector((d,) * n), tuple(terms))
+    # Entry l of slot i is P_{u_i}(r_i + l); term rows are the offset vectors.
+    specs = [[ProjectionSpec(d, u, r + l) for l in range(d)] for u, r in zip(u_vec, r_vec)]
+    factors = [[subgroup_projection(s) for s in slot] for slot in specs]
+    dims = DimVector((d,) * n)
+    offsets = digit_table(dims)
+    offsets = offsets[offsets.sum(axis=1) % d == 0]
+    weights = np.full(len(offsets), 1.0 / d ** (n - 1))
+    return SeparableDecomposition.from_columns(dims, weights, offsets, factors, specs)
 
 
 def cyclic_family_density(
@@ -182,9 +162,9 @@ def cyclic_family_density(
     acc = np.zeros((size, size), dtype=complex)
     for m in range(d):
         prod = np.ones((1, 1), dtype=complex)
-        # The first term's specs carry the unshifted offsets r_i.
-        for spec in dec.terms[0].factor_specs:
-            prod = np.kron(prod, _generator_power(spec, m))
+        # Entry 0 of each slot carries the unshifted offset r_i.
+        for slot in dec.specs:
+            prod = np.kron(prod, _generator_power(slot[0], m))
         acc += prod
     return check_density(acc / size, dec.dims), dec
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .composite import DimVector, digit_table, strides
 from .decompositions import (
-    ProductTerm,
     SeparableDecomposition,
     VerificationError,
     verify_decomposition,
@@ -150,31 +149,33 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
 
 
 @lru_cache(maxsize=None)
-def _label_table(d: int) -> tuple[np.ndarray, ...]:
+def _label_table(d: int) -> tuple:
     """Expansion data of every label j*d + k of a d-level factor.
 
     Per label: the phase beta of S_{j,k} = beta (gamma S_u)^t, and per
     offset l the weight omega_l of P_u(l) in the expansion of that power,
-    the index of P_u(l) among the distinct projections, its spec and the
-    projection itself.  Generators of one subgroup, such as (1, 2) and
-    (2, 1) for d = 3, give equal projections, so the index is by content.
+    the index of P_u(l) among the distinct projections and the index of
+    its spec among the distinct specs; then those specs and their
+    projections.  Generators of one subgroup, such as (1, 2) and (2, 1)
+    for d = 3, give equal projections under different specs, so the
+    first index is by content and the second by spec.
     """
     beta = np.empty(d * d, dtype=complex)
     omega = np.empty((d * d, d), dtype=complex)
     ids = np.empty((d * d, d), dtype=np.int64)
-    specs = np.empty((d * d, d), dtype=object)
-    factors = np.empty((d * d, d), dtype=object)
-    index: dict[bytes, int] = {}
+    entry = np.empty((d * d, d), dtype=np.int64)
+    content: dict[bytes, int] = {}
+    specs: dict[ProjectionSpec, int] = {}
     for label in range(d * d):
         u, t, beta[label] = _reduced_generator(d, *divmod(label, d))
         for l, (w, r) in enumerate(expand_spin_power(ProjectionSpec(d, u), t)):
+            spec = ProjectionSpec(d, u, r)
             omega[label, l] = w
-            specs[label, l] = ProjectionSpec(d, u, r)
-            factors[label, l] = subgroup_projection(specs[label, l])
-            ids[label, l] = index.setdefault(factors[label, l].tobytes(), len(index))
-    for a in (beta, omega, ids, specs, factors):
+            entry[label, l] = specs.setdefault(spec, len(specs))
+            ids[label, l] = content.setdefault(subgroup_projection(spec).tobytes(), len(content))
+    for a in (beta, omega, ids, entry):
         a.setflags(write=False)
-    return beta, omega, ids, specs, factors
+    return beta, omega, ids, entry, tuple(specs), tuple(subgroup_projection(s) for s in specs)
 
 
 def sufficient_certificate(
@@ -228,7 +229,7 @@ def sufficient_certificate(
     omega = np.ones((len(s), n), dtype=complex)
     # product[p, o] encodes the distinct projection of every slot, mixed-radix.
     product = np.zeros((len(s), n), dtype=np.int64)
-    for a, (beta_d, omega_d, ids_d, _, _) in enumerate(tables):
+    for a, (beta_d, omega_d, ids_d, *_) in enumerate(tables):
         lab = labels[:, a]
         beta = beta * beta_d[lab]
         omega = omega * omega_d[lab][:, digits[:, a]]
@@ -240,20 +241,18 @@ def sufficient_certificate(
     order = np.argsort(first)
     merged = np.bincount(inverse, weights=weights.reshape(-1)[flat])[order]
 
-    # Each merged term keeps the specs and factors of its first expansion.
+    # Each merged term keeps the specs and factors of its first expansion;
+    # the uniform residual, if any, is the last term.
     pair, offset = np.divmod(flat[first[order]], n)
-    slots = [(t, labels[pair, a], digits[offset, a]) for a, t in enumerate(tables)]
-    specs = list(zip(*(t[3][lab, l] for t, lab, l in slots)))
-    factors = list(zip(*(t[4][lab, l] for t, lab, l in slots)))
-    parts = merged.tolist()
-    residual = 1.0 - norm
-    if residual > WEIGHT_FLOOR:
-        parts.append(residual)
-        factors.append(tuple(np.eye(d, dtype=complex) / d for d in dims))
-        specs.append(None)
-    total = math.fsum(parts)
-    terms = [ProductTerm(w / total, f, sp) for w, f, sp in zip(parts, factors, specs)]
-    dec = SeparableDecomposition(dims, tuple(terms))
+    residual = int(1.0 - norm > WEIGHT_FLOOR)
+    parts = np.append(merged, [1.0 - norm] * residual)
+    index, factors, specs = [], [], []
+    for a, (d, (*_, entry, spec_d, factor_d)) in enumerate(zip(dims, tables)):
+        index.append(np.append(entry[labels[pair, a], digits[offset, a]], [len(spec_d)] * residual))
+        specs.append(spec_d + (None,) * residual)
+        factors.append(factor_d + (np.eye(d, dtype=complex) / d,) * residual)
+    weights = parts / math.fsum(parts.tolist())
+    dec = SeparableDecomposition.from_columns(dims, weights, np.column_stack(index), factors, specs)
     result = verify_decomposition(dec, rho, tol)
     if not result:
         raise VerificationError(f"internal decomposition failed verification: {result.failure}")

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composite import DimVector, digit_table, encode
-from .decompositions import ProductTerm, SeparableDecomposition
+from .decompositions import SeparableDecomposition
 from .linalg import DensityMatrix, check_density
-from .projections import ProjectionSpec, cyclic_family_decomposition, is_prime, subgroup_projection
+from .projections import ProjectionSpec, subgroup_projection
 # Not called here: perfbench/layers.py wraps this name for its traced run.
 from .projections import cyclic_family_density  # noqa: F401
 from .spin import SpinLabel
@@ -42,6 +42,18 @@ class WernerSpec:
     @property
     def dims(self) -> DimVector:
         return DimVector((self.d,) * self.n)
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, adequate at desk scale."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def _require_prime(p: int) -> None:
@@ -104,20 +116,6 @@ def werner_threshold(p: int, n: int) -> float:
     return werner_bound(p, n)
 
 
-def _block_offsets(p: int, j_digits: tuple[int, ...]) -> tuple[int, ...]:
-    """Phase offsets making the cyclic-family density match the Werner block.
-
-    The product of the half-step corrections over the factors must cancel:
-    for p = 2 the generators (j_i, 1) with j_i odd come in pairs (the digit
-    sum is even), and one unit offset per pair flips the sign back.  Odd p
-    needs no correction.
-    """
-    if p != 2:
-        return (0,) * len(j_digits)
-    pairs = sum(j_digits) // 2
-    return (pairs % 2,) + (0,) * (len(j_digits) - 1)
-
-
 def werner_separable_decomposition(
     p: int, n: int, s: float | None = None
 ) -> SeparableDecomposition:
@@ -136,28 +134,25 @@ def werner_separable_decomposition(
     mu = min(s / s_star, 1.0)
     dims = DimVector((p,) * n)
 
-    terms: list[ProductTerm] = []
-    diag_weight = mu / (p * (1 + p ** (n - 1)))
-    for j in range(p):
-        specs = tuple(ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for _ in range(n))
-        factors = tuple(subgroup_projection(sp) for sp in specs)
-        terms.append(ProductTerm(diag_weight, factors, specs))
-
-    block_weight = mu / (1 + p ** (n - 1))
-    for j_digits in ind_set(p, n):
-        u_vec = tuple(SpinLabel(ji, 1) for ji in j_digits)
-        r_vec = _block_offsets(p, j_digits)
-        for term in cyclic_family_decomposition(p, n, u_vec, r_vec).terms:
-            terms.append(
-                ProductTerm(block_weight * term.weight, term.factors, term.factor_specs)
-            )
-
-    if 1.0 - mu > 1e-15:
-        terms.append(
-            ProductTerm(
-                1.0 - mu,
-                tuple(np.eye(p, dtype=complex) / p for _ in range(n)),
-                None,
-            )
-        )
-    return SeparableDecomposition(dims, tuple(terms))
+    # Block j, a zero-digit-sum row, is the cyclic family with factors
+    # P_{(j_a, 1)}(r_a + l_a) over the same rows l.  For p = 2 the odd j_a
+    # pair up, and one unit offset per pair on the first factor cancels the
+    # product of the half-step corrections; odd p needs no correction.
+    rows = np.array(ind_set(p, n))
+    r = np.zeros_like(rows)
+    if p == 2:
+        r[:, 0] = rows.sum(axis=1) // 2 % 2
+    # Every slot is offered the same entries, and keeps those in use: the
+    # diagonal projections, P_{(j, 1)}(o) at p + j*(p + 1) + o for o <= p,
+    # and the residual.
+    specs = [ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for j in range(p)]
+    specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p + 1)]
+    blocks = p + ((rows * (p + 1) + r)[:, None, :] + rows[None, :, :]).reshape(-1, n)
+    residual = int(1.0 - mu > 1e-15)
+    block = mu / (1 + p ** (n - 1)) * (1.0 / p ** (n - 1))
+    weights = [mu / (p * (1 + p ** (n - 1)))] * p + [block] * len(blocks) + [1.0 - mu] * residual
+    diagonal = np.repeat(np.arange(p)[:, None], n, axis=1)
+    index = np.vstack([diagonal, blocks, np.full((residual, n), len(specs))])
+    factors = [subgroup_projection(sp) for sp in specs] + [np.eye(p, dtype=complex) / p] * residual
+    specs += [None] * residual
+    return SeparableDecomposition.from_columns(dims, weights, index, [factors] * n, [specs] * n)

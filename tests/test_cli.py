@@ -112,6 +112,25 @@ class TestTransform:
         bad.write_text('{"format_version": 1, "dims": [2, 2], "matrix": [[')
         assert main(["transform", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200000, b'{"format_version": 1, "dims": [2], "matrix": "\xff"}'],
+        ids=["deeply-nested", "not-utf-8"],
+    )
+    def test_unparseable_file_is_format_error_naming_it(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["transform", "--input", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_double_is_format_error(self, tmp_path, capsys):
+        doc = density_document(np.eye(2) / 2, DimVector((2,)))
+        doc["matrix"][1][0][1] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["transform", "--input", str(bad)]) == 2
+        assert "matrix: entry (1,0)" in capsys.readouterr().err
+
     def test_dims_mismatch_is_semantic_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         doc = {

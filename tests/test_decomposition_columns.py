@@ -1,0 +1,126 @@
+"""Decompositions held by columns: the builders' columns against those the
+term constructor derives from the same terms, and failing factors named at
+the first term that uses them."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinsep import (
+    DensityMatrix,
+    DimVector,
+    ProductTerm,
+    SeparableDecomposition,
+    SpinLabel,
+    cyclic_family_decomposition,
+    sufficient_certificate,
+    valid_generator,
+    verify_decomposition,
+    werner_separable_decomposition,
+    werner_threshold,
+)
+
+from conftest import mixed_to_norm
+
+
+def per_term(dec):
+    """(weight, factor shapes and bytes, specs) of every term, read from the columns."""
+    return [
+        (
+            w,
+            [(dec.factors[a][k].shape, dec.factors[a][k].tobytes()) for a, k in enumerate(row)],
+            [dec.specs[a][k] for a, k in enumerate(row)],
+        )
+        for w, row in zip(dec.weights.tolist(), dec.index.tolist())
+    ]
+
+
+def assert_rebuilds(dec):
+    rebuilt = SeparableDecomposition(dec.dims, dec.terms)
+    assert per_term(rebuilt) == per_term(dec)
+    # Each slot holds one entry per distinct (content, spec) that its terms use.
+    assert [len(slot) for slot in dec.factors] == [len(slot) for slot in rebuilt.factors]
+    assert [len(slot) for slot in dec.specs] == [len(slot) for slot in dec.factors]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 2), (2, 2, 2), (2, 2, 3)]),
+    norm=st.floats(0.05, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_columns_rebuild(dims, norm, seed):
+    rho = mixed_to_norm(DimVector(dims), norm, np.random.default_rng(seed))
+    assert_rebuilds(sufficient_certificate(rho).witness)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pn=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_werner_columns_rebuild(pn, fraction):
+    p, n = pn
+    dec = werner_separable_decomposition(p, n, fraction * werner_threshold(p, n))
+    assert_rebuilds(dec)
+    specs = [s for _, _, term in per_term(dec) for s in term]
+    # Offsets r + l stay unreduced: for p = 2 the first slot reaches offset 2.
+    assert max(s.r for s in specs if s is not None) == (2 if p == 2 else p - 1)
+
+
+@st.composite
+def cyclic_families(draw):
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 3))
+    labels = [(j, k) for j in range(d) for k in range(d) if valid_generator(d, j, k)]
+    u_vec = [SpinLabel(*draw(st.sampled_from(labels))) for _ in range(n)]
+    r_vec = [draw(st.integers(-d, 2 * d)) for _ in range(n)]
+    return d, n, u_vec, r_vec
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=cyclic_families())
+def test_cyclic_family_columns_rebuild(family):
+    assert_rebuilds(cyclic_family_decomposition(*family))
+
+
+def test_all_none_specs_come_back_as_none():
+    dec = werner_separable_decomposition(2, 2, 0.1)
+    assert dec.terms[-1].factor_specs is None
+    assert all(t.factor_specs is not None for t in dec.terms[:-1])
+
+
+class TestFailingFactorNamedAtFirstUse:
+    """The bad factor is slot 0's first entry but is first used in slot 1,
+    at term 1; slot 0 uses it, or another bad factor, only from term 2 on."""
+
+    good = np.eye(2, dtype=complex) / 2
+    bad = np.diag([1.5, -0.5]).astype(complex)
+    target = DensityMatrix(np.eye(4, dtype=complex) / 4, DimVector((2, 2)))
+
+    @pytest.mark.parametrize("other", [False, True])
+    def test_from_columns(self, other):
+        first_bad = np.diag([-0.5, 1.5]).astype(complex) if other else self.bad
+        dec = SeparableDecomposition.from_columns(
+            DimVector((2, 2)),
+            [0.25, 0.25, 0.5],
+            [[1, 0], [1, 1], [0, 0]],
+            [[first_bad, self.good], [self.good, self.bad]],
+            [[None, None], [None, None]],
+        )
+        result = verify_decomposition(dec, self.target)
+        assert not result
+        assert result.failure.startswith("term 1, factor 1: ")
+
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_from_terms(self, copy):
+        bad = (lambda: np.array(self.bad)) if copy else (lambda: self.bad)
+        terms = (
+            ProductTerm(0.25, (self.good, self.good)),
+            ProductTerm(0.25, (self.good, bad())),
+            ProductTerm(0.5, (bad(), self.good)),
+        )
+        result = verify_decomposition(SeparableDecomposition(DimVector((2, 2)), terms), self.target)
+        assert not result
+        assert result.failure.startswith("term 1, factor 1: ")

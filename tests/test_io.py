@@ -3,6 +3,9 @@ against the one-pass indented encoder it replaces: the same bytes on
 certificate witnesses, Werner decompositions, parsed files, CLI output and
 random mixtures, and no file on NaN or infinity."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,8 @@ from spinsep import (
     werner_threshold,
 )
 from spinsep.cli import main
-from spinsep.decompositions import _factor_table
 from spinsep.io import (
+    FileFormatError,
     decomposition_document,
     document_text,
     read_decomposition_file,
@@ -38,30 +41,33 @@ def written_bytes(dec, path) -> bytes:
     return path.read_bytes()
 
 
-def content_table(dims, terms):
-    """``_factor_table`` keyed on content alone, without the identity lookup."""
-    index, factors, first, rows = {}, [], [], []
-    for i, term in enumerate(terms):
+def slot_reference(dims, terms):
+    """Per slot, the distinct (shape, bytes, spec) of the terms' factors in
+    first-seen order, and each term's position among them."""
+    keys, rows = [{} for _ in dims], []
+    for term in terms:
+        specs = term.factor_specs or (None,) * len(dims)
         row = []
-        for a, (f, d) in enumerate(zip(term.factors, dims)):
+        for a, (f, spec) in enumerate(zip(term.factors, specs)):
             f = np.asarray(f, dtype=complex)
-            key = (d, f.shape, f.tobytes())
-            if key not in index:
-                index[key] = len(factors)
-                factors.append(f)
-                first.append((i, a))
-            row.append(index[key])
-        rows.append(tuple(row))
-    return factors, first, rows
+            row.append(keys[a].setdefault((f.shape, f.tobytes(), spec), len(keys[a])))
+        rows.append(row)
+    return [list(k) for k in keys], rows
 
 
 def assert_same_table(dec):
-    factors, first, rows = _factor_table(dec.dims, dec.terms)
-    ref_factors, ref_first, ref_rows = content_table(dec.dims, dec.terms)
-    assert (first, rows) == (ref_first, ref_rows)
-    assert len(factors) == len(ref_factors)
-    for f, g in zip(factors, ref_factors):
-        assert f.shape == g.shape and f.tobytes() == g.tobytes()
+    """The columns hold the terms' factors and specs, one entry per
+    distinct (shape, bytes, spec) in each slot."""
+    keys, rows = slot_reference(dec.dims, dec.terms)
+    entries = [
+        [(f.shape, f.tobytes(), spec) for f, spec in zip(fs, ss)]
+        for fs, ss in zip(dec.factors, dec.specs)
+    ]
+    assert [len(e) for e in entries] == [len(set(e)) for e in entries] == [len(k) for k in keys]
+    assert dec.index.shape == (len(rows), len(dec.dims))
+    for t, row in enumerate(rows):
+        for a, k in enumerate(row):
+            assert entries[a][dec.index[t, a]] == keys[a][k]
 
 
 @pytest.mark.parametrize("norm", [1.0, 0.6])
@@ -97,16 +103,14 @@ def test_content_equal_factors_in_distinct_objects(tmp_path):
         dec.dims,
         tuple(ProductTerm(t.weight, tuple(np.array(f) for f in t.factors)) for t in dec.terms),
     )
-    assert len(_factor_table(copies.dims, copies.terms)[0]) == len(
-        _factor_table(dec.dims, dec.terms)[0]
-    )
+    assert [len(f) for f in copies.factors] == [len(f) for f in dec.factors]
     assert written_bytes(copies, tmp_path / "copies.json") == reference_bytes(dec)
     assert_same_table(copies)
 
 
 def test_mixed_slot_dimensions(tmp_path):
     """One 2x2 object in both 2-level slots and, malformed, in the 3-level
-    slot: the slot dimension keeps the 3-level use a separate factor."""
+    slot: each slot keeps its own entries, so the 3-level use is separate."""
     a = np.diag([0.25, 0.75]).astype(complex)
     b = np.eye(3, dtype=complex) / 3
     dims = DimVector((2, 3, 2))
@@ -116,9 +120,9 @@ def test_mixed_slot_dimensions(tmp_path):
         ProductTerm(0.25, (np.eye(2) / 2, b, a)),
     )
     dec = SeparableDecomposition(dims, terms)
-    factors, first, rows = _factor_table(dims, terms)
-    assert rows == [(0, 1, 0), (0, 2, 0), (3, 1, 0)]
-    assert first == [(0, 0), (0, 1), (1, 1), (2, 0)]
+    assert dec.index.tolist() == [[0, 0, 0], [0, 1, 0], [1, 0, 0]]
+    shapes = [[f.shape for f in slot] for slot in dec.factors]
+    assert shapes == [[(2, 2)] * 2, [(3, 3), (2, 2)], [(2, 2)]]
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
     assert_same_table(dec)
 
@@ -212,3 +216,18 @@ class TestRefusedWithoutAFile:
         with pytest.raises(ValueError, match="1 factors for 2 subsystems"):
             write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "where, named", [("weight", "term 1: weight"), ("entry", "term 1, factor 0: entry (0,1)")]
+)
+def test_integer_too_large_for_a_double_is_format_error(where, named, tmp_path):
+    doc = decomposition_document(werner_separable_decomposition(2, 2))
+    if where == "weight":
+        doc["terms"][1]["weight"] = 10**400
+    else:
+        doc["terms"][1]["factors"][0][0][1][0] = -(10**400)
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match=re.escape(named)):
+        read_decomposition_file(path)
