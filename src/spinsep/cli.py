@@ -3,9 +3,10 @@
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
 error (dims, primality, permutation, an out-of-range --tol or werner --p,
---n or --s, output with NaN or infinite entries, or a built decomposition
+--n or --s, output with NaN or infinite entries, a built decomposition
 failing its own verification, as under a --tol too tight for double
-rounding), 4 invalid density (any certify input, or transform --strict).
+rounding, or certify checks that contradict each other), 4 invalid density
+(any certify input, or transform --strict).
 """
 
 from __future__ import annotations
@@ -110,24 +111,22 @@ def cmd_transform(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _witness_json(witness) -> dict | None:
-    if isinstance(witness, NecessaryViolation):
-        return {
+def _report_json(report) -> dict:
+    """A check's verdict and its witness as plain values (None if it has none)."""
+    w, witness = report.witness, None
+    if isinstance(w, NecessaryViolation):
+        witness = {
             "kind": "necessary-violation",
-            "j": list(witness.j),
-            "k": list(witness.k),
-            "u": list(witness.u),
-            "v": list(witness.v),
-            "bound": witness.bound,
-            "magnitude": witness.magnitude,
+            "j": list(w.j),
+            "k": list(w.k),
+            "u": list(w.u),
+            "v": list(w.v),
+            "bound": w.bound,
+            "magnitude": w.magnitude,
         }
-    if isinstance(witness, NegativeEigenvalue):
-        return {
-            "kind": "negative-eigenvalue",
-            "subsystem": witness.subsystem,
-            "value": witness.value,
-        }
-    return None
+    elif isinstance(w, NegativeEigenvalue):
+        witness = {"kind": "negative-eigenvalue", "subsystem": w.subsystem, "value": w.value}
+    return {"verdict": report.verdict, "witness": witness}
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
@@ -150,48 +149,40 @@ def cmd_certify(args, tol: Tolerance) -> int:
         checks["sufficient"] = sufficient
 
     norm = sufficient.l1_norm if sufficient is not None else spin_l1_norm(spin_table(matrix, dims))
-    flat_reports = []
+    reports = {}
     for name, report in checks.items():
         if name == "peres":
-            flat_reports.extend(report.values())
+            reports.update((f"peres[{r}]", rep) for r, rep in report.items())
         else:
-            flat_reports.append(report)
-    if any(r.verdict == INSEPARABLE for r in flat_reports):
-        overall = INSEPARABLE
-    elif any(r.verdict == SEPARABLE for r in flat_reports):
-        overall = SEPARABLE
-    else:
-        overall = INCONCLUSIVE
+            reports[name] = report
+    verdicts = {r.verdict for r in reports.values()}
+    # Only the sufficient check certifies separable; a necessary or Peres
+    # check that disagrees means a bug or a tolerance too loose to trust.
+    if {SEPARABLE, INSEPARABLE} <= verdicts:
+        against = "; ".join(
+            f"{name} says inseparable with witness {_report_json(r)['witness']}"
+            for name, r in reports.items()
+            if r.verdict == INSEPARABLE
+        )
+        raise ValueError(
+            f"contradiction: sufficient says separable at spin L1 norm {norm!r}, but {against}"
+        )
+    overall = next((v for v in (INSEPARABLE, SEPARABLE) if v in verdicts), INCONCLUSIVE)
 
     if args.json:
-        doc = {
-            "dims": list(dims),
-            "l1_norm": norm,
-            "checks": {},
-            "verdict": overall,
-        }
+        doc = {"dims": list(dims), "l1_norm": norm, "checks": {}, "verdict": overall}
         for name, report in checks.items():
             if name == "peres":
-                doc["checks"]["peres"] = {
-                    str(r): {"verdict": rep.verdict, "witness": _witness_json(rep.witness)}
-                    for r, rep in report.items()
-                }
+                doc["checks"]["peres"] = {str(r): _report_json(rep) for r, rep in report.items()}
             else:
-                doc["checks"][name] = {
-                    "verdict": report.verdict,
-                    "witness": _witness_json(report.witness),
-                }
+                doc["checks"][name] = _report_json(report)
         _emit_document(doc, None)
     else:
         dims_text = ",".join(str(d) for d in dims)
         print(f"dims: {dims_text} (N={dims.size})")
         print(f"spin L1 norm: {norm!r}")
-        for name, report in checks.items():
-            if name == "peres":
-                for r, rep in report.items():
-                    print(f"peres[{r}]: {rep.verdict}")
-            else:
-                print(f"{name}: {report.verdict}")
+        for name, report in reports.items():
+            print(f"{name}: {report.verdict}")
         print(f"verdict: {overall}")
 
     if args.emit_decomposition:

@@ -68,23 +68,19 @@ class SeparableDecomposition:
         (shape, bytes, spec).  ValueError if a term does not hold one
         factor per subsystem."""
         b = len(dims)
-        keys: list[dict] = [{} for _ in range(b)]
-        factors: list[list] = [[] for _ in range(b)]
-        specs: list[list] = [[] for _ in range(b)]
-        rows = []
         for i, term in enumerate(terms):
             if len(term.factors) != b:
                 raise ValueError(f"term {i}: {len(term.factors)} factors for {b} subsystems")
-            row, term_specs = [], term.factor_specs or (None,) * b
-            for a, (f, spec) in enumerate(zip(term.factors, term_specs, strict=True)):
-                f = np.asarray(f, dtype=complex)
-                k = keys[a].setdefault((f.shape, f.tobytes(), spec), len(factors[a]))
-                if k == len(factors[a]):
-                    factors[a].append(f)
-                    specs[a].append(spec)
-                row.append(k)
-            rows.append(row)
-        self._fill(dims, [t.weight for t in terms], rows, factors, specs)
+        factors = [[np.asarray(t.factors[a], dtype=complex) for t in terms] for a in range(b)]
+        specs = [[t.factor_specs[a] if t.factor_specs else None for t in terms] for a in range(b)]
+        # Each term points at the first term with the same (shape, bytes, spec).
+        firsts: list[dict] = [{} for _ in range(b)]
+        index = [
+            [first.setdefault((f.shape, f.tobytes(), s), t) for t, (f, s) in enumerate(zip(fs, ss))]
+            for fs, ss, first in zip(factors, specs, firsts)
+        ]
+        index = np.array(index, dtype=np.intp).T
+        self._fill(dims, [t.weight for t in terms], index, factors, specs)
         self.__dict__["terms"] = tuple(terms)
 
     @classmethod
@@ -108,12 +104,14 @@ class SeparableDecomposition:
     def terms(self) -> tuple[ProductTerm, ...]:
         """The terms as ProductTerms, built on first use from the columns;
         a term without specs has ``factor_specs`` None."""
-        out, none = [], (None,) * len(self.dims)
-        for w, row in zip(self.weights.tolist(), self.index.tolist()):
-            specs = tuple(s[k] for s, k in zip(self.specs, row))
-            factors = tuple(f[k] for f, k in zip(self.factors, row))
-            out.append(ProductTerm(w, factors, None if specs == none else specs))
-        return tuple(out)
+        cols = self.index.T.tolist()
+        factors = zip(*[[slot[k] for k in col] for slot, col in zip(self.factors, cols)])
+        specs = zip(*[[slot[k] for k in col] for slot, col in zip(self.specs, cols)])
+        none = (None,) * len(self.dims)
+        return tuple(
+            ProductTerm(w, f, None if s == none else s)
+            for w, f, s in zip(self.weights.tolist(), factors, specs)
+        )
 
     def assemble(self) -> np.ndarray:
         """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.

@@ -9,12 +9,13 @@ parse the identity on the numeric content.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .composite import DimVector
-from .decompositions import ProductTerm, SeparableDecomposition
+from .decompositions import SeparableDecomposition
 from .transform import SpinCoefficients
 
 FORMAT_VERSION = 1
@@ -29,6 +30,8 @@ def _matrix_entries(m: np.ndarray) -> list:
 
 
 def _parse_entries(rows, n: int, what: str) -> np.ndarray:
+    """One n x n matrix, entry by entry; FileFormatError naming ``what`` and
+    the first malformed entry.  Runs only when ``_stack`` refuses a slot."""
     if not isinstance(rows, list) or len(rows) != n:
         raise FileFormatError(f"{what}: expected {n} rows")
     out = np.empty((n, n), dtype=complex)
@@ -49,11 +52,48 @@ def _parse_entries(rows, n: int, what: str) -> np.ndarray:
     return out
 
 
+def _stack(mats, d: int) -> np.ndarray | None:
+    """The (T, d, d) complex stack of T raw d x d matrices, or None if one
+    is malformed or holds an integer too large for a double.
+
+    Each nesting level is checked in one pass over exact types and lengths:
+    np.array would silently turn bools and numeric strings into numbers.
+    """
+    level = mats
+    for n in (d, d, 2):
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {n}):
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {float, int}:
+        return None
+    try:
+        return np.array(level, dtype=float).view(complex).reshape(len(mats), d, d)
+    except OverflowError:
+        return None
+
+
+def _parse_stacks(slots, dims, what: str) -> list[np.ndarray]:
+    """Per slot a, the (T, d_a, d_a) complex stack of its T raw matrices.
+
+    If ``_stack`` refuses a slot, every slot is parsed entry by entry in
+    document order, term by term, so the FileFormatError names the first
+    malformed matrix as ``what.format(t=term, a=slot)``.
+    """
+    stacks = [_stack(mats, d) for mats, d in zip(slots, dims)]
+    if any(s is None for s in stacks):
+        parsed = [
+            [_parse_entries(m, d, what.format(t=t, a=a)) for a, (m, d) in enumerate(zip(ms, dims))]
+            for t, ms in enumerate(zip(*slots))
+        ]
+        stacks = [np.array(col).reshape(-1, d, d) for col, d in zip(zip(*parsed), dims)]
+    return stacks
+
+
 def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
     if not isinstance(doc, dict):
         raise FileFormatError("document must be a key/value tree")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported format version {version!r}")
     dims_raw = doc.get("dims")
     if (
@@ -76,14 +116,18 @@ def density_document(matrix: np.ndarray, dims: DimVector) -> dict:
     }
 
 
-def parse_density_document(doc) -> tuple[np.ndarray, DimVector]:
-    dims, n = _parse_header(doc, "matrix")
-    rows = doc["matrix"]
+def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
+    """The N x N matrix under ``key`` and the dims; ValueError if the row
+    count is not the dims product N."""
+    dims, n = _parse_header(doc, key)
+    rows = doc[key]
     if isinstance(rows, list) and len(rows) != n:
-        raise ValueError(
-            f"dims product {n} does not match matrix dimension {len(rows)}"
-        )
-    return _parse_entries(rows, n, "matrix"), dims
+        raise ValueError(f"dims product {n} does not match {what} dimension {len(rows)}")
+    return _parse_stacks([[rows]], [n], key)[0][0], dims
+
+
+def parse_density_document(doc) -> tuple[np.ndarray, DimVector]:
+    return _parse_square(doc, "matrix", "matrix")
 
 
 def coefficients_document(coeffs: SpinCoefficients) -> dict:
@@ -95,13 +139,8 @@ def coefficients_document(coeffs: SpinCoefficients) -> dict:
 
 
 def parse_coefficients_document(doc) -> SpinCoefficients:
-    dims, n = _parse_header(doc, "coefficients")
-    rows = doc["coefficients"]
-    if isinstance(rows, list) and len(rows) != n:
-        raise ValueError(
-            f"dims product {n} does not match table dimension {len(rows)}"
-        )
-    return SpinCoefficients(dims, _parse_entries(rows, n, "coefficients"))
+    table, dims = _parse_square(doc, "coefficients", "table")
+    return SpinCoefficients(dims, table)
 
 
 def decomposition_document(dec: SeparableDecomposition) -> dict:
@@ -118,34 +157,56 @@ def decomposition_document(dec: SeparableDecomposition) -> dict:
     }
 
 
+def _term_weight(raw, i: int, b: int) -> float:
+    """Term i's weight, once its keys, weight and b factors are checked."""
+    if not isinstance(raw, dict) or "weight" not in raw or "factors" not in raw:
+        raise FileFormatError(f"term {i}: need weight and factors")
+    weight = raw["weight"]
+    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+        raise FileFormatError(f"term {i}: weight must be a number")
+    try:
+        weight = float(weight)
+    except OverflowError:
+        raise FileFormatError(f"term {i}: weight does not fit a double") from None
+    raw_factors = raw["factors"]
+    if not isinstance(raw_factors, list) or len(raw_factors) != b:
+        raise ValueError(
+            f"term {i}: expected {b} factors, got "
+            f"{len(raw_factors) if isinstance(raw_factors, list) else type(raw_factors).__name__}"
+        )
+    return weight
+
+
 def parse_decomposition_document(doc) -> SeparableDecomposition:
+    """The decomposition in columns: each slot's factors are converted as
+    one stack, and each slot keeps its distinct factors (by bytes) in the
+    order of first use."""
     dims, _ = _parse_header(doc, "terms")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise FileFormatError("terms must be a list")
-    terms = []
+    weights, term_factors, error = [], [], None
     for i, raw in enumerate(raw_terms):
-        if not isinstance(raw, dict) or "weight" not in raw or "factors" not in raw:
-            raise FileFormatError(f"term {i}: need weight and factors")
-        weight = raw["weight"]
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise FileFormatError(f"term {i}: weight must be a number")
         try:
-            weight = float(weight)
-        except OverflowError:
-            raise FileFormatError(f"term {i}: weight does not fit a double") from None
-        raw_factors = raw["factors"]
-        if not isinstance(raw_factors, list) or len(raw_factors) != len(dims):
-            raise ValueError(
-                f"term {i}: expected {len(dims)} factors, got "
-                f"{len(raw_factors) if isinstance(raw_factors, list) else type(raw_factors).__name__}"
-            )
-        factors = tuple(
-            _parse_entries(rows, d, f"term {i}, factor {a}")
-            for a, (rows, d) in enumerate(zip(raw_factors, dims))
-        )
-        terms.append(ProductTerm(weight, factors))
-    return SeparableDecomposition(dims, tuple(terms))
+            weights.append(_term_weight(raw, i, len(dims)))
+        except ValueError as err:
+            error = err
+            break
+        term_factors.append(raw["factors"])
+    # A malformed factor of an earlier term is named before a bad term.
+    slots = list(zip(*term_factors)) or [()] * len(dims)
+    stacks = _parse_stacks(slots, dims, "term {t}, factor {a}")
+    if error is not None:
+        raise error
+    index, factors = [], []
+    for stack, d in zip(stacks, dims):
+        keys = stack.reshape(-1).view(np.dtype((np.void, 16 * d * d)))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        used = np.sort(first)
+        index.append(np.searchsorted(used, first[inverse]))
+        factors.append(stack[used])
+    specs = [(None,) * len(f) for f in factors]
+    return SeparableDecomposition.from_columns(dims, weights, np.array(index).T, factors, specs)
 
 
 def _load(path) -> dict:

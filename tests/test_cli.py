@@ -261,6 +261,50 @@ class TestCertify:
         assert main(["certify", "--input", str(src), "--sufficient"]) == 3
         assert "forced failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "check, named, value",
+        [
+            ("peres_check", "peres[2]", "-0.25"),
+            ("necessary_check", "necessary", "0.375"),
+        ],
+    )
+    def test_contradicting_checks_exit_3_without_a_file(
+        self, check, named, value, tmp_path, monkeypatch, capsys, rng
+    ):
+        """A necessary or Peres check patched to say inseparable on a certified
+        separable input: the contradiction is reported, not resolved."""
+        import spinsep.cli
+        from conftest import mixed_to_norm
+        from spinsep import CertificateReport, NecessaryViolation, NegativeEigenvalue
+
+        if check == "peres_check":
+            real = spinsep.cli.peres_check
+
+            def patched(rho, r, tol):
+                if r != 2:
+                    return real(rho, r, tol)
+                witness = NegativeEigenvalue(2, -0.25)
+                return CertificateReport("inseparable-certified", witness=witness)
+        else:
+
+            def patched(rho, tol):
+                violation = NecessaryViolation((0, 0), (1, 1), (0, 1), (1, 0), 0.125, 0.375)
+                return CertificateReport("inseparable-certified", witness=violation)
+
+        monkeypatch.setattr(spinsep.cli, check, patched)
+        rho = mixed_to_norm(DimVector((2, 2)), 0.9, rng)
+        src, out = tmp_path / "mixed.json", tmp_path / "dec.json"
+        write_density_file(src, rho.matrix, rho.dims)
+        argv = ["certify", "--input", str(src), "--all", "--json", "--emit-decomposition", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: contradiction: sufficient says separable")
+        norm = spinsep.cli.sufficient_certificate(rho).l1_norm
+        for text in (f"spin L1 norm {norm!r}", f"{named} says inseparable", value):
+            assert text in captured.err
+        assert not out.exists()
+
     def test_human_report_lines(self, werner_file, capsys):
         assert main(["certify", "--input", str(werner_file)]) == 0
         out = capsys.readouterr().out
