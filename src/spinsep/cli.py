@@ -5,8 +5,8 @@ file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
 error (dims, primality, permutation, an out-of-range --tol or werner --p,
 --n or --s, output with NaN or infinite entries, a built decomposition
 failing its own verification, as under a --tol too tight for double
-rounding, or certify checks that contradict each other), 4 invalid density
-(any certify input, or transform --strict).
+rounding, certify checks that contradict each other, or a request too large
+to allocate), 4 invalid density (any certify input, or transform --strict).
 """
 
 from __future__ import annotations
@@ -136,25 +136,16 @@ def cmd_certify(args, tol: Tolerance) -> int:
     rho = check_density(matrix, dims, tol)
     run_all = args.all or not (args.necessary or args.peres or args.sufficient)
 
-    checks: dict[str, object] = {}
+    reports = {}
     if run_all or args.necessary:
-        checks["necessary"] = necessary_check(rho, tol)
+        reports["necessary"] = necessary_check(rho, tol)
     if run_all or args.peres:
-        checks["peres"] = {
-            r: peres_check(rho, r, tol) for r in range(1, len(dims) + 1)
-        }
+        reports.update((f"peres[{r}]", peres_check(rho, r, tol)) for r in range(1, len(dims) + 1))
     sufficient = None
     if run_all or args.sufficient:
-        sufficient = sufficient_certificate(rho, tol)
-        checks["sufficient"] = sufficient
+        reports["sufficient"] = sufficient = sufficient_certificate(rho, tol)
 
     norm = sufficient.l1_norm if sufficient is not None else spin_l1_norm(spin_table(matrix, dims))
-    reports = {}
-    for name, report in checks.items():
-        if name == "peres":
-            reports.update((f"peres[{r}]", rep) for r, rep in report.items())
-        else:
-            reports[name] = report
     verdicts = {r.verdict for r in reports.values()}
     # Only the sufficient check certifies separable; a necessary or Peres
     # check that disagrees means a bug or a tolerance too loose to trust.
@@ -170,12 +161,14 @@ def cmd_certify(args, tol: Tolerance) -> int:
     overall = next((v for v in (INSEPARABLE, SEPARABLE) if v in verdicts), INCONCLUSIVE)
 
     if args.json:
-        doc = {"dims": list(dims), "l1_norm": norm, "checks": {}, "verdict": overall}
-        for name, report in checks.items():
-            if name == "peres":
-                doc["checks"]["peres"] = {str(r): _report_json(rep) for r, rep in report.items()}
+        checks: dict[str, dict] = {}
+        for name, report in reports.items():
+            check, _, r = name.rstrip("]").partition("[")  # "peres[2]": checks["peres"]["2"]
+            if r:
+                checks.setdefault(check, {})[r] = _report_json(report)
             else:
-                doc["checks"][name] = _report_json(report)
+                checks[check] = _report_json(report)
+        doc = {"dims": list(dims), "l1_norm": norm, "checks": checks, "verdict": overall}
         _emit_document(doc, None)
     else:
         dims_text = ",".join(str(d) for d in dims)
@@ -321,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_DENSITY
     except (ValueError, OSError, OverflowError, VerificationError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
 
 

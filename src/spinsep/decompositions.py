@@ -34,10 +34,6 @@ from .linalg import (
 if TYPE_CHECKING:
     from .projections import ProjectionSpec
 
-# Assembly processes terms in chunks of max(1, CHUNK_ENTRIES // N^2), which
-# keeps its scratch space well under CHUNK_ENTRIES complex numbers (4 MB).
-CHUNK_ENTRIES = 2**18
-
 
 @dataclass(frozen=True)
 class ProductTerm:
@@ -116,26 +112,29 @@ class SeparableDecomposition:
     def assemble(self) -> np.ndarray:
         """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.
 
-        The subsystems split into a left and a right block.  Per chunk of
-        terms the weighted left products and the right products are built
-        batch-wise from the per-slot factor stacks, and one tensordot over
-        the term axis adds sum_t L_t (x) R_t into the result as a matrix
-        product.
+        Sorted index rows sharing their first a entries form a run at depth
+        a.  A run at depth b has its summed weights as value; for a = b - 1
+        down to h = b // 2, a run at depth a sums its sub-runs' slot-a factor
+        (x) value.  One tensordot meets the values at depth h with the
+        products of each run's first h factors.
         """
-        dims, w, idx = self.dims, self.weights, self.index
-        h = len(dims) // 2
-        n_left, n_right = math.prod(dims[:h]), math.prod(dims[h:])
-        n = n_left * n_right
-        if not len(w):
-            return np.zeros((n, n), dtype=complex)
-        tables = [np.stack(f) for f in self.factors]
-        acc = np.zeros((n_left, n_left, n_right, n_right), dtype=complex)
-        chunk = max(1, CHUNK_ENTRIES // n**2)
-        for s in range(0, len(w), chunk):
-            factors = [t[k] for t, k in zip(tables, idx[s : s + chunk].T)]
-            left = _batched_kron(factors[:h], w[s : s + chunk])
-            right = _batched_kron(factors[h:], np.ones(len(left)))
-            acc += np.tensordot(left, right, axes=(0, 0))
+        dims, h, n = self.dims, len(self.dims) // 2, self.dims.size
+        order = np.lexsort(self.index.T[::-1])
+        idx = self.index[order]
+        tables = [np.array(f, dtype=complex).reshape(-1, d, d) for f, d in zip(self.factors, dims)]
+        # new[t, a]: row t is the first of a run of equal idx[:, :a]
+        new = np.ones((len(idx), len(dims) + 1), dtype=bool)
+        new[1:, 0] = False
+        new[1:, 1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
+        starts = np.flatnonzero(new[:, -1])
+        value = np.add.reduceat(self.weights[order], starts).reshape(-1, 1, 1)
+        for a in range(len(dims) - 1, h - 1, -1):
+            outer = new[starts, a]
+            value = _batched_kron([tables[a][idx[starts, a]], value])
+            value = np.add.reduceat(value, np.flatnonzero(outer), axis=0)
+            starts = starts[outer]
+        heads = [np.ones((len(starts), 1, 1))] + [t[k] for t, k in zip(tables, idx[starts, :h].T)]
+        acc = np.tensordot(_batched_kron(heads), value, axes=(0, 0))
         return acc.transpose(0, 2, 1, 3).reshape(n, n)
 
 
@@ -152,10 +151,10 @@ class VerificationResult:
         return self.ok
 
 
-def _batched_kron(blocks, weights: np.ndarray) -> np.ndarray:
-    """weights[t] * blocks[0][t] (x) blocks[1][t] (x) ... for every t."""
-    out = weights.astype(complex).reshape(-1, 1, 1)
-    for f in blocks:
+def _batched_kron(stacks) -> np.ndarray:
+    """stacks[0][t] (x) stacks[1][t] (x) ... for every t; weights are a (T, 1, 1) stack."""
+    out = stacks[0]
+    for f in stacks[1:]:
         t, m, _ = out.shape
         d = f.shape[1]
         out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(t, m * d, m * d)

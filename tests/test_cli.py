@@ -397,6 +397,15 @@ class TestWernerCommand:
         out = capsys.readouterr().out
         assert "necessary-condition bound" in out
 
+    @pytest.mark.parametrize("flag", ["--output", "--emit-decomposition"])
+    def test_request_too_large_to_allocate_exits_3(self, tmp_path, capsys, flag):
+        # 2^40 basis states: the first array alone would take 8 TiB.
+        out = tmp_path / "out.json"
+        assert main(["werner", "--p", "2", "--n", "40", flag, str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_above_threshold_decomposition_rejected(self, tmp_path):
         out = tmp_path / "dec.json"
         code = main(

@@ -331,6 +331,8 @@ def test_empty_terms_read_back_as_zero_columns(tmp_path):
     dec = read_decomposition_file(path)
     assert dec.weights.shape == (0,) and dec.index.shape == (0, 2)
     assert dec.factors == ((), ()) and dec.specs == ((), ()) and dec.terms == ()
+    empty = dec.assemble()
+    assert empty.shape == (6, 6) and empty.dtype == complex and not empty.any()
     target = DensityMatrix(np.eye(6, dtype=complex) / 6, DimVector((2, 3)))
     result = verify_decomposition(dec, target)
     assert not result and result.failure == "weights sum to 0, expected 1"

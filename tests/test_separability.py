@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
+    DEFAULT_TOLERANCE,
     INCONCLUSIVE,
     INSEPARABLE,
     SEPARABLE,
+    DensityMatrix,
     DimVector,
     NecessaryViolation,
     NegativeEigenvalue,
@@ -245,5 +247,10 @@ class TestVerifyDecomposition:
     def test_reports_tolerance_override(self, rng):
         rho = mixed_to_norm(DimVector((2, 2)), 0.8, rng)
         dec = sufficient_certificate(rho).witness
-        tight = Tolerance(abs_eps=1e-9, reconstruction_eps=1e-16)
-        assert not verify_decomposition(dec, rho, tight)
+        # A target a known 1e-12 away from rho, far above rounding noise.
+        off = DensityMatrix(rho.matrix + 1e-12 * np.diag([1.0, -1.0, 0.0, 0.0]), rho.dims)
+        assert verify_decomposition(dec, off, DEFAULT_TOLERANCE)
+        tight = Tolerance(abs_eps=1e-9, reconstruction_eps=1e-13)
+        result = verify_decomposition(dec, off, tight)
+        assert not result
+        assert "reconstruction defect" in result.failure

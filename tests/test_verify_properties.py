@@ -28,18 +28,25 @@ from reference_verifier import reference_assemble, reference_verify
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 TOL = Tolerance()
-SHAPES = [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4)]
+SHAPES = [
+    (2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 2),
+    (2, 2, 2, 2, 2),
+]
 
 
 def random_decomposition(dims, seed, n_terms, pool):
-    """A mixture drawing each factor from a small per-slot pool, so factors
-    and whole factor tuples repeat; the target is its reference assembly."""
+    """A mixture drawing each factor from a per-slot pool.  A pool smaller
+    than n_terms makes factors and whole factor tuples repeat; a pool of
+    n_terms gives every term its own factor in every slot.  The target is
+    the reference assembly."""
     rng = np.random.default_rng(seed)
     pools = [[random_density(DimVector((d,)), rng).matrix for _ in range(pool)] for d in dims]
     weights = rng.random(n_terms) + 0.05
     weights /= weights.sum()
+    picks = [rng.choice(pool, n_terms, replace=pool < n_terms) for _ in dims]
     terms = tuple(
-        ProductTerm(float(w), tuple(p[rng.integers(len(p))] for p in pools)) for w in weights
+        ProductTerm(float(w), tuple(p[k] for p, k in zip(pools, ks)))
+        for w, *ks in zip(weights, *picks)
     )
     dec = SeparableDecomposition(DimVector(dims), terms)
     return dec, DensityMatrix(reference_assemble(dec), dec.dims)
@@ -91,12 +98,13 @@ class TestAgreesWithReference:
         dims=st.sampled_from(SHAPES),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n_terms=st.integers(min_value=1, max_value=24),
-        pool=st.integers(min_value=1, max_value=3),
+        pool=st.integers(min_value=1, max_value=24),
         variant=st.sampled_from(sorted(VARIANTS)),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_verdict_and_reconstruction(self, dims, seed, n_terms, pool, variant):
-        dec, target = random_decomposition(dims, seed, n_terms, pool)
+        # A pool of n_terms or more: every factor distinct.
+        dec, target = random_decomposition(dims, seed, n_terms, min(pool, n_terms))
         change, expect_ok = VARIANTS[variant]
         dec = change(dec, np.random.default_rng(seed + 1))
         new = verify_decomposition(dec, target, TOL)
