@@ -3,12 +3,16 @@ and separable decompositions.
 
 Every complex entry is serialised as a [real, imaginary] pair of decimal
 numbers; Python's shortest-repr float writing makes parse -> serialize ->
-parse the identity on the numeric content.
+parse the identity on the numeric content.  Every file is exactly
+``json.dumps(document, indent=2)`` and a newline, so its bytes are
+reproducible.  Decomposition files are rendered without the encoder's
+per-term work (see ``decomposition_text``), to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -229,31 +233,57 @@ def write_text_file(path, text: str) -> None:
     Callers render before calling, so a ValueError on NaN or infinity
     leaves no file behind.
     """
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+@cache
+def _factor_template(shape: tuple[int, ...]) -> str:
+    """A ``shape`` factor as it sits in a decomposition document, 8 spaces
+    deep, with a ``{}`` for each real and imaginary part in entry order."""
+    placeholders = np.full((*shape, 2), "{}").tolist()
+    return json.dumps(placeholders, indent=2).replace("\n", "\n        ").replace('"', "")
 
 
 def decomposition_text(dec: SeparableDecomposition) -> str:
-    """``document_text(decomposition_document(dec))``, rendering each
-    distinct factor once instead of once per term."""
-    # Factors sit 4 levels deep in the document: 8 spaces at indent 2.  Equal
-    # content in several slots, such as one projection, is rendered once.
-    distinct = {(f.shape, f.tobytes()): f for slot in dec.factors for f in slot}
-    rendered = {
-        key: json.dumps(_matrix_entries(f), indent=2, allow_nan=False).replace("\n", "\n        ")
-        for key, f in distinct.items()
-    }
-    blocks = [[rendered[f.shape, f.tobytes()] for f in slot] for slot in dec.factors]
+    """``document_text(decomposition_document(dec))``, built by one join.
+
+    Each distinct (shape, bytes) factor is rendered once by filling its
+    shape's template with ``float.__repr__`` of its entries, the numbers
+    ``json.dumps`` writes.  The text is one join over a (T, b + 4) array of
+    pieces: per term its opener, weight, "factors" opener, one rendered
+    block per slot and closer, with the document's header and tail folded
+    into the first and last rows.  ValueError on NaN or infinity, which
+    JSON lacks.
+    """
     head = document_text({"format_version": FORMAT_VERSION, "dims": list(dec.dims), "terms": []})
     if not len(dec.weights):
         return head
-    terms = ",\n".join(
-        f'    {{\n      "weight": {json.dumps(weight, allow_nan=False)},\n'
-        '      "factors": [\n        '
-        + ",\n        ".join(b[k] for b, k in zip(blocks, row))
-        + "\n      ]\n    }"
-        for weight, row in zip(dec.weights.tolist(), dec.index.tolist())
-    )
-    return head.removesuffix("[]\n}") + "[\n" + terms + "\n  ]\n}"
+    if not np.isfinite(dec.weights).all():
+        raise ValueError("a weight is NaN or infinite, which JSON cannot hold")
+    pieces = np.empty((len(dec.weights), len(dec.dims) + 4), dtype=object)
+    pieces[:, 0] = '    {\n      "weight": '
+    pieces[0, 0] = head.removesuffix("[]\n}") + "[\n" + pieces[0, 0]
+    pieces[:, 1] = list(map(float.__repr__, dec.weights.tolist()))
+    pieces[:, 2] = ',\n      "factors": [\n        '
+    rendered = {}
+    for a, slot in enumerate(dec.factors):
+        blocks = np.empty(len(slot), dtype=object)
+        for k, f in enumerate(slot):
+            f = np.ascontiguousarray(f, dtype=complex)
+            key = f.shape, f.tobytes()
+            if key not in rendered:
+                if not np.isfinite(f).all():
+                    raise ValueError("a factor entry is NaN or infinite, which JSON cannot hold")
+                entries = map(float.__repr__, f.view(float).ravel().tolist())
+                rendered[key] = _factor_template(f.shape).format(*entries)
+            # Slots after the first carry the separator from the block before.
+            blocks[k] = rendered[key] if a == 0 else ",\n        " + rendered[key]
+        pieces[:, 3 + a] = blocks[dec.index[:, a]]
+    pieces[:, -1] = "\n      ]\n    },\n"
+    pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"
+    return "".join(pieces.ravel().tolist())
 
 
 def read_density_file(path) -> tuple[np.ndarray, DimVector]:

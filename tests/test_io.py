@@ -127,6 +127,59 @@ def test_mixed_slot_dimensions(tmp_path):
     assert_same_table(dec)
 
 
+FLOAT_FORMS = [-0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def test_float_forms_as_weights_and_entries(tmp_path):
+    """Each float form the factor template and the weight column must spell
+    as json.dumps does: signed zero, subnormal, exponents both ways, the
+    largest double and a shortest repr of 17 digits."""
+    factor = np.array(FLOAT_FORMS + [1.0, -1.5]).view(complex).reshape(2, 2)
+    other = np.array(FLOAT_FORMS[::-1] + [-2.0, 0.5]).view(complex).reshape(2, 2)
+    terms = tuple(ProductTerm(w, (factor, other)) for w in FLOAT_FORMS)
+    dec = SeparableDecomposition(DimVector((2, 2)), terms)
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+def test_one_term_bytes(tmp_path):
+    """The document's header and tail fold into the same row."""
+    dec = SeparableDecomposition(
+        DimVector((2, 3)), (ProductTerm(1.0, (np.eye(2) / 2, np.eye(3) / 3)),)
+    )
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+def test_non_square_factor_bytes(tmp_path):
+    """A factor whose shape is not its slot's square is rendered from a
+    template of its own shape."""
+    wide = np.arange(6).reshape(2, 3) / 6 + 0.5j
+    terms = (
+        ProductTerm(0.5, (wide, np.eye(2) / 2)),
+        ProductTerm(0.5, (np.eye(2) / 2, wide.T)),
+    )
+    dec = SeparableDecomposition(DimVector((2, 2)), terms)
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+def test_one_encoder_call_per_factor_shape(tmp_path, rng, monkeypatch):
+    """The 2x8 witness has over a hundred distinct 8x8 factors; the writer
+    calls json.dumps once per distinct factor shape and once for the header."""
+    dec = sufficient_certificate(mixed_to_norm(DimVector((2, 8)), 1.0, rng)).witness
+    expected = reference_bytes(dec)
+    assert sum(map(len, dec.factors)) > 100
+    shapes = {np.shape(f) for slot in dec.factors for f in slot}
+    calls = []
+    dumps = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr("spinsep.io.json.dumps", counting)
+    assert written_bytes(dec, tmp_path / "dec.json") == expected
+    assert len(calls) <= len(shapes) + 1
+
+
 def test_decomposition_read_back_from_a_file(tmp_path, rng):
     rho = mixed_to_norm(DimVector((2, 2, 2)), 1.0, rng)
     first = tmp_path / "first.json"
@@ -207,6 +260,27 @@ class TestRefusedWithoutAFile:
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
             write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+        assert not path.exists()
+
+    def test_nan_weight_in_the_last_term(self, tmp_path):
+        dec = werner_separable_decomposition(2, 3)
+        last = dec.terms[-1]
+        terms = dec.terms[:-1] + (ProductTerm(np.nan, last.factors),)
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError):
+            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+        assert not path.exists()
+
+    def test_infinite_entry_in_a_factor_of_the_last_slot_only(self, tmp_path):
+        dec = werner_separable_decomposition(2, 3)
+        bad = np.array(dec.terms[0].factors[2])
+        bad[0, 1] = complex(0, -np.inf)
+        terms = (ProductTerm(dec.terms[0].weight, dec.terms[0].factors[:2] + (bad,)),)
+        dec = SeparableDecomposition(dec.dims, terms + dec.terms[1:])
+        assert all(np.isfinite(f).all() for slot in dec.factors[:2] for f in slot)
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError):
+            write_decomposition_file(path, dec)
         assert not path.exists()
 
     def test_wrong_factor_count(self, tmp_path):
