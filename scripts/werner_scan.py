@@ -21,7 +21,7 @@ from spinsep import (
     werner_density,
     werner_threshold,
 )
-from spinsep.werner import is_prime
+from spinsep.werner import is_prime, werner_bound
 
 
 def main() -> None:
@@ -31,12 +31,15 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=12)
     args = parser.parse_args()
 
-    if is_prime(args.p):
-        s_star = werner_threshold(args.p, args.n)
-        print(f"p={args.p} n={args.n}  threshold s* = {s_star:.6f}")
-    else:
-        s_star = 1.0 / (1.0 + args.p ** (args.n - 1))
-        print(f"p={args.p} n={args.n}  necessary bound = {s_star:.6f} (composite p)")
+    try:
+        if is_prime(args.p):
+            s_star = werner_threshold(args.p, args.n)
+            print(f"p={args.p} n={args.n}  threshold s* = {s_star:.6f}")
+        else:
+            s_star = werner_bound(args.p, args.n)
+            print(f"p={args.p} n={args.n}  necessary bound = {s_star:.6f} (composite p)")
+    except ValueError as err:
+        parser.error(str(err))
     print(f"{'s':>8}  {'L1 norm':>10}  {'necessary':>12}  {'peres':>12}  {'sufficient':>12}")
 
     grid = sorted(set(np.linspace(0.0, 1.0, args.steps).tolist() + [s_star]))

@@ -12,6 +12,7 @@ to allocate), 4 invalid density (any certify input, or transform --strict).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -82,7 +83,10 @@ def cmd_basis(args, tol: Tolerance) -> int:
         dims = DimVector(_parse_int_list(args.dims, "--dims"))
     n = dims.size
     if args.label is not None:
-        j, k = _parse_int_list(args.label, "--label")
+        label = _parse_int_list(args.label, "--label")
+        if len(label) != 2:
+            raise ValueError(f"--label takes two integers j,k, got {args.label!r}")
+        j, k = label
         if not (0 <= j < n and 0 <= k < n):
             raise ValueError(f"label ({j},{k}) out of range for total dimension {n}")
         labels = [(j, k)]
@@ -235,7 +239,9 @@ def cmd_permute(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spinsep`` parser, built once per process; ``main`` only calls ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="spinsep",
         description="Spin-basis transforms and separability certificates for density matrices.",
@@ -302,8 +308,7 @@ def _tolerance(value: float | None) -> Tolerance:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, _tolerance(args.tol))
     except FileFormatError as err:

@@ -75,6 +75,24 @@ class CertificateReport:
     witness: object = None
 
 
+@lru_cache(maxsize=None)
+def _necessary_table(dims: DimVector) -> tuple:
+    """Flat pair indices jf, kf and redistributions uf, vf of ``necessary_check``, read-only."""
+    b = len(dims)
+    digits = digit_table(dims)
+    stride = np.asarray(strides(dims), dtype=np.int64)
+    differ = (digits[:, None, :] != digits[None, :, :]).all(axis=2)
+    jf, kf = np.nonzero(np.triu(differ, 1))
+    jd, kd = digits[jf][:, None, :], digits[kf][:, None, :]
+    # swap[r, a]: redistribution r takes digit a of u from k; digit 0 stays with j.
+    swap = np.zeros((2 ** (b - 1), b), dtype=bool)
+    swap[:, 1:] = digit_table(DimVector((2,) * (b - 1)))
+    tables = jf, kf, np.where(swap, kd, jd) @ stride, np.where(swap, jd, kd) @ stride
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def necessary_check(
     rho: DensityMatrix, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> CertificateReport:
@@ -86,21 +104,12 @@ def necessary_check(
     first largest violation in (j, k, redistribution) order.
     """
     dims = rho.dims
-    b = len(dims)
-    if b < 2:
+    if len(dims) < 2:
         raise ValueError("the necessary condition needs at least two subsystems")
     m = rho.matrix
-    digits = digit_table(dims)
-    stride = np.asarray(strides(dims), dtype=np.int64)
+    jf, kf, uf, vf = _necessary_table(dims)
     diag = np.clip(np.real(np.diagonal(m)), 0.0, None)
-    differ = (digits[:, None, :] != digits[None, :, :]).all(axis=2)
-    jf, kf = np.nonzero(np.triu(differ, 1))
-    jd, kd = digits[jf][:, None, :], digits[kf][:, None, :]
-    # swap[r, a]: redistribution r takes digit a of u from k; digit 0 stays with j.
-    swap = np.zeros((2 ** (b - 1), b), dtype=bool)
-    swap[:, 1:] = digit_table(DimVector((2,) * (b - 1)))
-    ud, vd = np.where(swap, kd, jd), np.where(swap, jd, kd)
-    entries = m[ud @ stride, vd @ stride]
+    entries = m[uf, vf]
     # hypot rounds as abs() of one entry does; np.abs on arrays may differ in the last bit.
     magnitude = np.hypot(entries.real, entries.imag)
     bound = np.sqrt(diag[jf] * diag[kf])
@@ -108,11 +117,9 @@ def necessary_check(
     p, r = np.unravel_index(np.argmax(excess), excess.shape)
     if not excess[p, r] > tol.abs_eps:
         return CertificateReport(INCONCLUSIVE)
+    digits = digit_table(dims)
     witness = NecessaryViolation(
-        tuple(jd[p, 0].tolist()),
-        tuple(kd[p, 0].tolist()),
-        tuple(ud[p, r].tolist()),
-        tuple(vd[p, r].tolist()),
+        *(tuple(digits[f].tolist()) for f in (jf[p], kf[p], uf[p, r], vf[p, r])),
         float(bound[p]),
         float(magnitude[p, r]),
     )

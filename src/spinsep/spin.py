@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -79,14 +80,21 @@ def _check_label(d: int, j: int, k: int) -> None:
         raise ValueError(f"label ({j},{k}) out of range for d={d}")
 
 
-def fourier_matrix(d: int) -> np.ndarray:
-    """Unnormalised Fourier matrix F(j,k) = eta^(j*k); F F^dag = d*I."""
+@lru_cache(maxsize=None)
+def fourier_table(d: int) -> np.ndarray:
+    """Read-only unnormalised Fourier matrix F(j,k) = eta^(j*k), built once per d."""
     _check_dim(d)
     out = np.empty((d, d), dtype=complex)
     for j in range(d):
         for k in range(d):
             out[j, k] = eta(d, (j * k) % d)
+    out.setflags(write=False)
     return out
+
+
+def fourier_matrix(d: int) -> np.ndarray:
+    """Unnormalised Fourier matrix F(j,k) = eta^(j*k); F F^dag = d*I."""
+    return fourier_table(d).copy()
 
 
 def computational_basis(d: int, j: int, k: int) -> np.ndarray:

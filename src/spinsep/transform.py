@@ -15,7 +15,7 @@ import numpy as np
 
 from .composite import DimVector, as_square, composite_spin, decode, encode, flat_add_table
 from .linalg import DensityMatrix
-from .spin import fourier_matrix, spin_dagger, SpinLabel
+from .spin import fourier_table, spin_dagger, SpinLabel
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _adjusted_table(matrix: np.ndarray, dims: DimVector) -> np.ndarray:
 def spin_table(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
     """Spin coefficients of an arbitrary matrix (no density validation)."""
     a = _adjusted_table(as_square(matrix, dims), dims)
-    mats = [fourier_matrix(d).conj() for d in dims]
+    mats = [fourier_table(d).conj() for d in dims]
     return SpinCoefficients(dims, _apply_factored(mats, a, dims))
 
 
@@ -82,7 +82,7 @@ def from_spin(coeffs: SpinCoefficients) -> np.ndarray:
     """Reassemble the matrix (1/N) sum s[j,k] S_{j,k} from its table."""
     dims = coeffs.dims
     n = dims.size
-    mats = [fourier_matrix(d) for d in dims]
+    mats = [fourier_table(d) for d in dims]
     a = _apply_factored(mats, coeffs.table, dims) / n
     add = flat_add_table(dims)
     out = np.zeros((n, n), dtype=complex)

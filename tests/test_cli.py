@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from spinsep import (
+    DEFAULT_TOLERANCE,
     DimVector,
     SpinCoefficients,
     WernerSpec,
@@ -17,6 +19,7 @@ from spinsep import (
     verify_decomposition,
     werner_density,
 )
+import spinsep.cli
 from spinsep.cli import main
 from spinsep.io import (
     coefficients_document,
@@ -65,6 +68,13 @@ class TestBasis:
 
     def test_bad_dimension_exits_semantic(self, capsys):
         assert main(["basis", "--d", "1"]) == 3
+
+    @pytest.mark.parametrize("label", ["1", "1,2,3"])
+    def test_label_needs_two_integers(self, capsys, label):
+        assert main(["basis", "--d", "2", "--label", label]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --label takes two integers j,k, got {label!r}\n"
 
 
 class TestTransform:
@@ -565,3 +575,68 @@ class TestDeterminism:
         write_density_file(src, m, d)
         assert main(["transform", "--input", str(src), "--strict"]) == 4
         assert main(["--tol", "1e-2", "transform", "--input", str(src), "--strict"]) == 0
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        assert main(["werner", "--p", "2", "--n", "2"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for p in (2, 3, 5, 7, 11):
+            for n in (2, 3):
+                assert main(["werner", "--p", str(p), "--n", str(n)]) == 0
+        assert built == []
+
+    def test_json_flag_does_not_stick(self, werner_file, capsys):
+        assert main(["certify", "--input", str(werner_file), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "inseparable-certified"
+        assert main(["certify", "--input", str(werner_file)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("dims: 2,2 (N=4)\n")
+        assert out.endswith("verdict: inseparable-certified\n")
+
+    def test_s_does_not_stick(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["werner", "--p", "3", "--n", "2", "--s", "0.1", "--output", str(first)]) == 0
+        assert main(["werner", "--p", "3", "--n", "2", "--output", str(second)]) == 0
+        for path, s in ((first, 0.1), (second, 0.25)):
+            matrix, _ = read_density_file(path)
+            assert np.array_equal(matrix, werner_density(WernerSpec(3, 2, s)).matrix)
+
+    def test_tol_does_not_stick(self, werner_file, monkeypatch, capsys):
+        seen = []
+        check = spinsep.cli.check_density
+
+        def recording(matrix, dims, tol):
+            seen.append(tol)
+            return check(matrix, dims, tol)
+
+        monkeypatch.setattr(spinsep.cli, "check_density", recording)
+        assert main(["--tol", "1e-6", "certify", "--input", str(werner_file)]) == 0
+        assert main(["certify", "--input", str(werner_file)]) == 0
+        assert seen[0].abs_eps == 1e-6
+        assert seen[1] == DEFAULT_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            (["--help"], 0, "out", "{basis,transform,certify,werner,permute}"),
+            (["certify", "--help"], 0, "out", "--emit-decomposition"),
+            (["certify"], 2, "err", "the following arguments are required: --input"),
+        ],
+    )
+    def test_repeated_exits_print_the_same(self, capsys, argv, code, stream, text):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            printed.append(getattr(capsys.readouterr(), stream))
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("usage: spinsep") and text in printed[0]

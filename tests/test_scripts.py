@@ -1,0 +1,42 @@
+"""Smoke tests: each script in scripts/ runs end to end on tiny arguments."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    module.main()
+
+
+@pytest.mark.parametrize("p", ["2", "4"])
+def test_werner_scan(monkeypatch, capsys, p):
+    run_script("werner_scan", ["--p", p, "--n", "2", "--steps", "3"], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"p={p} n=2  ")
+    assert sum(line.endswith("<- s*") for line in lines) == 1
+
+
+@pytest.mark.parametrize("p", ["3", "4"])
+def test_werner_scan_overflowing_bound_names_p_and_n(monkeypatch, capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        run_script("werner_scan", ["--p", p, "--n", "2000"], monkeypatch)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--p {p} --n 2000" in captured.err
+
+
+def test_separable_neighborhood(monkeypatch, capsys):
+    run_script("separable_neighborhood", ["--dims", "2,2", "--samples", "2"], monkeypatch)
+    out = capsys.readouterr().out
+    assert out.startswith("dims=(2, 2)  N=4  samples=2\n")
+    assert "every blend at lambda* was certified" in out

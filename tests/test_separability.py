@@ -28,6 +28,7 @@ from spinsep import (
     verify_decomposition,
     werner_density,
 )
+from spinsep.separability import _necessary_table
 
 from conftest import mixed_to_norm
 
@@ -60,6 +61,12 @@ class TestNecessaryCheck:
         rho = random_density(DimVector((4,)), rng)
         with pytest.raises(ValueError):
             necessary_check(rho)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_cached_index_tables_are_read_only(self, dims):
+        tables = _necessary_table(DimVector(dims))
+        assert tables is _necessary_table(DimVector(dims))
+        assert all(not a.flags.writeable for a in tables)
 
 
 class TestPeresCheck:

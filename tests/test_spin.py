@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
+    DimVector,
     RootOfUnity,
     SpinLabel,
     adjusted_basis,
@@ -14,8 +15,10 @@ from spinsep import (
     spin_dagger,
     spin_matrix,
     spin_power,
+    spin_table,
     trace_inner,
 )
+from spinsep.spin import fourier_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -69,6 +72,25 @@ class TestFourierMatrix:
     def test_rejects_d1(self):
         with pytest.raises(ValueError):
             fourier_matrix(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_cached_table_is_read_only_and_matches_eta(self, d):
+        table = fourier_table(d)
+        assert table is fourier_table(d)
+        assert not table.flags.writeable
+        expected = [[eta(d, (j * k) % d) for k in range(d)] for j in range(d)]
+        assert np.array_equal(table, np.array(expected, dtype=complex))
+
+    def test_returned_copy_does_not_reach_the_cache(self):
+        dims = DimVector((3, 2))
+        m = np.arange(36, dtype=complex).reshape(6, 6)
+        before = spin_table(m, dims).table.copy()
+        for d in dims:
+            f = fourier_matrix(d)
+            assert f.flags.writeable
+            f[...] = 0.0
+        assert np.array_equal(spin_table(m, dims).table, before)
+        assert np.array_equal(fourier_matrix(2), np.array([[1, 1], [1, -1]], dtype=complex))
 
 
 class TestComputationalAndAdjusted:
