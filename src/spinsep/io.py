@@ -298,10 +298,6 @@ def read_coefficients_file(path) -> SpinCoefficients:
     return parse_coefficients_document(_load(path))
 
 
-def write_coefficients_file(path, coeffs: SpinCoefficients) -> None:
-    write_text_file(path, document_text(coefficients_document(coeffs)))
-
-
 def read_decomposition_file(path) -> SeparableDecomposition:
     return parse_decomposition_document(_load(path))
 

@@ -157,32 +157,31 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
 
 @lru_cache(maxsize=None)
 def _label_table(d: int) -> tuple:
-    """Expansion data of every label j*d + k of a d-level factor.
+    """Expansion maps of every label j*d + k of a d-level factor, read-only.
 
-    Per label: the phase beta of S_{j,k} = beta (gamma S_u)^t, and per
-    offset l the weight omega_l of P_u(l) in the expansion of that power,
-    the index of P_u(l) among the distinct projections and the index of
-    its spec among the distinct specs; then those specs and their
-    projections.  Generators of one subgroup, such as (1, 2) and (2, 1)
-    for d = 3, give equal projections under different specs, so the
-    first index is by content and the second by spec.
+    S_{j,k} = sum_l beta omega_l P_u(l) over d projections of distinct
+    content.  Contents are numbered in first-seen (label, offset) order and
+    keep their first spec: (1, 2) and (2, 1) for d = 3 reach equal
+    projections.  Returns the (d^2, K) maps E[L, c] = beta omega_l and
+    C[L, c] = 1 where offset l of label L has content c, the K specs and
+    their projections.
     """
-    beta = np.empty(d * d, dtype=complex)
-    omega = np.empty((d * d, d), dtype=complex)
-    ids = np.empty((d * d, d), dtype=np.int64)
-    entry = np.empty((d * d, d), dtype=np.int64)
-    content: dict[bytes, int] = {}
-    specs: dict[ProjectionSpec, int] = {}
+    content: dict[bytes, tuple[int, ProjectionSpec]] = {}
+    entries = []
     for label in range(d * d):
-        u, t, beta[label] = _reduced_generator(d, *divmod(label, d))
-        for l, (w, r) in enumerate(expand_spin_power(ProjectionSpec(d, u), t)):
+        u, t, beta = _reduced_generator(d, *divmod(label, d))
+        for w, r in expand_spin_power(ProjectionSpec(d, u), t):
             spec = ProjectionSpec(d, u, r)
-            omega[label, l] = w
-            entry[label, l] = specs.setdefault(spec, len(specs))
-            ids[label, l] = content.setdefault(subgroup_projection(spec).tobytes(), len(content))
-    for a in (beta, omega, ids, entry):
+            c, _ = content.setdefault(subgroup_projection(spec).tobytes(), (len(content), spec))
+            entries.append((label, c, beta * w))
+    rows, cols, values = zip(*entries)
+    phases = np.zeros((d * d, len(content)), dtype=complex)
+    hits = np.zeros((d * d, len(content)))
+    phases[rows, cols], hits[rows, cols] = values, 1.0
+    for a in (phases, hits):
         a.setflags(write=False)
-    return beta, omega, ids, entry, tuple(specs), tuple(subgroup_projection(s) for s in specs)
+    specs = tuple(spec for _, spec in content.values())
+    return phases, hits, specs, tuple(subgroup_projection(s) for s in specs)
 
 
 def sufficient_certificate(
@@ -190,76 +189,56 @@ def sufficient_certificate(
 ) -> CertificateReport:
     """Certify separability constructively when the spin L1 norm is at most one.
 
-    Each non-identity coefficient s is grouped with its conjugate partner,
-    every factor spin matrix is rewritten as a phase beta_a times a power
-    of a reduced generator, and the pair expands over the product
-    projections of every offset vector l with weight
-    mult * (|s| + Re(beta s prod_a omega_a(l_a))) / N, where mult is 2 for
-    a pair and 1 for a self-partnered label and omega_a(l_a) are the
-    expansion weights of ``expand_spin_power``.  The leftover norm budget
-    becomes a uniform-mixture residual term.  Above the bound the verdict
-    is inconclusive with the norm attached.
-
-    Label pairs are taken in lexicographic order and offsets in
-    lexicographic order within each pair, so the decomposition is
-    bit-stable run to run.  Expansions that land on the same product of
-    projections are merged into one term at the first, so the witness
-    holds each product once.  The witness is verified before it is
-    returned and VerificationError reports a failure, for example under a
-    tolerance too tight for double rounding.
+    Each non-identity coefficient s of modulus at least WEIGHT_FLOOR is
+    taken with mult 2 at the first label of its conjugate pair, or mult 1
+    when the label is its own partner.  Writing every factor spin matrix
+    as beta_a (gamma S_u)^t expands it over the product projections of
+    every offset vector l with weight
+    mult * (|s| + Re(s prod_a beta_a omega_a(l_a))) / N.  That weight
+    factorises over the slots, so the merged weight of each product of
+    projection contents is one contraction of the spin table per slot with
+    the maps of ``_label_table``.  The witness holds, once each and in C
+    order over the per-slot content indices, every product whose merged
+    weight reaches WEIGHT_FLOOR (a content that several generators reach
+    keeps the spec seen first), then the leftover norm budget as a
+    uniform-mixture term.  Above the bound the verdict is inconclusive.
+    The witness is verified; VerificationError reports a failure, for
+    example under a tolerance too tight for double rounding.
     """
     dims = rho.dims
-    n = dims.size
+    n, b = dims.size, len(dims)
     coeffs = to_spin(rho)
     norm = spin_l1_norm(coeffs)
     if norm > 1.0 + NORM_SLACK:
         return CertificateReport(INCONCLUSIVE, l1_norm=norm)
 
-    table = coeffs.table
-    digits = digit_table(dims)
-    radix = np.asarray(dims.dims)
     # neg[f] is the flat index of the componentwise negation of f's digits.
-    neg = ((-digits) % radix) @ np.asarray(strides(dims))
-    jf, kf = np.nonzero(np.abs(table) >= WEIGHT_FLOOR)
-    pj, pk = neg[jf], neg[kf]
-    # A pair is expanded together with its conjugate partner, at whichever
-    # of the two comes first; the identity label is left to the residual.
-    keep = ((pj > jf) | ((pj == jf) & (pk >= kf))) & ((jf > 0) | (kf > 0))
-    jf, kf, pj, pk = jf[keep], kf[keep], pj[keep], pk[keep]
-    s = table[jf, kf]
-    mult = np.where((pj == jf) & (pk == kf), 1.0, 2.0)
-    labels = digits[jf] * radix + digits[kf]
-
-    # Rows are the kept pairs, columns the offset vectors in digit_table order.
+    neg = ((-digit_table(dims)) % np.asarray(dims.dims)) @ np.asarray(strides(dims))
+    # mult is 2, 1 or 0 as the partner label comes later, is the label or comes first.
+    mult = 1 + np.sign(np.add.outer(neg * n, neg) - np.arange(n * n).reshape(n, n))
+    mult[0, 0] = 0
+    s = np.where(np.abs(coeffs.table) >= WEIGHT_FLOOR, mult * coeffs.table, 0.0)
+    # One axis per slot, indexed by the slot's label j_a * d_a + k_a.
+    s = s.reshape(dims.dims * 2).transpose(np.arange(2 * b).reshape(2, b).T.ravel())
+    s = s.reshape([d * d for d in dims])
     tables = [_label_table(d) for d in dims]
-    beta = np.ones(len(s), dtype=complex)
-    omega = np.ones((len(s), n), dtype=complex)
-    # product[p, o] encodes the distinct projection of every slot, mixed-radix.
-    product = np.zeros((len(s), n), dtype=np.int64)
-    for a, (beta_d, omega_d, ids_d, *_) in enumerate(tables):
-        lab = labels[:, a]
-        beta = beta * beta_d[lab]
-        omega = omega * omega_d[lab][:, digits[:, a]]
-        product = product * (ids_d.max() + 1) + ids_d[lab][:, digits[:, a]]
-    weights = mult[:, None] * (np.abs(s)[:, None] + ((beta * s)[:, None] * omega).real) / n
-    flat = np.flatnonzero(weights >= WEIGHT_FLOOR)
-    keys = product.reshape(-1)[flat]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    merged = np.bincount(inverse, weights=weights.reshape(-1)[flat])[order]
+    phased, modulus = s, np.abs(s)
+    for phases, hits, *_ in tables:
+        phased = np.tensordot(phased, phases, axes=(0, 0))
+        modulus = np.tensordot(modulus, hits, axes=(0, 0))
+    merged = (modulus + phased.real) / n
+    index = np.nonzero(merged >= WEIGHT_FLOOR)
 
-    # Each merged term keeps the specs and factors of its first expansion;
-    # the uniform residual, if any, is the last term.
-    pair, offset = np.divmod(flat[first[order]], n)
+    # The uniform residual, if any, is the last term.
     residual = int(1.0 - norm > WEIGHT_FLOOR)
-    parts = np.append(merged, [1.0 - norm] * residual)
-    index, factors, specs = [], [], []
-    for a, (d, (*_, entry, spec_d, factor_d)) in enumerate(zip(dims, tables)):
-        index.append(np.append(entry[labels[pair, a], digits[offset, a]], [len(spec_d)] * residual))
+    parts = np.append(merged[index], [1.0 - norm] * residual)
+    columns, factors, specs = [], [], []
+    for c, d, (*_, spec_d, factor_d) in zip(index, dims, tables):
+        columns.append(np.append(c, [len(spec_d)] * residual))
         specs.append(spec_d + (None,) * residual)
         factors.append(factor_d + (np.eye(d, dtype=complex) / d,) * residual)
     weights = parts / math.fsum(parts.tolist())
-    dec = SeparableDecomposition.from_columns(dims, weights, np.column_stack(index), factors, specs)
+    dec = SeparableDecomposition.from_columns(dims, weights, np.column_stack(columns), factors, specs)
     result = verify_decomposition(dec, rho, tol)
     if not result:
         raise VerificationError(f"internal decomposition failed verification: {result.failure}")

@@ -4,9 +4,10 @@ certificate expansion.
 Both walk the label pairs one at a time in Python: the necessary check
 over every pair of flat indices and every redistribution of their digits,
 the certificate over every kept coefficient and every offset vector, with
-weights |s| (1 + cos(theta + arg omega)) and merging on projection content
-in a dict.  The property tests compare the library's array versions
-against them.  Feed them valid densities only.
+weights |s| (1 + cos(theta + arg omega)), merging on projection content in
+a dict and dropping merged weights below WEIGHT_FLOOR.  The property tests
+compare the library's array versions against them.  Feed them valid
+densities only.
 """
 
 import cmath
@@ -94,7 +95,8 @@ def _projection(d, j, k, r):
 
 def reference_certificate(rho):
     """The normalised certificate decomposition, unverified, and the number
-    of expansions merged into its terms; None above the bound."""
+    of expansions merged into its terms (kept pairs x N); None above the
+    bound."""
     dims = rho.dims
     n = dims.size
     coeffs = to_spin(rho)
@@ -129,8 +131,6 @@ def reference_certificate(rho):
                     l * t / d_i for l, (_, t), d_i in zip(offsets, gens, dims)
                 )
                 weight = mult * abs(s) * (1.0 + math.cos(theta + arg_omega)) / n
-                if weight < WEIGHT_FLOOR:
-                    continue
                 raw += 1
                 parts = [
                     _projection(d_i, u.j, u.k, l)
@@ -145,6 +145,7 @@ def reference_certificate(rho):
     terms = [
         ProductTerm(weight, tuple(subgroup_projection(sp) for sp in specs), specs)
         for weight, specs in merged.values()
+        if weight >= WEIGHT_FLOOR
     ]
     residual = 1.0 - norm
     if residual > WEIGHT_FLOOR:

@@ -62,6 +62,18 @@ class TestNecessaryCheck:
         with pytest.raises(ValueError):
             necessary_check(rho)
 
+    def test_tied_violations_first_in_redistribution_order(self):
+        # (|000> + |111>) and (|011> + |100>), mixed equally: for the pair
+        # j = 001, k = 110 the redistributions (000, 111) and (011, 100)
+        # violate by exactly 1/4, and the earlier one, taking only digit 2
+        # of u from k, is the witness.
+        m = np.zeros((8, 8), dtype=complex)
+        for u, v in [(0, 7), (3, 4)]:
+            m[np.ix_([u, v], [u, v])] = 0.25
+        rep = necessary_check(check_density(m, DimVector((2, 2, 2))))
+        want = NecessaryViolation((0, 0, 1), (1, 1, 0), (0, 0, 0), (1, 1, 1), 0.0, 0.25)
+        assert rep.witness == want
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 3)])
     def test_cached_index_tables_are_read_only(self, dims):
         tables = _necessary_table(DimVector(dims))
