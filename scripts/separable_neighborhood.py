@@ -32,7 +32,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    dims = DimVector(tuple(int(x) for x in args.dims.split(",")))
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
+    try:
+        dims = DimVector(tuple(int(x) for x in args.dims.split(",")))
+    except ValueError as err:
+        parser.error(f"--dims {args.dims}: {err}")
     n = dims.size
     rng = np.random.default_rng(args.seed)
 

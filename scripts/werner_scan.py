@@ -31,7 +31,10 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=12)
     args = parser.parse_args()
 
+    if args.steps < 0:
+        parser.error(f"--steps must be non-negative, got {args.steps}")
     try:
+        WernerSpec(args.p, args.n, 0.0)  # checks p >= 2 and n >= 2
         if is_prime(args.p):
             s_star = werner_threshold(args.p, args.n)
             print(f"p={args.p} n={args.n}  threshold s* = {s_star:.6f}")

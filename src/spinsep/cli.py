@@ -2,18 +2,19 @@
 
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
-error (dims, primality, permutation, an out-of-range --tol or werner --p,
---n or --s, output with NaN or infinite entries, a built decomposition
-failing its own verification, as under a --tol too tight for double
-rounding, certify checks that contradict each other, or a request too large
-to allocate), 4 invalid density (any certify input, or transform --strict).
+error (dims, primality, permutation, a --tol below 2.2e-16 or above 1e-2,
+werner --p, --n or --s out of range, output with NaN or infinite entries, a
+built decomposition failing its own verification, as under a --tol too
+tight for double rounding, certify checks that contradict each other, or a
+request too large to allocate), 4 invalid density (any certify input, or
+transform --strict, including an eigenvalue solve that fails on entries
+too large).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .composite import DimVector, composite_spin, decode, permute_dims, reorder_subsystems
@@ -57,6 +58,9 @@ EXIT_INVALID_DENSITY = 4
 # Smallest accepted --tol: tolerances below the spacing of doubles near one
 # cannot be resolved on entries of magnitude at most one.
 MIN_TOL = sys.float_info.epsilon
+# Largest accepted --tol: a looser one would pass a matrix whose trace is
+# far from one, and certify a witness of another density.
+MAX_TOL = 1e-2
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help=f"override the absolute tolerance, at least {MIN_TOL:.2g} "
+        help=f"override the absolute tolerance, from {MIN_TOL:.2g} to {MAX_TOL:.2g} "
         "(reconstruction tolerance becomes 10x this)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,8 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _tolerance(value: float | None) -> Tolerance:
     if value is None:
         return DEFAULT_TOLERANCE
-    if not (math.isfinite(value) and value >= MIN_TOL):
-        raise ValueError(f"--tol must be finite and at least {MIN_TOL:.3g}, got {value!r}")
+    if not (MIN_TOL <= value <= MAX_TOL):
+        raise ValueError(
+            f"--tol must be finite, at least {MIN_TOL:.3g} and at most {MAX_TOL:.3g}, got {value!r}"
+        )
     return Tolerance(abs_eps=value, reconstruction_eps=10 * value)
 
 

@@ -5,8 +5,8 @@ Every complex entry is serialised as a [real, imaginary] pair of decimal
 numbers; Python's shortest-repr float writing makes parse -> serialize ->
 parse the identity on the numeric content.  Every file is exactly
 ``json.dumps(document, indent=2)`` and a newline, so its bytes are
-reproducible.  Decomposition files are rendered without the encoder's
-per-term work (see ``decomposition_text``), to the same bytes.
+reproducible.  Decomposition files render each distinct float once, with
+no per-term encoder work (see ``decomposition_text``), to the same bytes.
 """
 
 from __future__ import annotations
@@ -239,47 +239,52 @@ def write_text_file(path, text: str) -> None:
 
 
 @cache
-def _factor_template(shape: tuple[int, ...]) -> str:
+def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
     """A ``shape`` factor as it sits in a decomposition document, 8 spaces
-    deep, with a ``{}`` for each real and imaginary part in entry order."""
+    deep: its literal text at the even places, a free odd place per float."""
     placeholders = np.full((*shape, 2), "{}").tolist()
-    return json.dumps(placeholders, indent=2).replace("\n", "\n        ").replace('"', "")
+    text = json.dumps(placeholders, indent=2).replace("\n", "\n        ").replace('"', "")
+    template = np.empty(2 * text.count("{}") + 1, dtype=object)
+    template[::2] = text.split("{}")
+    return template
 
 
 def decomposition_text(dec: SeparableDecomposition) -> str:
     """``document_text(decomposition_document(dec))``, built by one join.
 
-    Each distinct (shape, bytes) factor is rendered once by filling its
-    shape's template with ``float.__repr__`` of its entries, the numbers
-    ``json.dumps`` writes.  The text is one join over a (T, b + 4) array of
-    pieces: per term its opener, weight, "factors" opener, one rendered
-    block per slot and closer, with the document's header and tail folded
-    into the first and last rows.  ValueError on NaN or infinity, which
-    JSON lacks.
+    Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
+    apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
+    writes.  Each distinct factor's block fills its shape's template with
+    its entries' strings.  The text is one join over a (T, b + 4) array of
+    pieces: per term its opener, weight, "factors" opener, one block per
+    slot and closer, with the document's header and tail folded into the
+    first and last rows.  ValueError on NaN or infinity, which JSON lacks.
     """
     head = document_text({"format_version": FORMAT_VERSION, "dims": list(dec.dims), "terms": []})
     if not len(dec.weights):
         return head
     if not np.isfinite(dec.weights).all():
         raise ValueError("a weight is NaN or infinite, which JSON cannot hold")
+    factors = [f for slot in dec.factors for f in slot]
+    entries = np.concatenate([f.ravel() for f in factors], dtype=complex).view(float)
+    if not np.isfinite(entries).all():
+        raise ValueError("a factor entry is NaN or infinite, which JSON cannot hold")
+    values = np.concatenate([dec.weights, entries]).view(np.int64)
+    bits, inverse = np.unique(values, return_inverse=True)
+    strings = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse]
+    chunks = iter(np.split(strings, np.cumsum([len(dec.weights)] + [2 * f.size for f in factors])))
     pieces = np.empty((len(dec.weights), len(dec.dims) + 4), dtype=object)
     pieces[:, 0] = '    {\n      "weight": '
     pieces[0, 0] = head.removesuffix("[]\n}") + "[\n" + pieces[0, 0]
-    pieces[:, 1] = list(map(float.__repr__, dec.weights.tolist()))
+    pieces[:, 1] = next(chunks)
     pieces[:, 2] = ',\n      "factors": [\n        '
-    rendered = {}
     for a, slot in enumerate(dec.factors):
         blocks = np.empty(len(slot), dtype=object)
         for k, f in enumerate(slot):
-            f = np.ascontiguousarray(f, dtype=complex)
-            key = f.shape, f.tobytes()
-            if key not in rendered:
-                if not np.isfinite(f).all():
-                    raise ValueError("a factor entry is NaN or infinite, which JSON cannot hold")
-                entries = map(float.__repr__, f.view(float).ravel().tolist())
-                rendered[key] = _factor_template(f.shape).format(*entries)
+            row = _factor_template(f.shape).copy()
+            row[1::2] = next(chunks)
             # Slots after the first carry the separator from the block before.
-            blocks[k] = rendered[key] if a == 0 else ",\n        " + rendered[key]
+            blocks[k] = ",\n        " * (a > 0) + "".join(row.tolist())
         pieces[:, 3 + a] = blocks[dec.index[:, a]]
     pieces[:, -1] = "\n      ]\n    },\n"
     pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"

@@ -3,6 +3,7 @@ density-matrix validation, and the partial transpose."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,8 @@ def check_density(
 
     Raises a distinct error per violated invariant, carrying the worst
     offending value: NotHermitianError, TraceError, NegativeEigenvalueError,
-    and InvalidDensityError itself for a NaN or infinite entry.
+    and InvalidDensityError itself for a NaN or infinite entry or an
+    eigenvalue solve that fails, as when (m + m^dag)/2 overflows.
     """
     rho = DensityMatrix(np.array(m, dtype=complex), dims)
     m = rho.matrix
@@ -120,7 +122,16 @@ def check_density(
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > tol.abs_eps:
         raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
-    lo = float(hermitian_eigenvalues(m)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lo = float(hermitian_eigenvalues(m)[0])
+        except np.linalg.LinAlgError:
+            lo = math.nan
+        if not math.isfinite(lo):
+            big = float(np.abs(m).max())
+            raise InvalidDensityError(
+                f"eigenvalue solve failed; largest entry magnitude is {big:.3e}", big
+            )
     if lo < -tol.abs_eps:
         raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
     return rho

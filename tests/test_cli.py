@@ -241,6 +241,20 @@ class TestCertify:
         assert main(["certify", "--input", str(src), "--all", "--json"]) == 4
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["certify", "--all"], ["transform", "--strict"]])
+    def test_failed_eigenvalue_solve_exits_4(self, tmp_path, capsys, command):
+        """Hermitian with trace one, but (m + m^dag)/2 overflows and the
+        eigenvalue solve fails."""
+        src = tmp_path / "huge.json"
+        m = np.diag([1e308, -1e308, 0.5, 0.5]).astype(complex)
+        write_density_file(src, m, DimVector((2, 2)))
+        assert main([*command, "--input", str(src)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid density: eigenvalue solve failed; largest entry magnitude is 1.000e+308\n"
+        )
+
     def test_emitted_witness_is_not_verified_twice(self, tmp_path, monkeypatch):
         import spinsep.cli
 
@@ -364,9 +378,10 @@ class TestTolerance:
         assert main(["--tol", "1e-17", "certify", "--input", str(src), "--all", "--json"]) == 3
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
-    def test_non_positive_or_non_finite_exits_3(self, werner_file, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3", "0.5", "10"])
+    def test_out_of_range_or_non_finite_exits_3(self, werner_file, capsys, value):
         assert main([f"--tol={value}", "certify", "--input", str(werner_file)]) == 3
+        assert capsys.readouterr().err.startswith("error: --tol must be")
 
 
 class TestWernerCommand:

@@ -107,6 +107,20 @@ class TestCheckDensity:
         with pytest.raises(InvalidDensityError, match="non-finite"):
             DensityMatrix(m, DimVector((2,)))
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1e308, -1e308, 0.5, 0.5]),  # the solve raises
+            np.array([[0.5, 1e308], [1e308, 0.5]]),  # the solve returns NaN
+        ],
+        ids=["raises", "nan"],
+    )
+    def test_failed_eigenvalue_solve_rejected(self, m):
+        """Hermitian with trace one, but (m + m^dag)/2 overflows."""
+        dims = DimVector((2,) * (len(m) // 2))
+        with pytest.raises(InvalidDensityError, match="largest entry magnitude is 1.000e"):
+            check_density(m.astype(complex), dims)
+
     def test_tolerance_is_respected(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         check_density(m, DimVector((2,)))  # inside default tolerance

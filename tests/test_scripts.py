@@ -40,3 +40,24 @@ def test_separable_neighborhood(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("dims=(2, 2)  N=4  samples=2\n")
     assert "every blend at lambda* was certified" in out
+
+
+@pytest.mark.parametrize(
+    "name, argv, named",
+    [
+        ("werner_scan", ["--steps", "-1"], "--steps must be non-negative"),
+        ("werner_scan", ["--p", "0"], "need d >= 2"),
+        ("werner_scan", ["--n", "1"], "need n >= 2"),
+        ("separable_neighborhood", ["--samples", "0"], "--samples must be at least 1"),
+        ("separable_neighborhood", ["--dims", "2,x"], "--dims 2,x: invalid literal"),
+        ("separable_neighborhood", ["--dims", "1,2"], "--dims 1,2: every dimension"),
+    ],
+    ids=["steps-negative", "p-0", "n-1", "samples-0", "dims-not-integers", "dims-1"],
+)
+def test_bad_argument_is_a_usage_error(monkeypatch, capsys, name, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        run_script(name, argv, monkeypatch)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
