@@ -1,0 +1,151 @@
+"""Time ``SeparableDecomposition.assemble`` alone on fixed large cases.
+
+Each case is built once: Werner decompositions at their threshold,
+certificate witnesses of seeded random densities blended toward I/N until
+their spin L1 norm is 0.95, built with verification off, and a seeded
+mixture of random product pure states in which every term has its own
+factors.  The script then
+records, per case, the best wall time of ``--repeat`` calls to
+``assemble``, the tracemalloc peak of one more call, and the largest
+entrywise distance of the result from the target density.  Run as a
+script, the BLAS runs on one thread unless the environment says otherwise.
+
+Usage: python scripts/bench_assemble.py --out BENCH.json [--cases werner-3-5,...]
+"""
+
+import os
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":
+    # Before numpy is imported, so that the BLAS reads them.
+    for _var in THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from spinsep import (  # noqa: E402
+    DimVector,
+    SeparableDecomposition,
+    VerificationResult,
+    WernerSpec,
+    check_density,
+    random_density,
+    spin_l1_norm,
+    sufficient_certificate,
+    to_spin,
+    werner_density,
+    werner_separable_decomposition,
+    werner_threshold,
+)
+from spinsep import separability  # noqa: E402
+
+WERNER = {f"werner-{p}-{n}": (p, n) for p, n in [(2, 8), (3, 5), (7, 3), (2, 10)]}
+MIXED = {f"mixed-{d}^{b}": (d,) * b for d, b in [(2, 7), (3, 5), (4, 4)]}
+DISTINCT = {"distinct-2^7": (2000, 7)}
+NORM = 0.95
+
+
+def werner_case(p: int, n: int):
+    target = werner_density(WernerSpec(p, n, werner_threshold(p, n)))
+    return werner_separable_decomposition(p, n), target.matrix
+
+
+def mixed_case(dims: tuple[int, ...], seed: int):
+    dims = DimVector(dims)
+    rho0 = random_density(dims, np.random.default_rng(seed))
+    lam = NORM / spin_l1_norm(to_spin(rho0))
+    n = dims.size
+    rho = check_density(lam * rho0.matrix + (1 - lam) * np.eye(n) / n, dims)
+    # Verification would assemble the witness once more before timing starts.
+    accept = mock.Mock(return_value=VerificationResult(True))
+    with mock.patch.object(separability, "verify_decomposition", accept):
+        return sufficient_certificate(rho).witness, rho.matrix
+
+
+def distinct_case(terms: int, b: int, seed: int):
+    """Terms w_t |psi_t><psi_t| with psi_t a product of random qubit states;
+    the target is summed from the state vectors, apart from ``assemble``."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((b, terms, 2)) + 1j * rng.standard_normal((b, terms, 2))
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    weights = rng.random(terms)
+    weights /= weights.sum()
+    factors = [s[:, :, None] * s[:, None, :].conj() for s in states]
+    index = np.tile(np.arange(terms)[:, None], (1, b))
+    specs = [[None] * terms] * b
+    dec = SeparableDecomposition.from_columns(DimVector((2,) * b), weights, index, factors, specs)
+    psi = states[0]
+    for s in states[1:]:
+        psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)
+    return dec, (psi.T * weights) @ psi.conj()
+
+
+def measure(dec, target, repeat: int) -> dict:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        matrix = dec.assemble()
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        dec.assemble()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "dims": list(dec.dims),
+        "terms": len(dec.weights),
+        "distinct_factors": [len(slot) for slot in dec.factors],
+        "assemble_s": best,
+        "peak_mb": peak / 1e6,
+        "defect": float(np.abs(matrix - target).max()),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", type=str, required=True)
+    parser.add_argument("--cases", type=str, default=",".join([*WERNER, *MIXED, *DISTINCT]))
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    names = args.cases.split(",")
+    known = [*WERNER, *MIXED, *DISTINCT]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"--cases: unknown case {unknown[0]!r}; known: {', '.join(known)}")
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
+
+    cases = {}
+    for name in names:
+        if name in WERNER:
+            dec, target = werner_case(*WERNER[name])
+        elif name in MIXED:
+            dec, target = mixed_case(MIXED[name], args.seed)
+        else:
+            dec, target = distinct_case(*DISTINCT[name], args.seed)
+        cases[name] = measure(dec, target, args.repeat)
+        print(f"{name}: {cases[name]['assemble_s']:.4f} s, {cases[name]['peak_mb']:.1f} MB")
+    doc = {
+        "repeat": args.repeat,
+        "seed": args.seed,
+        "norm": NORM,
+        "numpy": np.__version__,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cases": cases,
+    }
+    with open(args.out, "w") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -91,10 +91,10 @@ class SeparableDecomposition:
         self.dims = dims
         self.weights = np.asarray(weights, dtype=float)
         index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims))
-        kept = [np.unique(column, return_inverse=True) for column in index.T]
-        self.index = np.column_stack([column for _, column in kept])
-        self.factors = tuple(tuple(f[k] for k in used) for f, (used, _) in zip(factors, kept))
-        self.specs = tuple(tuple(s[k] for k in used) for s, (used, _) in zip(specs, kept))
+        used = [np.bincount(column, minlength=len(f)) > 0 for column, f in zip(index.T, factors)]
+        self.index = np.column_stack([(np.cumsum(u) - 1)[c] for u, c in zip(used, index.T)])
+        self.factors = tuple(tuple(f[k] for k in np.flatnonzero(u)) for f, u in zip(factors, used))
+        self.specs = tuple(tuple(s[k] for k in np.flatnonzero(u)) for s, u in zip(specs, used))
 
     @cached_property
     def terms(self) -> tuple[ProductTerm, ...]:
@@ -113,29 +113,63 @@ class SeparableDecomposition:
         """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.
 
         Sorted index rows sharing their first a entries form a run at depth
-        a.  A run at depth b has its summed weights as value; for a = b - 1
-        down to h = b // 2, a run at depth a sums its sub-runs' slot-a factor
-        (x) value.  One tensordot meets the values at depth h with the
-        products of each run's first h factors.
+        a; a run at depth b has its summed weights as value.  For a = b - 1
+        down to h, the values of a run's sub-runs, which differ in slot a,
+        go to a zero (runs, value size, K_a) block at (run, :, slot-a entry),
+        and one tensordot with slot a's (K_a, d_a^2) factor table appends
+        its axes.  A depth with fewer sub-runs than runs * K_a / d_a^2
+        instead multiplies each sub-run's value by its own factor and sums
+        per run.  One tensordot meets the values at depth h with each run's
+        product of its first h factors.  h minimises the entries held at
+        once, counted from the runs: it is 0 unless the runs stay many
+        toward depth 0, as when terms do not share factors.  ValueError on
+        a factor that is not d_a x d_a.
         """
-        dims, h, n = self.dims, len(self.dims) // 2, self.dims.size
+        dims, b, n = self.dims, len(self.dims), self.dims.size
+        if not len(self.weights):
+            return np.zeros((n, n), dtype=complex)
+        for a, (d, slot) in enumerate(zip(dims, self.factors)):
+            if any(f.shape != (d, d) for f in slot):
+                raise ValueError(f"slot {a}: a factor is not {d} x {d}")
+        tables = [np.array(f, dtype=complex).reshape(-1, d * d) for f, d in zip(self.factors, dims)]
         order = np.lexsort(self.index.T[::-1])
         idx = self.index[order]
-        tables = [np.array(f, dtype=complex).reshape(-1, d, d) for f, d in zip(self.factors, dims)]
         # new[t, a]: row t is the first of a run of equal idx[:, :a]
-        new = np.ones((len(idx), len(dims) + 1), dtype=bool)
+        new = np.ones((len(idx), b + 1), dtype=bool)
         new[1:, 0] = False
         new[1:, 1:] = np.logical_or.accumulate(idx[1:] != idx[:-1], axis=1)
+        # Meeting at depth a holds the largest value on the way down to a, then
+        # a's values, its runs' products of their first a factors, and the output.
+        count, before = np.count_nonzero(new, axis=0), np.cumprod([1.0] + [d * d for d in dims])
+        held, prefix = count * before[-1] / before, count * before
+        below = np.maximum.accumulate(held[::-1])[::-1]
+        h = int(np.argmin(np.maximum(below, prefix + held + n * n)))
         starts = np.flatnonzero(new[:, -1])
-        value = np.add.reduceat(self.weights[order], starts).reshape(-1, 1, 1)
-        for a in range(len(dims) - 1, h - 1, -1):
+        value = np.add.reduceat(self.weights[order], starts).reshape(-1, 1)
+        for a in range(b - 1, h - 1, -1):
             outer = new[starts, a]
-            value = _batched_kron([tables[a][idx[starts, a]], value])
-            value = np.add.reduceat(value, np.flatnonzero(outer), axis=0)
+            runs = np.count_nonzero(outer)
+            if runs * tables[a].shape[0] <= len(outer) * tables[a].shape[1]:
+                block = np.zeros((runs, value.shape[1], len(tables[a])), value.dtype)
+                block[np.cumsum(outer) - 1, :, idx[starts, a]] = value
+                del value  # each stage's input goes before the next allocation
+                value = np.tensordot(block, tables[a], axes=(2, 0))
+                del block
+            else:
+                value = value[:, :, None] * tables[a][idx[starts, a], None, :]
+                if runs < len(outer):
+                    value = np.add.reduceat(value, np.flatnonzero(outer))
+            value = value.reshape(runs, -1)
             starts = starts[outer]
-        heads = [np.ones((len(starts), 1, 1))] + [t[k] for t, k in zip(tables, idx[starts, :h].T)]
-        acc = np.tensordot(_batched_kron(heads), value, axes=(0, 0))
-        return acc.transpose(0, 2, 1, 3).reshape(n, n)
+        heads, rows = np.ones((len(starts), 1)), idx[starts]
+        for a in range(h):
+            heads = (heads[:, :, None] * tables[a][rows[:, a], None, :]).reshape(len(rows), -1)
+        # Axes (i_0, j_0, ..., i_{h-1}, j_{h-1}, i_{b-1}, j_{b-1}, ..., i_h, j_h)
+        slots = [*range(h), *range(b - 1, h - 1, -1)]
+        value = np.tensordot(heads, value, axes=(0, 0))
+        value = value.reshape([dims[a] for a in slots for _ in range(2)])
+        at = 2 * np.argsort(slots)
+        return value.transpose([*at, *(at + 1)]).reshape(n, n)
 
 
 class VerificationError(RuntimeError):
@@ -149,16 +183,6 @@ class VerificationResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _batched_kron(stacks) -> np.ndarray:
-    """stacks[0][t] (x) stacks[1][t] (x) ... for every t; weights are a (T, 1, 1) stack."""
-    out = stacks[0]
-    for f in stacks[1:]:
-        t, m, _ = out.shape
-        d = f.shape[1]
-        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(t, m * d, m * d)
-    return out
 
 
 def verify_decomposition(

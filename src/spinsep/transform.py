@@ -48,6 +48,9 @@ def _adjusted_table(matrix: np.ndarray, dims: DimVector) -> np.ndarray:
     return matrix[np.arange(n)[:, None], add]
 
 
+# Entries near the float range overflow to inf and nan, which the writers
+# refuse; numpy's overflow warnings would only repeat that on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def spin_table(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
     """Spin coefficients of an arbitrary matrix (no density validation)."""
     a = _adjusted_table(as_square(matrix, dims), dims)
@@ -78,6 +81,7 @@ def spin_table_by_trace(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients
     return SpinCoefficients(dims, table)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def from_spin(coeffs: SpinCoefficients) -> np.ndarray:
     """Reassemble the matrix (1/N) sum s[j,k] S_{j,k} from its table."""
     dims = coeffs.dims

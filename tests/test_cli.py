@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,23 @@ class TestTransform:
         assert main(argv + (["--output", str(out)] if to_file else [])) == 3
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("direction", ["to-spin", "from-spin"])
+    def test_overflowing_output_exits_3_without_warnings(self, tmp_path, capsys, direction):
+        # Finite entries of 1e308 overflow in the transform; only the error is printed.
+        table = np.full((4, 4), 1e308, dtype=complex)
+        src = tmp_path / "huge.json"
+        if direction == "to-spin":
+            doc = density_document(table, DimVector((2, 2)))
+        else:
+            doc = coefficients_document(SpinCoefficients(DimVector((2, 2)), table))
+        src.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transform", "--input", str(src), "--direction", direction]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_strict_rejects_invalid_density(self, tmp_path):
         d = DimVector((2,))

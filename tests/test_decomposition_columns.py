@@ -1,6 +1,9 @@
 """Decompositions held by columns: the builders' columns against those the
-term constructor derives from the same terms, and failing factors named at
-the first term that uses them."""
+term constructor derives from the same terms, failing factors named at
+the first term that uses them, and assembly against the per-term
+reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from spinsep import (
 )
 
 from conftest import mixed_to_norm
+from reference_verifier import reference_assemble
 
 
 def per_term(dec):
@@ -124,3 +128,65 @@ class TestFailingFactorNamedAtFirstUse:
         result = verify_decomposition(SeparableDecomposition(DimVector((2, 2)), terms), self.target)
         assert not result
         assert result.failure.startswith("term 1, factor 1: ")
+
+
+@st.composite
+def random_columns(draw):
+    """Columns with mixed dims, up to 8 entries per slot and up to 200 terms,
+    whose index rows repeat; weights and factors are arbitrary."""
+    dims = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=len(dims), max_size=len(dims)))
+    terms = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, sizes, size=(max(1, terms // 2), len(dims)))
+    index = rows[rng.integers(0, len(rows), size=terms)]
+    factors = [
+        [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)]
+        for d, k in zip(dims, sizes)
+    ]
+    specs = [[None] * k for k in sizes]
+    weights = rng.standard_normal(terms)
+    dims = DimVector(tuple(dims))
+    return SeparableDecomposition.from_columns(dims, weights, index, factors, specs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dec=random_columns())
+def test_assemble_matches_reference(dec):
+    assert np.abs(dec.assemble() - reference_assemble(dec)).max() <= 1e-12
+
+
+def test_assemble_refuses_misshapen_factor():
+    term = ProductTerm(1.0, (np.eye(4).reshape(2, 8) / 4, np.eye(2) / 2))
+    dec = SeparableDecomposition(DimVector((4, 2)), (term,))
+    with pytest.raises(ValueError, match="slot 0: a factor is not 4 x 4"):
+        dec.assemble()
+
+
+def traced(call):
+    """call() and the tracemalloc peak of what it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_scratch_memory():
+    dec = werner_separable_decomposition(7, 3)
+    _, peak = traced(dec.assemble)
+    assert peak < 30e6
+
+
+def test_assemble_scratch_memory_with_distinct_factors():
+    """Every term has its own factors, so every run down to depth 1 has one
+    term: the scratch memory stays near terms x N, not terms x K_a or N^2."""
+    rng = np.random.default_rng(7)
+    terms, dims = 300, DimVector((2,) * 7)
+    factors = [list(rng.standard_normal((terms, 2, 2)) / 2 + 0j) for _ in dims]
+    index = np.tile(np.arange(terms)[:, None], (1, len(dims)))
+    specs = [[None] * terms] * len(dims)
+    dec = SeparableDecomposition.from_columns(dims, rng.random(terms), index, factors, specs)
+    assembled, peak = traced(dec.assemble)
+    assert peak < 5e6
+    assert np.abs(assembled - reference_assemble(dec)).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Smoke tests: each script in scripts/ runs end to end on tiny arguments."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -42,6 +43,16 @@ def test_separable_neighborhood(monkeypatch, capsys):
     assert "every blend at lambda* was certified" in out
 
 
+def test_bench_assemble(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--cases", "werner-3-5", "--repeat", "1"]
+    run_script("bench_assemble", argv, monkeypatch)
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    case = json.loads(out.read_text())["cases"]["werner-3-5"]
+    assert case["dims"] == [3] * 5 and case["terms"] == 6564
+    assert case["assemble_s"] > 0 and case["peak_mb"] > 0 and case["defect"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "name, argv, named",
     [
@@ -61,3 +72,19 @@ def test_bad_argument_is_a_usage_error(monkeypatch, capsys, name, argv, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--cases", "werner-2-3"], "--cases: unknown case 'werner-2-3'"),
+        (["--repeat", "0"], "--repeat must be at least 1"),
+    ],
+)
+def test_bench_assemble_bad_argument(monkeypatch, capsys, tmp_path, argv, named):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        run_script("bench_assemble", ["--out", str(out), *argv], monkeypatch)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
