@@ -17,9 +17,12 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .composite import DimVector, composite_spin, decode, permute_dims, reorder_subsystems
 from .decompositions import VerificationError, verify_decomposition
 from .io import (
+    FORMAT_VERSION,
     FileFormatError,
     coefficients_document,
     density_document,
@@ -100,40 +103,38 @@ def cmd_basis(args, tol: Tolerance) -> int:
     for j, k in labels:
         m = composite_spin(dims, decode(dims, j), decode(dims, k))
         matrices.append({"j": j, "k": k, "matrix": density_document(m, dims)["matrix"]})
-    doc = {"format_version": 1, "dims": list(dims), "matrices": matrices}
+    doc = {"format_version": FORMAT_VERSION, "dims": list(dims), "matrices": matrices}
     _emit_document(doc, args.output)
     return EXIT_OK
 
 
 def cmd_transform(args, tol: Tolerance) -> int:
     if args.direction == "to-spin":
-        matrix, dims = read_density_file(args.input)
+        given, dims = read_density_file(args.input)
         if args.strict:
-            check_density(matrix, dims, tol)
-        coeffs = spin_table(matrix, dims)
-        _emit_document(coefficients_document(coeffs), args.output)
+            check_density(given, dims, tol)
+        coeffs = spin_table(given, dims)
+        out, doc = coeffs.table, coefficients_document(coeffs)
     else:
         coeffs = read_coefficients_file(args.input)
-        matrix = from_spin(coeffs)
-        _emit_document(density_document(matrix, coeffs.dims), args.output)
+        given, out = coeffs.table, from_spin(coeffs)
+        doc = density_document(out, coeffs.dims)
+    if not np.isfinite(out).all():
+        finite = np.isfinite(given).all()
+        why = "the transform overflows a double" if finite else "an entry is NaN or infinite"
+        raise ValueError(f"--input {args.input}: {why}, and JSON cannot hold NaN or infinity")
+    _emit_document(doc, args.output)
     return EXIT_OK
+
+
+# A witness reports as its kind, then its fields in dataclass order.
+_KINDS = {NecessaryViolation: "necessary-violation", NegativeEigenvalue: "negative-eigenvalue"}
 
 
 def _report_json(report) -> dict:
     """A check's verdict and its witness as plain values (None if it has none)."""
-    w, witness = report.witness, None
-    if isinstance(w, NecessaryViolation):
-        witness = {
-            "kind": "necessary-violation",
-            "j": list(w.j),
-            "k": list(w.k),
-            "u": list(w.u),
-            "v": list(w.v),
-            "bound": w.bound,
-            "magnitude": w.magnitude,
-        }
-    elif isinstance(w, NegativeEigenvalue):
-        witness = {"kind": "negative-eigenvalue", "subsystem": w.subsystem, "value": w.value}
+    kind = _KINDS.get(type(report.witness))
+    witness = None if kind is None else {"kind": kind, **vars(report.witness)}
     return {"verdict": report.verdict, "witness": witness}
 
 

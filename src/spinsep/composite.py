@@ -112,15 +112,20 @@ def flat_add_table(dims: DimVector) -> np.ndarray:
     return table
 
 
+def kron_all(factors) -> np.ndarray:
+    """Complex tensor product of ``factors`` in order, folded from [[1]]."""
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
 def composite_spin(dims: DimVector, j_digits, k_digits) -> np.ndarray:
     """Composite spin matrix, the tensor product of the factor spin matrices."""
     j_digits, k_digits = tuple(j_digits), tuple(k_digits)
     if len(j_digits) != len(dims) or len(k_digits) != len(dims):
         raise ValueError("labels must have one digit per subsystem")
-    out = np.ones((1, 1), dtype=complex)
-    for d, j, k in zip(dims, j_digits, k_digits):
-        out = np.kron(out, spin_matrix(d, j, k))
-    return out
+    return kron_all(spin_matrix(d, j, k) for d, j, k in zip(dims, j_digits, k_digits))
 
 
 def _check_sigma(dims: DimVector, sigma) -> tuple[int, ...]:

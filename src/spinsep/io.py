@@ -112,12 +112,13 @@ def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
     return dims, dims.size
 
 
+def _document(dims, key: str, value) -> dict:
+    """The versioned document holding ``value`` under ``key`` on ``dims``."""
+    return {"format_version": FORMAT_VERSION, "dims": list(dims), key: value}
+
+
 def density_document(matrix: np.ndarray, dims: DimVector) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "dims": list(dims),
-        "matrix": _matrix_entries(matrix),
-    }
+    return _document(dims, "matrix", _matrix_entries(matrix))
 
 
 def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
@@ -135,11 +136,7 @@ def parse_density_document(doc) -> tuple[np.ndarray, DimVector]:
 
 
 def coefficients_document(coeffs: SpinCoefficients) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "dims": list(coeffs.dims),
-        "coefficients": _matrix_entries(coeffs.table),
-    }
+    return _document(coeffs.dims, "coefficients", _matrix_entries(coeffs.table))
 
 
 def parse_coefficients_document(doc) -> SpinCoefficients:
@@ -148,17 +145,11 @@ def parse_coefficients_document(doc) -> SpinCoefficients:
 
 
 def decomposition_document(dec: SeparableDecomposition) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "dims": list(dec.dims),
-        "terms": [
-            {
-                "weight": float(term.weight),
-                "factors": [_matrix_entries(f) for f in term.factors],
-            }
-            for term in dec.terms
-        ],
-    }
+    terms = [
+        {"weight": float(t.weight), "factors": [_matrix_entries(f) for f in t.factors]}
+        for t in dec.terms
+    ]
+    return _document(dec.dims, "terms", terms)
 
 
 def _term_weight(raw, i: int, b: int) -> float:
@@ -260,7 +251,7 @@ def decomposition_text(dec: SeparableDecomposition) -> str:
     slot and closer, with the document's header and tail folded into the
     first and last rows.  ValueError on NaN or infinity, which JSON lacks.
     """
-    head = document_text({"format_version": FORMAT_VERSION, "dims": list(dec.dims), "terms": []})
+    head = document_text(_document(dec.dims, "terms", []))
     if not len(dec.weights):
         return head
     if not np.isfinite(dec.weights).all():

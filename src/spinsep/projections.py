@@ -17,10 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .composite import DimVector, digit_table
+from .composite import DimVector, digit_table, kron_all
 from .decompositions import SeparableDecomposition
 from .linalg import DensityMatrix, check_density
-from .spin import RootOfUnity, SpinLabel, fourier_matrix, spin_matrix
+from .spin import RootOfUnity, SpinLabel, fourier_matrix, spin_matrix, spin_power
 from .transform import SpinCoefficients, spin_table
 
 
@@ -61,21 +61,17 @@ class ProjectionSpec:
 
 def _generator_power(spec: ProjectionSpec, m: int) -> np.ndarray:
     """(gamma eta^r S_u)^m as an explicit matrix, phases from reduced exponents."""
-    d = spec.d
-    j, k = spec.u
-    phase = RootOfUnity(d, (spec.r * m + j * k * (m * (m - 1) // 2)) % d).value()
+    power, label = spin_power(spec.d, spec.u, m)
+    phase = RootOfUnity(spec.d, spec.r * m + power.exponent).value()
     if spec.alpha_applied:
-        phase *= RootOfUnity(d, m, half_step=True).value()
-    return phase * spin_matrix(d, (m * j) % d, (m * k) % d)
+        phase *= RootOfUnity(spec.d, m, half_step=True).value()
+    return phase * spin_matrix(spec.d, *label)
 
 
 @lru_cache(maxsize=None)
 def _subgroup_projection_cached(d: int, j: int, k: int, r: int) -> np.ndarray:
     spec = ProjectionSpec(d, SpinLabel(j, k), r)
-    acc = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        acc += _generator_power(spec, m)
-    acc /= d
+    acc = sum(_generator_power(spec, m) for m in range(d)) / d
     acc.setflags(write=False)
     return acc
 
@@ -119,10 +115,7 @@ class ProductProjectionSpec:
 
 def product_projection(spec: ProductProjectionSpec) -> np.ndarray:
     """Tensor product of the factor projections; again trace-one."""
-    out = np.ones((1, 1), dtype=complex)
-    for s in spec.specs:
-        out = np.kron(out, subgroup_projection(s))
-    return out
+    return kron_all(subgroup_projection(s) for s in spec.specs)
 
 
 def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomposition:
@@ -158,15 +151,9 @@ def cyclic_family_density(
     ``cyclic_family_decomposition(d, n, u_vec, r_vec)``.
     """
     dec = cyclic_family_decomposition(d, n, u_vec, r_vec)
-    size = dec.dims.size
-    acc = np.zeros((size, size), dtype=complex)
-    for m in range(d):
-        prod = np.ones((1, 1), dtype=complex)
-        # Entry 0 of each slot carries the unshifted offset r_i.
-        for slot in dec.specs:
-            prod = np.kron(prod, _generator_power(slot[0], m))
-        acc += prod
-    return check_density(acc / size, dec.dims), dec
+    # Entry 0 of each slot carries the unshifted offset r_i.
+    acc = sum(kron_all(_generator_power(slot[0], m) for slot in dec.specs) for m in range(d))
+    return check_density(acc / dec.dims.size, dec.dims), dec
 
 
 def _diag_phase_map(d: int, phases) -> np.ndarray:

@@ -169,7 +169,12 @@ class TestTransform:
         argv = ["transform", "--input", str(src), "--direction", direction]
         assert main(argv + (["--output", str(out)] if to_file else [])) == 3
         assert not out.exists()
-        assert capsys.readouterr().out == ""
+        # The from-spin input is a coefficient file holding a NaN token.
+        assert capsys.readouterr() == (
+            "",
+            f"error: --input {src}: an entry is NaN or infinite, "
+            "and JSON cannot hold NaN or infinity\n",
+        )
 
     @pytest.mark.parametrize("direction", ["to-spin", "from-spin"])
     def test_overflowing_output_exits_3_without_warnings(self, tmp_path, capsys, direction):
@@ -187,6 +192,10 @@ class TestTransform:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err == (
+            f"error: --input {src}: the transform overflows a double, "
+            "and JSON cannot hold NaN or infinity\n"
+        )
 
     def test_strict_rejects_invalid_density(self, tmp_path):
         d = DimVector((2,))
@@ -204,6 +213,42 @@ class TestCertify:
         assert doc["checks"]["necessary"]["verdict"] == "inseparable-certified"
         assert doc["checks"]["peres"]["2"]["verdict"] == "inseparable-certified"
         assert doc["checks"]["sufficient"]["verdict"] == "inconclusive"
+
+    def test_json_report_bytes(self, werner_file, capsys):
+        """The exact report: key order, witness fields in dataclass order after
+        their kind, digit tuples as arrays."""
+        necessary = {
+            "verdict": "inseparable-certified",
+            "witness": {
+                "kind": "necessary-violation",
+                "j": [0, 1],
+                "k": [1, 0],
+                "u": [0, 0],
+                "v": [1, 1],
+                "bound": 0.125,
+                "magnitude": 0.24999999999999994,
+            },
+        }
+        peres = {
+            str(a): {
+                "verdict": "inseparable-certified",
+                "witness": {"kind": "negative-eigenvalue", "subsystem": a, "value": -0.12499999999999996},
+            }
+            for a in (1, 2)
+        }
+        full = {
+            "dims": [2, 2],
+            "l1_norm": 1.4999999999999996,
+            "checks": {
+                "necessary": necessary,
+                "peres": peres,
+                "sufficient": {"verdict": "inconclusive", "witness": None},
+            },
+            "verdict": "inseparable-certified",
+        }
+        for flags, doc in (([], full), (["--necessary"], {**full, "checks": {"necessary": necessary}})):
+            assert main(["certify", "--input", str(werner_file), "--json", *flags]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
     def test_boundary_werner_with_decomposition(self, tmp_path, capsys):
         w = werner_density(WernerSpec(2, 2, 1 / 3))
