@@ -1,14 +1,16 @@
-"""Time ``SeparableDecomposition.assemble`` alone on fixed large cases.
+"""Time ``SeparableDecomposition.assemble`` and ``verify_decomposition`` on
+fixed large cases.
 
 Each case is built once: Werner decompositions at their threshold,
 certificate witnesses of seeded random densities blended toward I/N until
 their spin L1 norm is 0.95, built with verification off, and a seeded
 mixture of random product pure states in which every term has its own
-factors.  The script then
-records, per case, the best wall time of ``--repeat`` calls to
-``assemble``, the tracemalloc peak of one more call, and the largest
-entrywise distance of the result from the target density.  Run as a
-script, the BLAS runs on one thread unless the environment says otherwise.
+factors.  The script then records, per case, the best wall time of
+``--repeat`` calls to ``assemble``, the tracemalloc peak of one more call,
+the largest entrywise distance of the result from the target density, and
+the best wall time of ``--repeat`` calls to ``verify_decomposition``
+against it.  Run as a script, the BLAS runs on one thread unless the
+environment says otherwise.
 
 Usage: python scripts/bench_assemble.py --out BENCH.json [--cases werner-3-5,...]
 """
@@ -30,6 +32,7 @@ from unittest import mock  # noqa: E402
 import numpy as np  # noqa: E402
 
 from spinsep import (  # noqa: E402
+    DensityMatrix,
     DimVector,
     SeparableDecomposition,
     VerificationResult,
@@ -39,6 +42,7 @@ from spinsep import (  # noqa: E402
     spin_l1_norm,
     sufficient_certificate,
     to_spin,
+    verify_decomposition,
     werner_density,
     werner_separable_decomposition,
     werner_threshold,
@@ -53,7 +57,7 @@ NORM = 0.95
 
 def werner_case(p: int, n: int):
     target = werner_density(WernerSpec(p, n, werner_threshold(p, n)))
-    return werner_separable_decomposition(p, n), target.matrix
+    return werner_separable_decomposition(p, n), target
 
 
 def mixed_case(dims: tuple[int, ...], seed: int):
@@ -65,7 +69,7 @@ def mixed_case(dims: tuple[int, ...], seed: int):
     # Verification would assemble the witness once more before timing starts.
     accept = mock.Mock(return_value=VerificationResult(True))
     with mock.patch.object(separability, "verify_decomposition", accept):
-        return sufficient_certificate(rho).witness, rho.matrix
+        return sufficient_certificate(rho).witness, rho
 
 
 def distinct_case(terms: int, b: int, seed: int):
@@ -83,7 +87,7 @@ def distinct_case(terms: int, b: int, seed: int):
     psi = states[0]
     for s in states[1:]:
         psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)
-    return dec, (psi.T * weights) @ psi.conj()
+    return dec, DensityMatrix((psi.T * weights) @ psi.conj(), dec.dims)
 
 
 def measure(dec, target, repeat: int) -> dict:
@@ -98,13 +102,20 @@ def measure(dec, target, repeat: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    verify = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = verify_decomposition(dec, target)
+        verify = min(verify, time.perf_counter() - start)
     return {
         "dims": list(dec.dims),
         "terms": len(dec.weights),
         "distinct_factors": [len(slot) for slot in dec.factors],
         "assemble_s": best,
         "peak_mb": peak / 1e6,
-        "defect": float(np.abs(matrix - target).max()),
+        "defect": float(np.abs(matrix - target.matrix).max()),
+        "verify_s": verify,
+        "verified": result.ok,
     }
 
 
@@ -133,7 +144,11 @@ def main() -> None:
         else:
             dec, target = distinct_case(*DISTINCT[name], args.seed)
         cases[name] = measure(dec, target, args.repeat)
-        print(f"{name}: {cases[name]['assemble_s']:.4f} s, {cases[name]['peak_mb']:.1f} MB")
+        case = cases[name]
+        print(
+            f"{name}: {case['assemble_s']:.4f} s, {case['peak_mb']:.1f} MB,"
+            f" verify {case['verify_s']:.4f} s"
+        )
     doc = {
         "repeat": args.repeat,
         "seed": args.seed,

@@ -10,7 +10,9 @@ factors across thousands of terms, so a decomposition is held by columns:
   use, one per distinct (content, spec).
 
 Builders fill the columns directly; ``SeparableDecomposition(dims, terms)``
-derives them from product terms.
+derives them from product terms.  Verification screens each slot's
+distinct factors as one stack, and names a failure only from the factors
+that the screen rejects, checked one at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import (
     InvalidDensityError,
     Tolerance,
     check_density,
+    density_screen,
 )
 
 if TYPE_CHECKING:
@@ -132,7 +135,11 @@ class SeparableDecomposition:
             if any(f.shape != (d, d) for f in slot):
                 raise ValueError(f"slot {a}: a factor is not {d} x {d}")
         tables = [np.array(f, dtype=complex).reshape(-1, d * d) for f, d in zip(self.factors, dims)]
-        order = np.lexsort(self.index.T[::-1])
+        # Rows in order, as a certificate's, skip the sort: lexsort is stable.
+        step = self.index[1:] - self.index[:-1]
+        in_order = (np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], 1) >= 0).all()
+        order = slice(None) if in_order else np.lexsort(self.index.T[::-1])
+        del step  # (T - 1, b) integers: gone before the kernel's allocations
         idx = self.index[order]
         # new[t, a]: row t is the first of a run of equal idx[:, :a]
         new = np.ones((len(idx), b + 1), dtype=bool)
@@ -180,6 +187,7 @@ class VerificationError(RuntimeError):
 class VerificationResult:
     ok: bool
     failure: str | None = None
+    min_factor_eigenvalue: float | None = None  # on success, the lowest over all factors
 
     def __bool__(self) -> bool:
         return self.ok
@@ -194,9 +202,9 @@ def verify_decomposition(
 
     Weights finite, non-negative and summing to one, every factor a valid
     local density, and the reassembled mixture matching the target
-    entrywise within the reconstruction tolerance.  Each distinct factor,
-    across slots, is validated once, at the first term that uses it.
-    Every comparison fails on NaN.  A failure is named in the result.
+    entrywise within the reconstruction tolerance.  One ``density_screen``
+    per slot checks its distinct factors; ``check_density`` names the first
+    it fails, by (first term, slot, entry).  Every comparison fails on NaN.
     """
     if dec.dims != target.dims:
         raise ValueError(f"dims mismatch: {dec.dims.dims} vs {target.dims.dims}")
@@ -207,22 +215,25 @@ def verify_decomposition(
         if not math.isfinite(weight):
             return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
         return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
-    # (slot dimension, shape, bytes) -> (first term, slot, entry) using it
-    first: dict[tuple, tuple[int, int, int]] = {}
-    for a, slot in enumerate(dec.factors):
-        used, at = np.unique(dec.index[:, a], return_index=True)
-        for k, i in zip(used.tolist(), at.tolist()):
-            key = (dec.dims[a], slot[k].shape, slot[k].tobytes())
-            first[key] = min(first.get(key, (i, a, k)), (i, a, k))
-    for i, a, k in sorted(first.values()):
+    lows, suspects = [], []
+    for a, (d, slot) in enumerate(zip(dec.dims, dec.factors)):
+        # A factor of another shape is screened as NaN, so that it fails.
+        stack = [f if f.shape == (d, d) else np.full((d, d), np.nan) for f in slot]
+        ok, _, _, lo = density_screen(np.array(stack, dtype=complex).reshape(-1, d, d), tol)
+        if not ok.all():
+            at = np.unique(dec.index[:, a], return_index=True)[1]
+            suspects += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
+        lows.append(lo)
+    for i, a, k in sorted(suspects):
         try:
             check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
         except (InvalidDensityError, ValueError) as err:
             return VerificationResult(False, f"term {i}, factor {a}: {err}")
+        lows[a][k] = density_screen(dec.factors[a][k][None], tol)[3][0]
     total = math.fsum(w.tolist())
     if not (abs(total - 1.0) <= tol.abs_eps):
         return VerificationResult(False, f"weights sum to {total:.17g}, expected 1")
     defect = float(np.abs(dec.assemble() - target.matrix).max())
     if not (defect <= tol.reconstruction_eps):
         return VerificationResult(False, f"reconstruction defect {defect:.3e}")
-    return VerificationResult(True)
+    return VerificationResult(True, min_factor_eigenvalue=float(min(lo.min() for lo in lows)))

@@ -4,6 +4,7 @@ density-matrix validation, and the partial transpose."""
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +94,31 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrised matrix (m + m^dag)/2.
+    """Ascending eigenvalues of (m + m^dag)/2, for a matrix or each of a stack.
 
     Symmetrising first keeps the solve robust to 1e-12-scale asymmetry
     from accumulated rounding.
     """
     m = np.asarray(m, dtype=complex)
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def density_screen(stack: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Per matrix of a (K, d, d) array, (K,) arrays ``ok, asym, trace, lo``:
+    the worst |m - m^dag| entry, NaN or infinite for a matrix with a NaN or
+    infinite entry, the trace, and the lowest eigenvalue of (m + m^dag)/2,
+    solved at once for the matrices Hermitian and of trace one within tol.
+    lo is NaN for the rest, where the solve fails, and for all on a
+    LinAlgError.  ok is lo >= -tol.abs_eps.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace = stack.trace(axis1=1, axis2=2)
+        solve = (asym <= tol.abs_eps) & (abs(trace - 1.0) <= tol.abs_eps)
+        lo = np.full(len(stack), np.nan)
+        with suppress(np.linalg.LinAlgError):
+            lo[solve] = hermitian_eigenvalues(stack[solve])[:, 0]
+    return lo >= -tol.abs_eps, asym, trace, lo
 
 
 def check_density(
@@ -107,34 +126,24 @@ def check_density(
 ) -> DensityMatrix:
     """Validate a matrix as a density and return it wrapped with its dims.
 
-    Raises a distinct error per violated invariant, carrying the worst
-    offending value: NotHermitianError, TraceError, NegativeEigenvalueError,
-    and InvalidDensityError itself for a NaN or infinite entry or an
-    eigenvalue solve that fails, as when (m + m^dag)/2 overflows.
+    Its verdict is ``density_screen`` on a stack of one.  A violation raises
+    NotHermitianError, TraceError, NegativeEigenvalueError, or, for a NaN or
+    infinite entry or a failed solve (as when (m + m^dag)/2 overflows),
+    InvalidDensityError, each carrying the worst offending value.
     """
     rho = DensityMatrix(np.array(m, dtype=complex), dims)
-    m = rho.matrix
-    asym = np.abs(m - m.conj().T).max()
-    if asym > tol.abs_eps:
-        raise NotHermitianError(
-            f"not Hermitian: worst |m - m^dag| entry is {asym:.3e}", float(asym)
-        )
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.abs_eps:
+    ok, asym, tr, lo = (x.item() for x in density_screen(rho.matrix[None], tol))
+    if ok:
+        return rho
+    if not asym <= tol.abs_eps:
+        raise NotHermitianError(f"not Hermitian: worst |m - m^dag| entry is {asym:.3e}", asym)
+    if not abs(tr - 1.0) <= tol.abs_eps:
         raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            lo = float(hermitian_eigenvalues(m)[0])
-        except np.linalg.LinAlgError:
-            lo = math.nan
-        if not math.isfinite(lo):
-            big = float(np.abs(m).max())
-            raise InvalidDensityError(
-                f"eigenvalue solve failed; largest entry magnitude is {big:.3e}", big
-            )
-    if lo < -tol.abs_eps:
-        raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
-    return rho
+    if not math.isfinite(lo):
+        big = float(np.abs(rho.matrix).max())
+        message = f"eigenvalue solve failed; largest entry magnitude is {big:.3e}"
+        raise InvalidDensityError(message, big)
+    raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:

@@ -1,0 +1,316 @@
+"""The stacked density screen against per-factor references.
+
+``verify_decomposition`` screens each slot's distinct factors as one stack
+and sends only the factors the screen does not pass to ``check_density``.
+Its verdict and failure string must equal the per-term reference verifier's
+on stacks that mix valid projections with every kind of defect, and
+``check_density``, which takes its verdict from the same screen, must raise
+what the original one-matrix check raised.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinsep import (
+    DensityMatrix,
+    DimVector,
+    InvalidDensityError,
+    NegativeEigenvalueError,
+    NotHermitianError,
+    ProductTerm,
+    SeparableDecomposition,
+    Tolerance,
+    TraceError,
+    WernerSpec,
+    sufficient_certificate,
+    verify_decomposition,
+    werner_density,
+    werner_separable_decomposition,
+)
+from spinsep.linalg import check_density, density_screen
+
+from conftest import mixed_to_norm
+from reference_verifier import reference_assemble, reference_verify
+
+TOL = Tolerance()
+EPS = TOL.abs_eps
+SHAPES = [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (4, 2)]
+
+
+def reference_check_density(m, dims, tol=TOL):
+    """The original one-matrix density check, invariant by invariant."""
+    rho = DensityMatrix(np.array(m, dtype=complex), dims)
+    m = rho.matrix
+    asym = np.abs(m - m.conj().T).max()
+    if asym > tol.abs_eps:
+        raise NotHermitianError(
+            f"not Hermitian: worst |m - m^dag| entry is {asym:.3e}", float(asym)
+        )
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > tol.abs_eps:
+        raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        except np.linalg.LinAlgError:
+            lo = math.nan
+        if not math.isfinite(lo):
+            big = float(np.abs(m).max())
+            raise InvalidDensityError(
+                f"eigenvalue solve failed; largest entry magnitude is {big:.3e}", big
+            )
+    if lo < -tol.abs_eps:
+        raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
+    return rho
+
+
+def projection(d, rng):
+    """A random rank-one projection |psi><psi| on C^d."""
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def _at(f, rng):
+    return tuple(int(i) for i in rng.integers(len(f), size=2))
+
+
+def _set(value):
+    def defect(f, rng):
+        f[_at(f, rng)] = value
+        return f
+
+    return defect
+
+
+def _add(position, scale):
+    def defect(f, rng):
+        f[position] += scale * EPS
+        return f
+
+    return defect
+
+
+def _negative(f, rng):
+    return np.diag([1.5, -0.5] + [0.0] * (len(f) - 2)).astype(complex)
+
+
+def _overflow(f, rng):
+    f[0, 1] = f[1, 0] = 1e308
+    return f
+
+
+def _wrong_shape(f, rng):
+    return np.eye(len(f) + 1, dtype=complex) / (len(f) + 1)
+
+
+# Each takes a copy of a valid d x d projection and returns the factor to use.
+DEFECTS = {
+    "nan": _set(np.nan),
+    "inf": _set(np.inf),
+    "-inf": _set(-np.inf),
+    "nan-imaginary": _set(complex(0.0, np.nan)),
+    "asym-above": _add((0, 1), 1.5),
+    "asym-below": _add((0, 1), 0.5),
+    "trace-above": _add((0, 0), 1.5),
+    "trace-below": _add((0, 0), 0.5),
+    "trace-above-negative": _add((0, 0), -1.5),
+    "negative-eigenvalue": _negative,
+    "overflow": _overflow,
+    "wrong-shape": _wrong_shape,
+}
+
+
+def mixture(dims, n_terms, pool, seed):
+    """Terms drawing each factor from a per-slot pool of valid projections."""
+    rng = np.random.default_rng(seed)
+    pools = [[projection(d, rng) for _ in range(pool)] for d in dims]
+    weights = rng.random(n_terms) + 0.05
+    weights /= weights.sum()
+    picks = rng.integers(pool, size=(n_terms, len(dims)))
+    return [
+        ProductTerm(float(w), tuple(p[k] for p, k in zip(pools, ks)))
+        for w, ks in zip(weights, picks)
+    ]
+
+
+def with_defects(terms, defects, seed):
+    """Replace the factor of each (kind, term, slot) by its defective copy."""
+    rng = np.random.default_rng(seed)
+    terms = list(terms)
+    for kind, i, a in defects:
+        i = i % len(terms)
+        a = a % len(terms[i].factors)
+        factors = list(terms[i].factors)
+        factors[a] = DEFECTS[kind](np.array(factors[a]), rng)
+        terms[i] = ProductTerm(terms[i].weight, tuple(factors))
+    return terms
+
+
+def outcome(check, m, dims):
+    try:
+        check(m, dims)
+    except (InvalidDensityError, ValueError) as err:
+        return type(err), str(err), repr(getattr(err, "worst", None))
+    return None
+
+
+class TestAgainstReferenceVerifier:
+    @given(
+        dims=st.sampled_from(SHAPES),
+        n_terms=st.integers(min_value=1, max_value=12),
+        pool=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        defects=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(DEFECTS)),
+                st.integers(min_value=0, max_value=11),
+                st.integers(min_value=0, max_value=2),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_failure_equal_reference(self, dims, n_terms, pool, seed, defects):
+        clean = mixture(dims, n_terms, pool, seed)
+        dims = DimVector(dims)
+        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, clean)), dims)
+        dec = SeparableDecomposition(dims, with_defects(clean, defects, seed + 1))
+        new = verify_decomposition(dec, target, TOL)
+        old = reference_verify(dec, target, TOL)
+        assert (new.ok, new.failure) == (old.ok, old.failure)
+        assert (new.min_factor_eigenvalue is None) == (not new.ok)
+
+    def test_later_slot_failing_first_is_named(self):
+        """Slot 1's bad factor is first used at term 0, slot 0's at term 2."""
+        terms = mixture((2, 3), 4, 2, 5)
+        dims = DimVector((2, 3))
+        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, terms)), dims)
+        broken = with_defects(terms, [("negative-eigenvalue", 2, 0), ("trace-above", 0, 1)], 0)
+        dec = SeparableDecomposition(dims, broken)
+        result = verify_decomposition(dec, target, TOL)
+        assert result.failure == reference_verify(dec, target, TOL).failure
+        assert result.failure.startswith("term 0, factor 1: trace is ")
+
+    @pytest.mark.parametrize("kind", sorted(DEFECTS))
+    def test_each_defect_named_as_reference(self, kind):
+        clean = mixture((2, 2), 6, 3, 8)
+        dims = DimVector((2, 2))
+        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, clean)), dims)
+        dec = SeparableDecomposition(dims, with_defects(clean, [(kind, 3, 1)], 9))
+        result = verify_decomposition(dec, target, TOL)
+        assert result.failure == reference_verify(dec, target, TOL).failure
+        assert result.ok == kind.endswith("-below")
+        assert result.ok or result.failure.startswith("term 3, factor 1: ")
+
+
+class TestCheckDensityAgainstOriginal:
+    @given(
+        d=st.integers(min_value=2, max_value=5),
+        kind=st.sampled_from(["valid", *sorted(DEFECTS)]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_error_type_message_and_worst(self, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = projection(d, rng)
+        if kind != "valid":
+            m = DEFECTS[kind](m, rng)
+        dims = DimVector((d,))
+        assert outcome(check_density, m, dims) == outcome(reference_check_density, m, dims)
+
+    def test_screen_verdicts_match_one_by_one(self, rng):
+        """One stack of every defect at d = 3 against the one-matrix check.
+        An overflowing factor can fail the whole solve (LinAlgError), so
+        with it the screen may only reject more, never pass more."""
+        kinds = [kind for kind in sorted(DEFECTS) if kind not in ("wrong-shape", "overflow")]
+        stack = [projection(3, rng)] + [DEFECTS[kind](projection(3, rng), rng) for kind in kinds]
+        expected = [outcome(reference_check_density, m, DimVector((3,))) is None for m in stack]
+        ok, _, _, lo = density_screen(np.array(stack), TOL)
+        assert ok.tolist() == expected and expected[0]
+        assert np.isfinite(lo[ok]).all()
+        ok, _, _, _ = density_screen(np.array(stack + [_overflow(projection(3, rng), rng)]), TOL)
+        assert not (ok & ~np.array(expected + [False])).any()
+
+
+class TestScreenedEigenvalues:
+    def test_min_factor_eigenvalue_is_lowest_over_factors(self, rng):
+        rho = mixed_to_norm(DimVector((2, 3)), 0.9, rng)
+        dec = sufficient_certificate(rho).witness
+        result = verify_decomposition(dec, rho)
+        lows = [np.linalg.eigvalsh(f)[0] for slot in dec.factors for f in slot]
+        assert result.ok and result.min_factor_eigenvalue == pytest.approx(min(lows), abs=1e-15)
+        assert result.min_factor_eigenvalue >= -TOL.abs_eps
+
+    def test_failure_leaves_min_factor_eigenvalue_unset(self):
+        terms = with_defects(mixture((2, 2), 3, 2, 1), [("negative-eigenvalue", 1, 0)], 2)
+        dims = DimVector((2, 2))
+        target = DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
+        result = verify_decomposition(SeparableDecomposition(dims, terms), target)
+        assert not result and result.min_factor_eigenvalue is None
+
+    def test_failed_batch_solve_checks_each_factor_alone(self, monkeypatch, rng):
+        """A LinAlgError on a stack of several marks them all as suspects;
+        checked one at a time they pass, with the same verdict and minimum."""
+        rho = mixed_to_norm(DimVector((2, 2)), 0.9, rng)
+        dec = sufficient_certificate(rho).witness
+        expected = verify_decomposition(dec, rho)
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(m):
+            if len(m) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert verify_decomposition(dec, rho) == expected
+
+
+def test_verify_memory_stays_bounded():
+    """300 7-qubit terms, each with its own factors.  The peak stays under
+    16 copies of the 128 x 128 complex target (4.2 MB); about 2.1 MB,
+    nearly all of it in ``assemble``, is measured with numpy 2.4."""
+    terms, b = 300, 7
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((b, terms, 2)) + 1j * rng.standard_normal((b, terms, 2))
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    weights = rng.random(terms)
+    weights /= weights.sum()
+    factors = [s[:, :, None] * s[:, None, :].conj() for s in states]
+    index = np.tile(np.arange(terms)[:, None], (1, b))
+    dims = DimVector((2,) * b)
+    dec = SeparableDecomposition.from_columns(dims, weights, index, factors, [[None] * terms] * b)
+    psi = states[0]
+    for s in states[1:]:
+        psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)
+    target = DensityMatrix((psi.T * weights) @ psi.conj(), dims)
+    tracemalloc.start()
+    try:
+        result = verify_decomposition(dec, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak < 16 * target.matrix.nbytes
+
+
+def test_sorted_rows_skip_the_sort(monkeypatch, rng):
+    """Certificate rows come in order and assemble without a sort; Werner
+    rows do not, and are sorted once."""
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    rho = mixed_to_norm(DimVector((2, 2, 2)), 0.9, rng)
+    dec = sufficient_certificate(rho).witness
+    assert calls == []
+    assert np.abs(dec.assemble() - reference_assemble(dec)).max() <= 1e-12
+    assert calls == []
+    werner = werner_separable_decomposition(2, 3)
+    target = werner_density(WernerSpec(2, 3, 0.2)).matrix
+    assert np.abs(werner.assemble() - target).max() <= 1e-12
+    assert calls == [1]

@@ -29,7 +29,7 @@ def test_install_wraps_every_name_and_unwrap_restores(monkeypatch, tmp_path, cap
         metrics = layers.metrics(tracer.snapshot())
         assert metrics["decompositions.verify_calls"] == 1
         assert metrics["io.bytes_written"] == out.stat().st_size
-        assert metrics["decompositions.distinct_factor_ratio"] == 1.0
+        assert metrics["decompositions.factor_checks"] == 0
     finally:
         tracer.unwrap()
     for owner, attr, original in patches:

@@ -88,3 +88,12 @@ def test_bench_assemble_bad_argument(monkeypatch, capsys, tmp_path, argv, named)
     assert exc.value.code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_assemble_times_verification(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--cases", "distinct-2^7", "--repeat", "1"]
+    run_script("bench_assemble", argv, monkeypatch)
+    assert " verify " in capsys.readouterr().out
+    case = json.loads(out.read_text())["cases"]["distinct-2^7"]
+    assert case["verified"] is True and case["verify_s"] > 0

@@ -120,18 +120,22 @@ class TestAgreesWithReference:
         assert result.failure.startswith(f"term {len(dec.terms) - 1}, factor ")
 
     def test_parsed_factors_checked_once_by_content(self, monkeypatch):
+        """A passing verify screens each slot in one eigenvalue call and
+        formats no failure through check_density."""
         import spinsep.decompositions as decompositions
 
         dec = read_decomposition_file(GOLDEN_DIR / "werner_2qubit_third.decomposition.json")
         w = werner_density(WernerSpec(2, 2, 1 / 3))
-        calls = []
-        real = decompositions.check_density
+        checks, solves = [], []
+        real_check, real_solve = decompositions.check_density, np.linalg.eigvalsh
         monkeypatch.setattr(
-            decompositions, "check_density", lambda m, *a: calls.append(1) or real(m, *a)
+            decompositions, "check_density", lambda m, *a: checks.append(1) or real_check(m, *a)
         )
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(len(m)) or real_solve(m))
         assert verify_decomposition(dec, w)
-        distinct = {f.tobytes() for t in dec.terms for f in t.factors}
-        assert len(calls) == len(distinct) < sum(len(t.factors) for t in dec.terms)
+        assert checks == []
+        assert 1 <= len(solves) <= len(dec.dims)
+        assert sum(solves) == sum(len(slot) for slot in dec.factors)
 
 
 @pytest.mark.parametrize("reshape", [True, False])
