@@ -7,7 +7,6 @@ from .composite import (
     conjugate_by_permutation,
     decode,
     encode,
-    multi_add,
     permutation_matrix,
     permute_dims,
     reorder_subsystems,
@@ -30,8 +29,6 @@ from .linalg import (
     check_density,
     partial_transpose,
     random_density,
-    tensor,
-    trace_inner,
 )
 from .projections import (
     ProductProjectionSpec,
@@ -71,12 +68,9 @@ from .spin import (
 )
 from .transform import (
     SpinCoefficients,
-    conjugate_label,
     from_spin,
-    l2_identity_check,
     spin_l1_norm,
     spin_table,
-    spin_table_by_trace,
     to_spin,
 )
 from .werner import (

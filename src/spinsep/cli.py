@@ -22,11 +22,12 @@ import numpy as np
 from .composite import DimVector, composite_spin, decode, permute_dims, reorder_subsystems
 from .decompositions import VerificationError, verify_decomposition
 from .io import (
-    FORMAT_VERSION,
     FileFormatError,
     coefficients_document,
     density_document,
+    document,
     document_text,
+    matrix_entries,
     read_coefficients_file,
     read_density_file,
     write_decomposition_file,
@@ -102,9 +103,8 @@ def cmd_basis(args, tol: Tolerance) -> int:
     matrices = []
     for j, k in labels:
         m = composite_spin(dims, decode(dims, j), decode(dims, k))
-        matrices.append({"j": j, "k": k, "matrix": density_document(m, dims)["matrix"]})
-    doc = {"format_version": FORMAT_VERSION, "dims": list(dims), "matrices": matrices}
-    _emit_document(doc, args.output)
+        matrices.append({"j": j, "k": k, "matrix": matrix_entries(m)})
+    _emit_document(document(dims, "matrices", matrices), args.output)
     return EXIT_OK
 
 

@@ -83,14 +83,6 @@ def decode(dims: DimVector, index: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def multi_add(dims: DimVector, j, k) -> tuple[int, ...]:
-    """Componentwise modular sum of two digit tuples."""
-    j, k = tuple(j), tuple(k)
-    if len(j) != len(dims) or len(k) != len(dims):
-        raise ValueError("digit tuples must match the dimension vector")
-    return tuple((a + b) % d for a, b, d in zip(j, k, dims))
-
-
 @lru_cache(maxsize=None)
 def digit_table(dims: DimVector) -> np.ndarray:
     """Array of shape (size, b) holding the digits of every flat index."""

@@ -9,8 +9,8 @@ factors across thousands of terms, so a decomposition is held by columns:
 - ``factors[a]`` and ``specs[a]``: the entries of slot a that its terms
   use, one per distinct (content, spec).
 
-Builders fill the columns directly; ``SeparableDecomposition(dims, terms)``
-derives them from product terms.  Verification screens each slot's
+Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
+factors, specs)``, the only constructor.  Verification screens each slot's
 distinct factors as one stack, and names a failure only from the factors
 that the screen rejects, checked one at a time.
 """
@@ -62,35 +62,9 @@ class SeparableDecomposition:
     factors: tuple[tuple[np.ndarray, ...], ...]
     specs: tuple[tuple[Optional["ProjectionSpec"], ...], ...]
 
-    def __init__(self, dims: DimVector, terms):
-        """From product terms; each slot keeps one entry per distinct
-        (shape, bytes, spec).  ValueError if a term does not hold one
-        factor per subsystem."""
-        b = len(dims)
-        for i, term in enumerate(terms):
-            if len(term.factors) != b:
-                raise ValueError(f"term {i}: {len(term.factors)} factors for {b} subsystems")
-        factors = [[np.asarray(t.factors[a], dtype=complex) for t in terms] for a in range(b)]
-        specs = [[t.factor_specs[a] if t.factor_specs else None for t in terms] for a in range(b)]
-        # Each term points at the first term with the same (shape, bytes, spec).
-        firsts: list[dict] = [{} for _ in range(b)]
-        index = [
-            [first.setdefault((f.shape, f.tobytes(), s), t) for t, (f, s) in enumerate(zip(fs, ss))]
-            for fs, ss, first in zip(factors, specs, firsts)
-        ]
-        index = np.array(index, dtype=np.intp).T
-        self._fill(dims, [t.weight for t in terms], index, factors, specs)
-        self.__dict__["terms"] = tuple(terms)
-
-    @classmethod
-    def from_columns(cls, dims: DimVector, weights, index, factors, specs):
-        """From the columns themselves; each slot keeps only the entries that
-        some term uses, in their order."""
-        dec = cls.__new__(cls)
-        dec._fill(dims, weights, index, factors, specs)
-        return dec
-
-    def _fill(self, dims, weights, index, factors, specs) -> None:
+    def __init__(self, dims: DimVector, weights, index, factors, specs):
+        """From the columns; each slot keeps only the entries that some term
+        uses, in their order."""
         self.dims = dims
         self.weights = np.asarray(weights, dtype=float)
         index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims))

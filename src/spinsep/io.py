@@ -29,7 +29,7 @@ class FileFormatError(ValueError):
     """The document is structurally malformed (distinct from semantic errors)."""
 
 
-def _matrix_entries(m: np.ndarray) -> list:
+def matrix_entries(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
@@ -112,13 +112,13 @@ def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
     return dims, dims.size
 
 
-def _document(dims, key: str, value) -> dict:
+def document(dims, key: str, value) -> dict:
     """The versioned document holding ``value`` under ``key`` on ``dims``."""
     return {"format_version": FORMAT_VERSION, "dims": list(dims), key: value}
 
 
 def density_document(matrix: np.ndarray, dims: DimVector) -> dict:
-    return _document(dims, "matrix", _matrix_entries(matrix))
+    return document(dims, "matrix", matrix_entries(matrix))
 
 
 def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
@@ -136,7 +136,7 @@ def parse_density_document(doc) -> tuple[np.ndarray, DimVector]:
 
 
 def coefficients_document(coeffs: SpinCoefficients) -> dict:
-    return _document(coeffs.dims, "coefficients", _matrix_entries(coeffs.table))
+    return document(coeffs.dims, "coefficients", matrix_entries(coeffs.table))
 
 
 def parse_coefficients_document(doc) -> SpinCoefficients:
@@ -146,10 +146,10 @@ def parse_coefficients_document(doc) -> SpinCoefficients:
 
 def decomposition_document(dec: SeparableDecomposition) -> dict:
     terms = [
-        {"weight": float(t.weight), "factors": [_matrix_entries(f) for f in t.factors]}
+        {"weight": float(t.weight), "factors": [matrix_entries(f) for f in t.factors]}
         for t in dec.terms
     ]
-    return _document(dec.dims, "terms", terms)
+    return document(dec.dims, "terms", terms)
 
 
 def _term_weight(raw, i: int, b: int) -> float:
@@ -201,7 +201,7 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
         index.append(np.searchsorted(used, first[inverse]))
         factors.append(stack[used])
     specs = [(None,) * len(f) for f in factors]
-    return SeparableDecomposition.from_columns(dims, weights, np.array(index).T, factors, specs)
+    return SeparableDecomposition(dims, weights, np.array(index).T, factors, specs)
 
 
 def _load(path) -> dict:
@@ -251,7 +251,7 @@ def decomposition_text(dec: SeparableDecomposition) -> str:
     slot and closer, with the document's header and tail folded into the
     first and last rows.  ValueError on NaN or infinity, which JSON lacks.
     """
-    head = document_text(_document(dec.dims, "terms", []))
+    head = document_text(document(dec.dims, "terms", []))
     if not len(dec.weights):
         return head
     if not np.isfinite(dec.weights).all():

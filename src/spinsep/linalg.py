@@ -1,5 +1,5 @@
-"""Dense complex-matrix substrate: tensor products, trace pairing,
-density-matrix validation, and the partial transpose."""
+"""Dense complex-matrix substrate: tolerances, density validation (one
+stacked screen for many matrices), partial transpose, random densities."""
 
 from __future__ import annotations
 
@@ -77,20 +77,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product under the big-endian index encoding."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product Tr(a^dag b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

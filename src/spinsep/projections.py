@@ -138,7 +138,7 @@ def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomp
     offsets = digit_table(dims)
     offsets = offsets[offsets.sum(axis=1) % d == 0]
     weights = np.full(len(offsets), 1.0 / d ** (n - 1))
-    return SeparableDecomposition.from_columns(dims, weights, offsets, factors, specs)
+    return SeparableDecomposition(dims, weights, offsets, factors, specs)
 
 
 def cyclic_family_density(

@@ -238,7 +238,7 @@ def sufficient_certificate(
         specs.append(spec_d + (None,) * residual)
         factors.append(factor_d + (np.eye(d, dtype=complex) / d,) * residual)
     weights = parts / math.fsum(parts.tolist())
-    dec = SeparableDecomposition.from_columns(dims, weights, np.column_stack(columns), factors, specs)
+    dec = SeparableDecomposition(dims, weights, np.column_stack(columns), factors, specs)
     result = verify_decomposition(dec, rho, tol)
     if not result:
         raise VerificationError(f"internal decomposition failed verification: {result.failure}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import DimVector, as_square, composite_spin, decode, encode, flat_add_table
+from .composite import DimVector, as_square, flat_add_table
 from .linalg import DensityMatrix
-from .spin import fourier_table, spin_dagger, SpinLabel
+from .spin import fourier_table
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,6 @@ def to_spin(rho: DensityMatrix) -> SpinCoefficients:
     return spin_table(rho.matrix, rho.dims)
 
 
-def spin_table_by_trace(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
-    """Coefficients via N^2 trace inner products Tr(S_{j,k}^dag rho).
-
-    Quartic-cost cross-check for the factored transform; intended for
-    small dimensions.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    n = dims.size
-    table = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        jd = decode(dims, j)
-        for k in range(n):
-            kd = decode(dims, k)
-            s = composite_spin(dims, jd, kd)
-            table[j, k] = np.vdot(s, matrix)
-    return SpinCoefficients(dims, table)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def from_spin(coeffs: SpinCoefficients) -> np.ndarray:
     """Reassemble the matrix (1/N) sum s[j,k] S_{j,k} from its table."""
@@ -98,30 +80,3 @@ def spin_l1_norm(coeffs: SpinCoefficients) -> float:
     """Sum of coefficient moduli over every label except (0, 0)."""
     total = float(np.abs(coeffs.table).sum())
     return total - float(abs(coeffs.table[0, 0]))
-
-
-def l2_identity_check(rho: DensityMatrix) -> tuple[float, float]:
-    """Both sides of the Parseval-type identity sum|s|^2 = N sum|rho|^2."""
-    coeffs = to_spin(rho)
-    lhs = float((np.abs(coeffs.table) ** 2).sum())
-    rhs = rho.dims.size * float((np.abs(rho.matrix) ** 2).sum())
-    return lhs, rhs
-
-
-def conjugate_label(dims: DimVector, j: int, k: int) -> tuple[int, int, complex]:
-    """Partner label of (j, k) under conjugation symmetry.
-
-    Returns (j', k', phase) with s[j', k'] = phase * conj(s[j, k]) for the
-    table of any density; the phase is the product of the factor phases
-    eta_i^(j_i * k_i).
-    """
-    jd = decode(dims, j)
-    kd = decode(dims, k)
-    phase = 1.0 + 0.0j
-    cj, ck = [], []
-    for d, ji, ki in zip(dims, jd, kd):
-        ph, lab = spin_dagger(d, SpinLabel(ji, ki))
-        phase *= ph.value()
-        cj.append(lab.j)
-        ck.append(lab.k)
-    return encode(dims, cj), encode(dims, ck), phase

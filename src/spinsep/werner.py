@@ -155,4 +155,4 @@ def werner_separable_decomposition(
     index = np.vstack([diagonal, blocks, np.full((residual, n), len(specs))])
     factors = [subgroup_projection(sp) for sp in specs] + [np.eye(p, dtype=complex) / p] * residual
     specs += [None] * residual
-    return SeparableDecomposition.from_columns(dims, weights, index, [factors] * n, [specs] * n)
+    return SeparableDecomposition(dims, weights, index, [factors] * n, [specs] * n)

@@ -1,8 +1,8 @@
 """Reference oracle: the original per-entry document parsers.
 
 Every entry of every factor is checked and converted on its own, and each
-decomposition term becomes a ``ProductTerm``, deduplicated by the term
-constructor.  The property tests compare the library's stacked parsers
+decomposition term becomes a ``ProductTerm``, deduplicated by
+``from_terms``.  The property tests compare the library's stacked parsers
 against it, on valid documents and on the exception type and message of
 malformed ones.  Its header check is the current one: ``format_version``
 must be the integer 1, not a bool or a float equal to it.
@@ -10,8 +10,10 @@ must be the integer 1, not a bool or a float equal to it.
 
 import numpy as np
 
-from spinsep import DimVector, ProductTerm, SeparableDecomposition, SpinCoefficients
+from spinsep import DimVector, ProductTerm, SpinCoefficients
 from spinsep.io import FileFormatError
+
+from reference_terms import from_terms
 
 
 def reference_entries(rows, n: int, what: str) -> np.ndarray:
@@ -95,4 +97,4 @@ def reference_decomposition(doc):
             for a, (rows, d) in enumerate(zip(raw_factors, dims))
         )
         terms.append(ProductTerm(weight, factors))
-    return SeparableDecomposition(dims, tuple(terms))
+    return from_terms(dims, tuple(terms))

@@ -23,7 +23,6 @@ from spinsep import (
     ProductTerm,
     ProjectionSpec,
     RootOfUnity,
-    SeparableDecomposition,
     SpinLabel,
     spin_l1_norm,
     subgroup_projection,
@@ -31,6 +30,8 @@ from spinsep import (
 )
 from spinsep.composite import digit_table, strides
 from spinsep.separability import NORM_SLACK, WEIGHT_FLOOR
+
+from reference_terms import from_terms
 
 
 def reference_necessary(rho, tol):
@@ -154,4 +155,4 @@ def reference_certificate(rho):
         )
     total = math.fsum(term.weight for term in terms)
     terms = [ProductTerm(t.weight / total, t.factors, t.factor_specs) for t in terms]
-    return SeparableDecomposition(dims, tuple(terms)), raw
+    return from_terms(dims, tuple(terms)), raw

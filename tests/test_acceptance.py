@@ -23,12 +23,10 @@ from spinsep import (
     alpha,
     check_density,
     conjugate_by_permutation,
-    conjugate_label,
     cyclic_family_density,
     eta,
     expand_spin_power,
     from_spin,
-    l2_identity_check,
     m2_map,
     m3_map,
     necessary_check,
@@ -42,7 +40,6 @@ from spinsep import (
     subgroup_projection,
     sufficient_certificate,
     to_spin,
-    trace_inner,
     valid_generator,
     verify_decomposition,
     werner_density,
@@ -52,6 +49,8 @@ from spinsep import (
 from spinsep.cli import main as cli_main
 from spinsep.io import read_decomposition_file, read_density_file, write_density_file
 from spinsep.projections import ProductProjectionSpec
+
+from reference_identities import conjugate_label, l2_identity_check, trace_inner
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 

@@ -16,12 +16,12 @@ from spinsep import (
     decode,
     random_density,
     spin_matrix,
-    tensor,
     verify_decomposition,
     werner_density,
 )
 import spinsep.cli
 from spinsep.cli import main
+from spinsep.composite import kron_all
 from spinsep.io import (
     coefficients_document,
     density_document,
@@ -66,6 +66,34 @@ class TestBasis:
         )
         d = DimVector((2, 3))
         assert np.abs(got - composite_spin(d, decode(d, 5), decode(d, 4))).max() < 1e-15
+
+    def test_stdout_bytes(self, capsys):
+        """The exact documents, signed zeros and last digits included."""
+        o, one, minus = [0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]
+        qubit = [
+            {"j": 0, "k": 0, "matrix": [[one, o], [o, one]]},
+            {"j": 0, "k": 1, "matrix": [[o, one], [one, o]]},
+            {"j": 1, "k": 0, "matrix": [[one, o], [o, minus]]},
+            {"j": 1, "k": 1, "matrix": [[o, one], [minus, o]]},
+        ]
+        assert main(["basis", "--d", "2"]) == 0
+        doc = {"format_version": 1, "dims": [2], "matrices": qubit}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+        z, y = [-0.0, 0.0], [0.0, -0.0]
+        a, b = [-0.5000000000000004, -0.8660254037844384], [-0.4999999999999998, 0.8660254037844387]
+        c, e = [0.5000000000000004, 0.8660254037844384], [0.4999999999999998, -0.8660254037844387]
+        matrix = [
+            [o, o, o, o, one, o],
+            [o, o, y, o, o, a],
+            [z, o, o, b, o, o],
+            [z, minus, z, o, o, o],
+            [z, z, c, o, o, y],
+            [e, z, z, z, o, o],
+        ]
+        assert main(["basis", "--dims", "2,3", "--label", "5,4"]) == 0
+        doc = {"format_version": 1, "dims": [2, 3], "matrices": [{"j": 5, "k": 4, "matrix": matrix}]}
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
     def test_bad_dimension_exits_semantic(self, capsys):
         assert main(["basis", "--d", "1"]) == 3
@@ -562,11 +590,11 @@ class TestPermute:
         b = random_density(DimVector((3,)), rng).matrix
         src = tmp_path / "prod.json"
         out = tmp_path / "swapped.json"
-        write_density_file(src, tensor(a, b), DimVector((2, 3)))
+        write_density_file(src, kron_all((a, b)), DimVector((2, 3)))
         assert main(["permute", "--input", str(src), "--sigma", "2,1", "--output", str(out)]) == 0
         matrix, dims = read_density_file(out)
         assert dims == DimVector((3, 2))
-        assert np.abs(matrix - tensor(b, a)).max() < 1e-12
+        assert np.abs(matrix - kron_all((b, a))).max() < 1e-12
 
     def test_length_mismatch_exits_semantic(self, tmp_path, rng):
         rho = random_density(DimVector((2, 2)), rng)

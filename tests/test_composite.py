@@ -12,7 +12,6 @@ from spinsep import (
     conjugate_by_permutation,
     decode,
     encode,
-    multi_add,
     permutation_matrix,
     permute_dims,
     reorder_subsystems,
@@ -23,6 +22,7 @@ from spinsep import (
 from spinsep.composite import flat_add_table, strides
 
 from conftest import random_matrix
+from reference_identities import multi_add
 
 DIM_CHOICES = [(2, 3), (3, 2), (2, 2, 2), (4, 3)]
 

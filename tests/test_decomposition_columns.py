@@ -1,5 +1,5 @@
-"""Decompositions held by columns: the builders' columns against those the
-term constructor derives from the same terms, failing factors named at
+"""Decompositions held by columns: the builders' columns against those
+``from_terms`` derives from the same terms, failing factors named at
 the first term that uses them, and assembly against the per-term
 reference."""
 
@@ -25,6 +25,7 @@ from spinsep import (
 )
 
 from conftest import mixed_to_norm
+from reference_terms import from_terms
 from reference_verifier import reference_assemble
 
 
@@ -41,7 +42,7 @@ def per_term(dec):
 
 
 def assert_rebuilds(dec):
-    rebuilt = SeparableDecomposition(dec.dims, dec.terms)
+    rebuilt = from_terms(dec.dims, dec.terms)
     assert per_term(rebuilt) == per_term(dec)
     # Each slot holds one entry per distinct (content, spec) that its terms use.
     assert [len(slot) for slot in dec.factors] == [len(slot) for slot in rebuilt.factors]
@@ -106,7 +107,7 @@ class TestFailingFactorNamedAtFirstUse:
     @pytest.mark.parametrize("other", [False, True])
     def test_from_columns(self, other):
         first_bad = np.diag([-0.5, 1.5]).astype(complex) if other else self.bad
-        dec = SeparableDecomposition.from_columns(
+        dec = SeparableDecomposition(
             DimVector((2, 2)),
             [0.25, 0.25, 0.5],
             [[1, 0], [1, 1], [0, 0]],
@@ -125,7 +126,7 @@ class TestFailingFactorNamedAtFirstUse:
             ProductTerm(0.25, (self.good, bad())),
             ProductTerm(0.5, (bad(), self.good)),
         )
-        result = verify_decomposition(SeparableDecomposition(DimVector((2, 2)), terms), self.target)
+        result = verify_decomposition(from_terms(DimVector((2, 2)), terms), self.target)
         assert not result
         assert result.failure.startswith("term 1, factor 1: ")
 
@@ -147,7 +148,7 @@ def random_columns(draw):
     specs = [[None] * k for k in sizes]
     weights = rng.standard_normal(terms)
     dims = DimVector(tuple(dims))
-    return SeparableDecomposition.from_columns(dims, weights, index, factors, specs)
+    return SeparableDecomposition(dims, weights, index, factors, specs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,7 +159,7 @@ def test_assemble_matches_reference(dec):
 
 def test_assemble_refuses_misshapen_factor():
     term = ProductTerm(1.0, (np.eye(4).reshape(2, 8) / 4, np.eye(2) / 2))
-    dec = SeparableDecomposition(DimVector((4, 2)), (term,))
+    dec = from_terms(DimVector((4, 2)), (term,))
     with pytest.raises(ValueError, match="slot 0: a factor is not 4 x 4"):
         dec.assemble()
 
@@ -186,7 +187,7 @@ def test_assemble_scratch_memory_with_distinct_factors():
     factors = [list(rng.standard_normal((terms, 2, 2)) / 2 + 0j) for _ in dims]
     index = np.tile(np.arange(terms)[:, None], (1, len(dims)))
     specs = [[None] * terms] * len(dims)
-    dec = SeparableDecomposition.from_columns(dims, rng.random(terms), index, factors, specs)
+    dec = SeparableDecomposition(dims, rng.random(terms), index, factors, specs)
     assembled, peak = traced(dec.assemble)
     assert peak < 5e6
     assert np.abs(assembled - reference_assemble(dec)).max() <= 1e-12

@@ -35,6 +35,7 @@ from spinsep import (
 from spinsep.linalg import check_density, density_screen
 
 from conftest import mixed_to_norm
+from reference_terms import from_terms
 from reference_verifier import reference_assemble, reference_verify
 
 TOL = Tolerance()
@@ -179,8 +180,8 @@ class TestAgainstReferenceVerifier:
     def test_verdict_and_failure_equal_reference(self, dims, n_terms, pool, seed, defects):
         clean = mixture(dims, n_terms, pool, seed)
         dims = DimVector(dims)
-        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, clean)), dims)
-        dec = SeparableDecomposition(dims, with_defects(clean, defects, seed + 1))
+        target = DensityMatrix(reference_assemble(from_terms(dims, clean)), dims)
+        dec = from_terms(dims, with_defects(clean, defects, seed + 1))
         new = verify_decomposition(dec, target, TOL)
         old = reference_verify(dec, target, TOL)
         assert (new.ok, new.failure) == (old.ok, old.failure)
@@ -190,9 +191,9 @@ class TestAgainstReferenceVerifier:
         """Slot 1's bad factor is first used at term 0, slot 0's at term 2."""
         terms = mixture((2, 3), 4, 2, 5)
         dims = DimVector((2, 3))
-        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, terms)), dims)
+        target = DensityMatrix(reference_assemble(from_terms(dims, terms)), dims)
         broken = with_defects(terms, [("negative-eigenvalue", 2, 0), ("trace-above", 0, 1)], 0)
-        dec = SeparableDecomposition(dims, broken)
+        dec = from_terms(dims, broken)
         result = verify_decomposition(dec, target, TOL)
         assert result.failure == reference_verify(dec, target, TOL).failure
         assert result.failure.startswith("term 0, factor 1: trace is ")
@@ -201,8 +202,8 @@ class TestAgainstReferenceVerifier:
     def test_each_defect_named_as_reference(self, kind):
         clean = mixture((2, 2), 6, 3, 8)
         dims = DimVector((2, 2))
-        target = DensityMatrix(reference_assemble(SeparableDecomposition(dims, clean)), dims)
-        dec = SeparableDecomposition(dims, with_defects(clean, [(kind, 3, 1)], 9))
+        target = DensityMatrix(reference_assemble(from_terms(dims, clean)), dims)
+        dec = from_terms(dims, with_defects(clean, [(kind, 3, 1)], 9))
         result = verify_decomposition(dec, target, TOL)
         assert result.failure == reference_verify(dec, target, TOL).failure
         assert result.ok == kind.endswith("-below")
@@ -251,7 +252,7 @@ class TestScreenedEigenvalues:
         terms = with_defects(mixture((2, 2), 3, 2, 1), [("negative-eigenvalue", 1, 0)], 2)
         dims = DimVector((2, 2))
         target = DensityMatrix(np.eye(4, dtype=complex) / 4, dims)
-        result = verify_decomposition(SeparableDecomposition(dims, terms), target)
+        result = verify_decomposition(from_terms(dims, terms), target)
         assert not result and result.min_factor_eigenvalue is None
 
     def test_failed_batch_solve_checks_each_factor_alone(self, monkeypatch, rng):
@@ -284,7 +285,7 @@ def test_verify_memory_stays_bounded():
     factors = [s[:, :, None] * s[:, None, :].conj() for s in states]
     index = np.tile(np.arange(terms)[:, None], (1, b))
     dims = DimVector((2,) * b)
-    dec = SeparableDecomposition.from_columns(dims, weights, index, factors, [[None] * terms] * b)
+    dec = SeparableDecomposition(dims, weights, index, factors, [[None] * terms] * b)
     psi = states[0]
     for s in states[1:]:
         psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)

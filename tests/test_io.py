@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from spinsep import (
     DimVector,
     ProductTerm,
-    SeparableDecomposition,
     sufficient_certificate,
     werner_separable_decomposition,
     werner_threshold,
@@ -31,6 +30,7 @@ from spinsep.io import (
 )
 
 from conftest import mixed_to_norm
+from reference_terms import from_terms
 
 
 def reference_bytes(dec) -> bytes:
@@ -94,13 +94,13 @@ def test_werner_decomposition_bytes(p, n, below, tmp_path):
 
 
 def test_empty_decomposition_bytes(tmp_path):
-    dec = SeparableDecomposition(DimVector((2, 3)), ())
+    dec = from_terms(DimVector((2, 3)), ())
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
 
 
 def test_content_equal_factors_in_distinct_objects(tmp_path):
     dec = werner_separable_decomposition(3, 3)
-    copies = SeparableDecomposition(
+    copies = from_terms(
         dec.dims,
         tuple(ProductTerm(t.weight, tuple(np.array(f) for f in t.factors)) for t in dec.terms),
     )
@@ -120,7 +120,7 @@ def test_mixed_slot_dimensions(tmp_path):
         ProductTerm(0.25, (a, a, np.array(a))),
         ProductTerm(0.25, (np.eye(2) / 2, b, a)),
     )
-    dec = SeparableDecomposition(dims, terms)
+    dec = from_terms(dims, terms)
     assert dec.index.tolist() == [[0, 0, 0], [0, 1, 0], [1, 0, 0]]
     shapes = [[f.shape for f in slot] for slot in dec.factors]
     assert shapes == [[(2, 2)] * 2, [(3, 3), (2, 2)], [(2, 2)]]
@@ -139,13 +139,13 @@ def test_float_forms_as_weights_and_entries(tmp_path):
     factor = np.array(FLOAT_FORMS + [1.0]).view(complex).reshape(2, 2)
     other = np.array(FLOAT_FORMS[::-1] + [-2.0]).view(complex).reshape(2, 2)
     terms = tuple(ProductTerm(w, (factor, other)) for w in FLOAT_FORMS)
-    dec = SeparableDecomposition(DimVector((2, 2)), terms)
+    dec = from_terms(DimVector((2, 2)), terms)
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
 
 
 def test_one_term_bytes(tmp_path):
     """The document's header and tail fold into the same row."""
-    dec = SeparableDecomposition(
+    dec = from_terms(
         DimVector((2, 3)), (ProductTerm(1.0, (np.eye(2) / 2, np.eye(3) / 3)),)
     )
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
@@ -159,7 +159,7 @@ def test_non_square_factor_bytes(tmp_path):
         ProductTerm(0.5, (wide, np.eye(2) / 2)),
         ProductTerm(0.5, (np.eye(2) / 2, wide.T)),
     )
-    dec = SeparableDecomposition(DimVector((2, 2)), terms)
+    dec = from_terms(DimVector((2, 2)), terms)
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
 
 
@@ -220,7 +220,7 @@ def decompositions(draw):
             f = pool[draw(st.integers(0, len(pool) - 1))]
             factors.append(np.array(f) if draw(st.booleans()) else f)
         terms.append(ProductTerm(draw(finite), tuple(factors)))
-    return SeparableDecomposition(DimVector(tuple(dims)), tuple(terms))
+    return from_terms(DimVector(tuple(dims)), tuple(terms))
 
 
 @given(dec=decompositions())
@@ -253,7 +253,7 @@ class TestRefusedWithoutAFile:
         terms = (ProductTerm(weight, dec.terms[0].factors),) + dec.terms[1:]
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
-            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+            write_decomposition_file(path, from_terms(dec.dims, terms))
         assert not path.exists()
 
     @pytest.mark.parametrize("entry", [complex(np.nan, 0), complex(0, np.inf), -np.inf])
@@ -265,7 +265,7 @@ class TestRefusedWithoutAFile:
         terms = dec.terms[:-1] + (ProductTerm(last.weight, (last.factors[0], bad) + last.factors[2:]),)
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
-            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+            write_decomposition_file(path, from_terms(dec.dims, terms))
         assert not path.exists()
 
     def test_nan_weight_in_the_last_term(self, tmp_path):
@@ -274,7 +274,7 @@ class TestRefusedWithoutAFile:
         terms = dec.terms[:-1] + (ProductTerm(np.nan, last.factors),)
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
-            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+            write_decomposition_file(path, from_terms(dec.dims, terms))
         assert not path.exists()
 
     def test_infinite_entry_in_a_factor_of_the_last_slot_only(self, tmp_path):
@@ -282,7 +282,7 @@ class TestRefusedWithoutAFile:
         bad = np.array(dec.terms[0].factors[2])
         bad[0, 1] = complex(0, -np.inf)
         terms = (ProductTerm(dec.terms[0].weight, dec.terms[0].factors[:2] + (bad,)),)
-        dec = SeparableDecomposition(dec.dims, terms + dec.terms[1:])
+        dec = from_terms(dec.dims, terms + dec.terms[1:])
         assert all(np.isfinite(f).all() for slot in dec.factors[:2] for f in slot)
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
@@ -294,7 +294,7 @@ class TestRefusedWithoutAFile:
         terms = dec.terms[:-1] + (ProductTerm(dec.terms[-1].weight, dec.terms[-1].factors[:1]),)
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError, match="1 factors for 2 subsystems"):
-            write_decomposition_file(path, SeparableDecomposition(dec.dims, terms))
+            write_decomposition_file(path, from_terms(dec.dims, terms))
         assert not path.exists()
 
 

@@ -15,31 +15,31 @@ from spinsep import (
     partial_transpose,
     random_density,
     spin_matrix,
-    tensor,
-    trace_inner,
     werner_density,
     WernerSpec,
 )
+from spinsep.composite import kron_all
 
 from conftest import random_matrix
+from reference_identities import trace_inner
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestTensor:
     def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4, dtype=complex))
+        assert np.array_equal(kron_all((np.eye(2), np.eye(2))), np.eye(4, dtype=complex))
 
     def test_zz_by_hand(self):
         # direct 4x4 expansion of sigma_z (x) sigma_z
         expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-        assert np.array_equal(tensor(SIGMA_Z, SIGMA_Z), expected)
+        assert np.array_equal(kron_all((SIGMA_Z, SIGMA_Z)), expected)
 
     def test_unit_placement(self):
         # E_{0,0} (x) E_{1,1} puts the single 1 at flat index (0,1) -> 1
         e00 = np.array([[1, 0], [0, 0]], dtype=complex)
         e11 = np.array([[0, 0], [0, 1]], dtype=complex)
-        out = tensor(e00, e11)
+        out = kron_all((e00, e11))
         assert out[1, 1] == 1.0 and np.abs(out).sum() == 1.0
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -47,7 +47,8 @@ class TestTensor:
     def test_associative(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (random_matrix(2, rng), random_matrix(3, rng), random_matrix(2, rng))
-        assert np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))).max() < 1e-12
+        left, right = kron_all((kron_all((a, b)), c)), kron_all((a, kron_all((b, c))))
+        assert np.abs(left - right).max() < 1e-12
 
 
 class TestTraceInner:
@@ -133,9 +134,9 @@ class TestPartialTranspose:
         d = DimVector((2, 3))
         r1 = random_density(DimVector((2,)), rng).matrix
         r2 = random_density(DimVector((3,)), rng).matrix
-        rho = check_density(tensor(r1, r2), d)
+        rho = check_density(kron_all((r1, r2)), d)
         pt = partial_transpose(rho, 2)
-        assert np.abs(pt - tensor(r1, r2.T)).max() < 1e-12
+        assert np.abs(pt - kron_all((r1, r2.T))).max() < 1e-12
         assert np.linalg.eigvalsh(pt).min() > -1e-12
 
     def _werner_pt_min_eig(self, s):

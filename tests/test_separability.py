@@ -13,7 +13,6 @@ from spinsep import (
     NecessaryViolation,
     NegativeEigenvalue,
     ProductTerm,
-    SeparableDecomposition,
     Tolerance,
     WernerSpec,
     check_density,
@@ -23,14 +22,15 @@ from spinsep import (
     spin_l1_norm,
     subgroup_projection,
     sufficient_certificate,
-    tensor,
     to_spin,
     verify_decomposition,
     werner_density,
 )
+from spinsep.composite import kron_all
 from spinsep.separability import _necessary_table
 
 from conftest import mixed_to_norm
+from reference_terms import from_terms
 
 
 class TestNecessaryCheck:
@@ -54,7 +54,7 @@ class TestNecessaryCheck:
     def test_product_state_inconclusive(self, rng):
         a = random_density(DimVector((2,)), rng).matrix
         b = random_density(DimVector((3,)), rng).matrix
-        rho = check_density(tensor(a, b), DimVector((2, 3)))
+        rho = check_density(kron_all((a, b)), DimVector((2, 3)))
         assert necessary_check(rho).verdict == INCONCLUSIVE
 
     def test_single_subsystem_rejected(self, rng):
@@ -85,7 +85,7 @@ class TestPeresCheck:
     def test_product_state_inconclusive(self, rng):
         a = random_density(DimVector((2,)), rng).matrix
         b = random_density(DimVector((2,)), rng).matrix
-        rho = check_density(tensor(a, b), DimVector((2, 2)))
+        rho = check_density(kron_all((a, b)), DimVector((2, 2)))
         for r in (1, 2):
             assert peres_check(rho, r).verdict == INCONCLUSIVE
 
@@ -224,7 +224,7 @@ class TestVerifyDecomposition:
         bumped = ProductTerm(terms[0].weight + 1e-3, terms[0].factors, terms[0].factor_specs)
         # keep the weight sum at one so the reconstruction check is reached
         slimmed = ProductTerm(terms[1].weight - 1e-3, terms[1].factors, terms[1].factor_specs)
-        broken = SeparableDecomposition(dec.dims, tuple([bumped, slimmed] + terms[2:]))
+        broken = from_terms(dec.dims, tuple([bumped, slimmed] + terms[2:]))
         result = verify_decomposition(broken, rho)
         assert not result
         assert "reconstruction" in result.failure
@@ -234,7 +234,7 @@ class TestVerifyDecomposition:
         dec = sufficient_certificate(rho).witness
         terms = list(dec.terms)
         bumped = ProductTerm(terms[0].weight + 1e-3, terms[0].factors, terms[0].factor_specs)
-        broken = SeparableDecomposition(dec.dims, tuple([bumped] + terms[1:]))
+        broken = from_terms(dec.dims, tuple([bumped] + terms[1:]))
         result = verify_decomposition(broken, rho)
         assert not result
         assert "sum" in result.failure
@@ -242,7 +242,7 @@ class TestVerifyDecomposition:
     def test_invalid_factor_named(self, rng):
         d = DimVector((2, 2))
         rho = check_density(np.eye(4) / 4, d)
-        bad = SeparableDecomposition(
+        bad = from_terms(
             d,
             (
                 ProductTerm(
@@ -257,7 +257,7 @@ class TestVerifyDecomposition:
 
     def test_dims_mismatch_raises(self, rng):
         rho = check_density(np.eye(4) / 4, DimVector((2, 2)))
-        dec = SeparableDecomposition(
+        dec = from_terms(
             DimVector((4,)), (ProductTerm(1.0, (np.eye(4, dtype=complex) / 4,)),)
         )
         with pytest.raises(ValueError):

@@ -16,9 +16,10 @@ from spinsep import (
     spin_matrix,
     spin_power,
     spin_table,
-    trace_inner,
 )
 from spinsep.spin import fourier_table
+
+from reference_identities import trace_inner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -8,20 +8,19 @@ from spinsep import (
     WernerSpec,
     check_density,
     composite_spin,
-    conjugate_label,
     decode,
     encode,
     from_spin,
     fourier_matrix,
-    l2_identity_check,
     random_density,
     spin_l1_norm,
     spin_table,
-    spin_table_by_trace,
     to_spin,
     werner_density,
 )
 from spinsep.transform import SpinCoefficients
+
+from reference_identities import conjugate_label, l2_identity_check, spin_table_by_trace
 
 ROUND_TRIP_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
 

@@ -13,7 +13,6 @@ from spinsep import (
     DensityMatrix,
     DimVector,
     ProductTerm,
-    SeparableDecomposition,
     Tolerance,
     WernerSpec,
     random_density,
@@ -24,6 +23,7 @@ from spinsep import (
 from spinsep.io import read_decomposition_file
 
 from conftest import mixed_to_norm
+from reference_terms import from_terms
 from reference_verifier import reference_assemble, reference_verify
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -48,12 +48,12 @@ def random_decomposition(dims, seed, n_terms, pool):
         ProductTerm(float(w), tuple(p[k] for p, k in zip(pools, ks)))
         for w, *ks in zip(weights, *picks)
     )
-    dec = SeparableDecomposition(DimVector(dims), terms)
+    dec = from_terms(DimVector(dims), terms)
     return dec, DensityMatrix(reference_assemble(dec), dec.dims)
 
 
 def _with_terms(dec, terms):
-    return SeparableDecomposition(dec.dims, tuple(terms))
+    return from_terms(dec.dims, tuple(terms))
 
 
 def copied(dec, rng):
@@ -154,7 +154,7 @@ def test_repeated_bytes_in_the_wrong_shape_or_slot_rejected(reshape):
         ProductTerm(0.5, second),
     )
     target = DensityMatrix(np.eye(dims.size, dtype=complex) / dims.size, dims)
-    result = verify_decomposition(SeparableDecomposition(dims, terms), target)
+    result = verify_decomposition(from_terms(dims, terms), target)
     assert not result
     assert result.failure.startswith("term 1, factor ")
 
