@@ -4,7 +4,9 @@
 from ``ProductTerm``s, one slot at a time: each term points at the first
 term whose factor has the same (shape, bytes, spec).  The column tests
 rebuild every builder's terms through it and compare the columns; the
-other tests use it to write decompositions term by term.
+other tests use it to write decompositions term by term.  The result's
+``.terms`` are the given terms, not a rebuild from the columns, so an
+oracle that reads them checks the columns against an independent source.
 """
 
 import numpy as np
@@ -28,4 +30,6 @@ def from_terms(dims, terms) -> SeparableDecomposition:
         for fs, ss, first in zip(factors, specs, firsts)
     ]
     index = np.array(index, dtype=np.intp).T
-    return SeparableDecomposition(dims, [t.weight for t in terms], index, factors, specs)
+    dec = SeparableDecomposition(dims, [t.weight for t in terms], index, factors, specs)
+    dec.__dict__["terms"] = tuple(terms)
+    return dec

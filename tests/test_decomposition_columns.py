@@ -96,6 +96,17 @@ def test_all_none_specs_come_back_as_none():
     assert all(t.factor_specs is not None for t in dec.terms[:-1])
 
 
+def test_signed_zeros_stay_distinct_entries():
+    plus = np.diag([1.0, 0.0]).astype(complex)
+    minus = plus.copy()
+    minus[0, 1] = -0.0
+    terms = [ProductTerm(0.5, (plus, plus)), ProductTerm(0.5, (minus, plus))]
+    dec = from_terms(DimVector((2, 2)), terms)
+    assert [len(slot) for slot in dec.factors] == [2, 1]
+    assert dec.index.tolist() == [[0, 0], [1, 0]]
+    assert [f.tobytes() for f in dec.factors[0]] == [plus.tobytes(), minus.tobytes()]
+
+
 class TestFailingFactorNamedAtFirstUse:
     """The bad factor is slot 0's first entry but is first used in slot 1,
     at term 1; slot 0 uses it, or another bad factor, only from term 2 on."""

@@ -29,8 +29,6 @@ GONE = [
     ("transform", "l2_identity_check"),
     ("transform", "spin_table_by_trace"),
 ]
-# Read by the benchmark harness under perfbench/.
-HARNESS = [("io", "decomposition_document"), ("werner", "cyclic_family_density")]
 
 
 @pytest.mark.parametrize("name", KEPT)
@@ -42,11 +40,6 @@ def test_kept_names_are_exported(name):
 def test_reference_names_are_gone(module, name):
     assert not hasattr(spinsep, name)
     assert not hasattr(importlib.import_module(f"spinsep.{module}"), name)
-
-
-@pytest.mark.parametrize("module, name", HARNESS)
-def test_harness_names_stay(module, name):
-    assert hasattr(importlib.import_module(f"spinsep.{module}"), name)
 
 
 def test_one_decomposition_constructor():
