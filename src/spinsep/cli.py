@@ -80,7 +80,7 @@ def _emit_document(doc: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        write_text_file(path, text)
+        write_text_file(path, [text])
         print(f"wrote {path}")
 
 

@@ -6,12 +6,17 @@ numbers; Python's shortest-repr float writing makes parse -> serialize ->
 parse the identity on the numeric content.  Every file is exactly
 ``json.dumps(document, indent=2)`` and a newline, so its bytes are
 reproducible.  Decomposition files render each distinct float once, with
-no per-term encoder work (see ``decomposition_text``), to the same bytes.
+no per-term encoder work, to the same bytes, and are written
+``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``), so their
+whole text never exists.  Every reader parses with the cyclic garbage
+collector paused (see ``_read``).
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -23,6 +28,8 @@ from .decompositions import SeparableDecomposition
 from .transform import SpinCoefficients
 
 FORMAT_VERSION = 1
+# Terms per write of a decomposition file (about 0.45 MB of a 2^5 witness).
+CHUNK_TERMS = 256
 
 
 class FileFormatError(ValueError):
@@ -213,19 +220,32 @@ def _load(path) -> dict:
         raise FileFormatError(f"{path}: {err}") from err
 
 
+def _read(path, parse):
+    """``parse`` of the document at ``path``, with the cyclic collector
+    paused, then restored as it was: a parsed JSON tree has no cycles, but
+    each of its lists counts towards a collection, which would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(_load(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def document_text(doc: dict) -> str:
     """``doc`` as indented JSON; ValueError on NaN or infinity, which JSON lacks."""
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def write_text_file(path, text: str) -> None:
-    """Write already-rendered ``text`` and a newline.
+def write_text_file(path, chunks: Iterable[str]) -> None:
+    """Write the rendered ``chunks`` in order, then a newline.
 
-    Callers render before calling, so a ValueError on NaN or infinity
-    leaves no file behind.
+    Callers check every value before calling, so a ValueError on NaN or
+    infinity leaves no file behind.
     """
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
         fh.write("\n")
 
 
@@ -240,20 +260,21 @@ def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
     return template
 
 
-def decomposition_text(dec: SeparableDecomposition) -> str:
-    """``document_text(decomposition_document(dec))``, built by one join.
+def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
+    """``document_text(decomposition_document(dec))`` in consecutive pieces.
 
     Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
     apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
     writes.  Each distinct factor's block fills its shape's template with
-    its entries' strings.  The text is one join over a (T, b + 4) array of
-    pieces: per term its opener, weight, "factors" opener, one block per
-    slot and closer, with the document's header and tail folded into the
-    first and last rows.  ValueError on NaN or infinity, which JSON lacks.
+    its entries' strings.  A (T, b + 4) array holds the pieces: per term
+    its opener, weight, "factors" opener, one block per slot and closer,
+    with the document's header and tail folded into the first and last
+    rows.  Each chunk joins ``CHUNK_TERMS`` of its rows.  ValueError on NaN
+    or infinity, which JSON lacks, raised by this call, before any chunk.
     """
     head = document_text(document(dec.dims, "terms", []))
     if not len(dec.weights):
-        return head
+        return iter((head,))
     if not np.isfinite(dec.weights).all():
         raise ValueError("a weight is NaN or infinite, which JSON cannot hold")
     factors = [f for slot in dec.factors for f in slot]
@@ -279,24 +300,27 @@ def decomposition_text(dec: SeparableDecomposition) -> str:
         pieces[:, 3 + a] = blocks[dec.index[:, a]]
     pieces[:, -1] = "\n      ]\n    },\n"
     pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"
-    return "".join(pieces.ravel().tolist())
+    return (
+        "".join(pieces[i : i + CHUNK_TERMS].ravel().tolist())
+        for i in range(0, len(pieces), CHUNK_TERMS)
+    )
 
 
 def read_density_file(path) -> tuple[np.ndarray, DimVector]:
-    return parse_density_document(_load(path))
+    return _read(path, parse_density_document)
 
 
 def write_density_file(path, matrix: np.ndarray, dims: DimVector) -> None:
-    write_text_file(path, document_text(density_document(matrix, dims)))
+    write_text_file(path, [document_text(density_document(matrix, dims))])
 
 
 def read_coefficients_file(path) -> SpinCoefficients:
-    return parse_coefficients_document(_load(path))
+    return _read(path, parse_coefficients_document)
 
 
 def read_decomposition_file(path) -> SeparableDecomposition:
-    return parse_decomposition_document(_load(path))
+    return _read(path, parse_decomposition_document)
 
 
 def write_decomposition_file(path, dec: SeparableDecomposition) -> None:
-    write_text_file(path, decomposition_text(dec))
+    write_text_file(path, decomposition_chunks(dec))

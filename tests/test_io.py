@@ -1,11 +1,15 @@
 """The decomposition writer, which renders each distinct float once (by
-its bits, so -0.0 and 0.0 apart) and fills each distinct factor's block
-from those strings, against the one-pass indented encoder it replaces: the
-same bytes on certificate witnesses, Werner decompositions, parsed files,
-CLI output and random mixtures, and no file on NaN or infinity."""
+its bits, so -0.0 and 0.0 apart), fills each distinct factor's block from
+those strings and writes CHUNK_TERMS terms at a time, against the one-pass
+indented encoder it replaces: the same bytes on certificate witnesses,
+Werner decompositions, parsed files, CLI output and random mixtures, no
+file on NaN or infinity, and a memory peak well below the file's size.
+The readers leave the cyclic collector as they found it."""
 
+import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +23,22 @@ from spinsep import (
     werner_separable_decomposition,
     werner_threshold,
 )
+import spinsep.io
 from spinsep.cli import main
 from spinsep.io import (
+    CHUNK_TERMS,
     FileFormatError,
+    coefficients_document,
     decomposition_document,
+    density_document,
     document_text,
+    read_coefficients_file,
     read_decomposition_file,
+    read_density_file,
     write_decomposition_file,
     write_density_file,
 )
+from spinsep.transform import SpinCoefficients
 
 from conftest import mixed_to_norm
 from reference_terms import from_terms
@@ -78,8 +89,35 @@ def assert_same_table(dec):
 def test_certificate_witness_bytes(dims, norm, tmp_path, rng):
     rho = mixed_to_norm(DimVector(dims), norm, rng)
     dec = sufficient_certificate(rho).witness
+    if len(dims) == 5:
+        # The chunk seams are inside the compared bytes.
+        assert len(dec.weights) > CHUNK_TERMS
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
     assert_same_table(dec)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 630, 631])
+def test_chunk_seams_bytes(chunk, tmp_path, monkeypatch):
+    """Any chunk size gives the same bytes, including one term per chunk,
+    a last chunk shorter than the rest and one chunk holding every term."""
+    dec = werner_separable_decomposition(5, 3)
+    assert len(dec.weights) == 630
+    monkeypatch.setattr("spinsep.io.CHUNK_TERMS", chunk)
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+def test_writer_memory_stays_below_the_file_size(tmp_path, rng):
+    """Neither the whole text nor its encoded copy is ever held: the peak
+    is a small fraction of the file, not about twice it."""
+    dec = sufficient_certificate(mixed_to_norm(DimVector((2,) * 5), 0.95, rng)).witness
+    path = tmp_path / "dec.json"
+    tracemalloc.start()
+    try:
+        write_decomposition_file(path, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -311,3 +349,74 @@ def test_integer_too_large_for_a_double_is_format_error(where, named, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError, match=re.escape(named)):
         read_decomposition_file(path)
+
+
+def reader_cases():
+    """Per document key: its reader, its parser's name and a valid document."""
+    half, dims = np.eye(2) / 2, DimVector((2,))
+    return {
+        "matrix": (read_density_file, "parse_density_document", density_document(half, dims)),
+        "coefficients": (
+            read_coefficients_file,
+            "parse_coefficients_document",
+            coefficients_document(SpinCoefficients(dims, half)),
+        ),
+        "terms": (
+            read_decomposition_file,
+            "parse_decomposition_document",
+            decomposition_document(werner_separable_decomposition(2, 2)),
+        ),
+    }
+
+
+# A dims list that the rows or the factor count do not fit is a ValueError.
+MISMATCH = {"matrix": "does not match", "coefficients": "does not match", "terms": "expected 3"}
+
+
+@pytest.mark.parametrize("paused", [False, True], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["read", "malformed", "dims", "missing"])
+@pytest.mark.parametrize("key", list(MISMATCH))
+def test_readers_restore_the_collector(key, outcome, paused, tmp_path):
+    read, _, doc = reader_cases()[key]
+    path = tmp_path / "doc.json"
+    if outcome == "dims":
+        doc["dims"] = doc["dims"] + [2] if key == "terms" else [3]
+    if outcome != "missing":
+        path.write_text("{" if outcome == "malformed" else json.dumps(doc))
+    was = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        if outcome == "read":
+            read(path)
+        elif outcome == "malformed":
+            with pytest.raises(FileFormatError):
+                read(path)
+        elif outcome == "dims":
+            with pytest.raises(ValueError, match=MISMATCH[key]) as info:
+                read(path)
+            assert not isinstance(info.value, FileFormatError)
+        else:
+            with pytest.raises(OSError):
+                read(path)
+        assert gc.isenabled() is not paused
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize("key", list(MISMATCH))
+def test_readers_parse_with_the_collector_paused(key, tmp_path, monkeypatch):
+    read, name, doc = reader_cases()[key]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    parse, seen = getattr(spinsep.io, name), []
+
+    def spy(doc):
+        seen.append(gc.isenabled())
+        return parse(doc)
+
+    monkeypatch.setattr(spinsep.io, name, spy)
+    read(path)
+    assert seen == [False]
+    assert gc.isenabled()
