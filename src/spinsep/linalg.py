@@ -4,6 +4,7 @@ stacked screen for many matrices), partial transpose, random densities."""
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,15 +101,9 @@ def density_screen(stack: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
         asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
         trace = stack.trace(axis1=1, axis2=2)
         solve = (asym <= tol.abs_eps) & (abs(trace - 1.0) <= tol.abs_eps)
-        try:
-            # A stack that passes the gate whole is solved without a mask.
-            if solve.all():
-                lo = hermitian_eigenvalues(stack)[:, 0]
-            else:
-                lo = np.full(len(stack), np.nan)
-                lo[solve] = hermitian_eigenvalues(stack[solve])[:, 0]
-        except np.linalg.LinAlgError:
-            lo = np.full(len(stack), np.nan)
+        lo = np.full(len(stack), np.nan)
+        with suppress(np.linalg.LinAlgError):
+            lo[solve] = hermitian_eigenvalues(stack[solve])[:, 0]
     return lo >= -tol.abs_eps, asym, trace, lo
 
 
