@@ -6,13 +6,13 @@ factors across thousands of terms, so a decomposition is held by columns:
 
 - ``weights``, shape (T,): the weight of each term;
 - ``index``, shape (T, b): the entry of each slot that each term uses;
-- ``factors[a]`` and ``specs[a]``: the entries of slot a that its terms
-  use, one per distinct (content, spec).
+- ``factors[a]``, a (K_a, d_a, d_a) complex stack, and ``specs[a]``: the
+  entries of slot a that its terms use, one per distinct (content, spec).
 
 Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
-factors, specs)``, the only constructor.  Verification screens each slot's
-distinct factors as one stack, and names a failure only from the factors
-that the screen rejects, checked one at a time.
+factors, specs)``, the only constructor, which refuses a factor that is not
+d_a x d_a and a column without len(dims) slots.  Verification screens each
+slot's stack at once, and checks one at a time only the factors it rejects.
 """
 
 from __future__ import annotations
@@ -59,19 +59,24 @@ class SeparableDecomposition:
     dims: DimVector
     weights: np.ndarray
     index: np.ndarray
-    factors: tuple[tuple[np.ndarray, ...], ...]
+    factors: tuple[np.ndarray, ...]
     specs: tuple[tuple[Optional["ProjectionSpec"], ...], ...]
 
     def __init__(self, dims: DimVector, weights, index, factors, specs):
-        """From the columns; each slot keeps only the entries that some term
-        uses, in their order."""
+        """From the columns; each slot keeps the entries that some term uses,
+        in their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a
+        factor is not d_a x d_a, or if a column has not len(dims) slots."""
         self.dims = dims
         self.weights = np.asarray(weights, dtype=float)
-        index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims))
-        used = [np.bincount(column, minlength=len(f)) > 0 for column, f in zip(index.T, factors)]
-        self.index = np.column_stack([(np.cumsum(u) - 1)[c] for u, c in zip(used, index.T)])
-        self.factors = tuple(tuple(f[k] for k in np.flatnonzero(u)) for f, u in zip(factors, used))
-        self.specs = tuple(tuple(s[k] for k in np.flatnonzero(u)) for s, u in zip(specs, used))
+        self.index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims)).copy()
+        self.factors, self.specs = (), ()
+        for a, (d, c, f, s) in enumerate(zip(dims, self.index.T, factors, specs, strict=True)):
+            if any(np.shape(m) != (d, d) for m in f):
+                raise ValueError(f"slot {a}: a factor is not {d} x {d}")
+            used = np.bincount(c, minlength=len(f)) > 0
+            self.index[:, a] = (np.cumsum(used) - 1)[c]
+            self.factors += (np.asarray(f, dtype=complex).reshape(-1, d, d)[used],)
+            self.specs += (tuple(s[k] for k in np.flatnonzero(used)),)
 
     @cached_property
     def terms(self) -> tuple[ProductTerm, ...]:
@@ -93,22 +98,18 @@ class SeparableDecomposition:
         a; a run at depth b has its summed weights as value.  For a = b - 1
         down to h, the values of a run's sub-runs, which differ in slot a,
         go to a zero (runs, value size, K_a) block at (run, :, slot-a entry),
-        and one tensordot with slot a's (K_a, d_a^2) factor table appends
+        and one tensordot with slot a's stack as a (K_a, d_a^2) table appends
         its axes.  A depth with fewer sub-runs than runs * K_a / d_a^2
         instead multiplies each sub-run's value by its own factor and sums
         per run.  One tensordot meets the values at depth h with each run's
         product of its first h factors.  h minimises the entries held at
         once, counted from the runs: it is 0 unless the runs stay many
-        toward depth 0, as when terms do not share factors.  ValueError on
-        a factor that is not d_a x d_a.
+        toward depth 0, as when terms do not share factors.
         """
         dims, b, n = self.dims, len(self.dims), self.dims.size
         if not len(self.weights):
             return np.zeros((n, n), dtype=complex)
-        for a, (d, slot) in enumerate(zip(dims, self.factors)):
-            if any(f.shape != (d, d) for f in slot):
-                raise ValueError(f"slot {a}: a factor is not {d} x {d}")
-        tables = [np.array(f, dtype=complex).reshape(-1, d * d) for f, d in zip(self.factors, dims)]
+        tables = [f.reshape(len(f), -1) for f in self.factors]
         # Rows in order, as a certificate's, skip the sort: lexsort is stable.
         step = self.index[1:] - self.index[:-1]
         in_order = (np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], 1) >= 0).all()
@@ -177,8 +178,8 @@ def verify_decomposition(
     Weights finite, non-negative and summing to one, every factor a valid
     local density, and the reassembled mixture matching the target
     entrywise within the reconstruction tolerance.  One ``density_screen``
-    per slot checks its distinct factors; ``check_density`` names the first
-    it fails, by (first term, slot, entry).  Every comparison fails on NaN.
+    per slot checks its (K_a, d_a, d_a) stack; ``check_density`` names the
+    first it fails, by (first term, slot, entry).  Every comparison fails on NaN.
     """
     if dec.dims != target.dims:
         raise ValueError(f"dims mismatch: {dec.dims.dims} vs {target.dims.dims}")
@@ -190,10 +191,8 @@ def verify_decomposition(
             return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
         return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
     lows, suspects = [], []
-    for a, (d, slot) in enumerate(zip(dec.dims, dec.factors)):
-        # A factor of another shape is screened as NaN, so that it fails.
-        stack = [f if f.shape == (d, d) else np.full((d, d), np.nan) for f in slot]
-        ok, _, _, lo = density_screen(np.array(stack, dtype=complex).reshape(-1, d, d), tol)
+    for a, slot in enumerate(dec.factors):
+        ok, _, _, lo = density_screen(slot, tol)
         if not ok.all():
             at = np.unique(dec.index[:, a], return_index=True)[1]
             suspects += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
@@ -201,7 +200,7 @@ def verify_decomposition(
     for i, a, k in sorted(suspects):
         try:
             check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
-        except (InvalidDensityError, ValueError) as err:
+        except InvalidDensityError as err:
             return VerificationResult(False, f"term {i}, factor {a}: {err}")
         lows[a][k] = density_screen(dec.factors[a][k][None], tol)[3][0]
     total = math.fsum(w.tolist())

@@ -265,38 +265,36 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
 
     Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
     apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
-    writes.  Each distinct factor's block fills its shape's template with
-    its entries' strings.  A (T, b + 4) array holds the pieces: per term
-    its opener, weight, "factors" opener, one block per slot and closer,
-    with the document's header and tail folded into the first and last
-    rows.  Each chunk joins ``CHUNK_TERMS`` of its rows.  ValueError on NaN
-    or infinity, which JSON lacks, raised by this call, before any chunk.
+    writes.  Each slot's factors fill a tiled d_a x d_a template with their
+    entries' strings.  A (T, b + 4) array holds the pieces: per term its
+    opener, weight, "factors" opener, one block per slot and closer, with
+    the document's header and tail folded into the first and last rows.
+    Each chunk joins ``CHUNK_TERMS`` of its rows.  ValueError on NaN or
+    infinity, which JSON lacks, raised by this call, before any chunk.
     """
     head = document_text(document(dec.dims, "terms", []))
     if not len(dec.weights):
         return iter((head,))
     if not np.isfinite(dec.weights).all():
         raise ValueError("a weight is NaN or infinite, which JSON cannot hold")
-    factors = [f for slot in dec.factors for f in slot]
-    entries = np.concatenate([f.ravel() for f in factors], dtype=complex).view(float)
-    if not np.isfinite(entries).all():
+    entries = [f.ravel().view(float) for f in dec.factors]
+    values = np.concatenate([dec.weights, *entries])
+    if not np.isfinite(values).all():
         raise ValueError("a factor entry is NaN or infinite, which JSON cannot hold")
-    values = np.concatenate([dec.weights, entries]).view(np.int64)
-    bits, inverse = np.unique(values, return_inverse=True)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     strings = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse]
-    chunks = iter(np.split(strings, np.cumsum([len(dec.weights)] + [2 * f.size for f in factors])))
+    chunks = iter(np.split(strings, np.cumsum([len(v) for v in (dec.weights, *entries)])))
     pieces = np.empty((len(dec.weights), len(dec.dims) + 4), dtype=object)
     pieces[:, 0] = '    {\n      "weight": '
     pieces[0, 0] = head.removesuffix("[]\n}") + "[\n" + pieces[0, 0]
     pieces[:, 1] = next(chunks)
     pieces[:, 2] = ',\n      "factors": [\n        '
     for a, slot in enumerate(dec.factors):
-        blocks = np.empty(len(slot), dtype=object)
-        for k, f in enumerate(slot):
-            row = _factor_template(f.shape).copy()
-            row[1::2] = next(chunks)
-            # Slots after the first carry the separator from the block before.
-            blocks[k] = ",\n        " * (a > 0) + "".join(row.tolist())
+        rows = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1))
+        rows[:, 1::2] = next(chunks).reshape(len(slot), -1)
+        # Slots after the first carry the separator from the block before.
+        rows[:, 0] = ",\n        " * (a > 0) + rows[0, 0]
+        blocks = np.array(list(map("".join, rows.tolist())), dtype=object)
         pieces[:, 3 + a] = blocks[dec.index[:, a]]
     pieces[:, -1] = "\n      ]\n    },\n"
     pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"

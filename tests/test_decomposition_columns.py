@@ -1,7 +1,8 @@
 """Decompositions held by columns: the builders' columns against those
-``from_terms`` derives from the same terms, failing factors named at
-the first term that uses them, and assembly against the per-term
-reference."""
+``from_terms`` derives from the same terms, one (K_a, d_a, d_a) complex
+stack per slot from every builder, a misshapen factor refused at
+construction, failing factors named at the first term that uses them,
+and assembly against the per-term reference."""
 
 import tracemalloc
 
@@ -23,6 +24,7 @@ from spinsep import (
     werner_separable_decomposition,
     werner_threshold,
 )
+from spinsep.io import decomposition_document, parse_decomposition_document
 
 from conftest import mixed_to_norm
 from reference_terms import from_terms
@@ -143,7 +145,7 @@ class TestFailingFactorNamedAtFirstUse:
 
 
 @st.composite
-def random_columns(draw):
+def column_arguments(draw):
     """Columns with mixed dims, up to 8 entries per slot and up to 200 terms,
     whose index rows repeat; weights and factors are arbitrary."""
     dims = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4))
@@ -158,8 +160,11 @@ def random_columns(draw):
     ]
     specs = [[None] * k for k in sizes]
     weights = rng.standard_normal(terms)
-    dims = DimVector(tuple(dims))
-    return SeparableDecomposition(dims, weights, index, factors, specs)
+    return DimVector(tuple(dims)), weights, index, factors, specs
+
+
+def random_columns():
+    return column_arguments().map(lambda columns: SeparableDecomposition(*columns))
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,11 +173,66 @@ def test_assemble_matches_reference(dec):
     assert np.abs(dec.assemble() - reference_assemble(dec)).max() <= 1e-12
 
 
-def test_assemble_refuses_misshapen_factor():
+def test_misshapen_factor_refused_at_construction():
     term = ProductTerm(1.0, (np.eye(4).reshape(2, 8) / 4, np.eye(2) / 2))
-    dec = from_terms(DimVector((4, 2)), (term,))
     with pytest.raises(ValueError, match="slot 0: a factor is not 4 x 4"):
-        dec.assemble()
+        from_terms(DimVector((4, 2)), (term,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(columns=column_arguments(), defect=st.sampled_from([None, "shape", "factors", "specs"]))
+def test_refused_at_construction_or_verified_without_raising(columns, defect):
+    """A misshapen factor or a missing slot raises ValueError when the
+    decomposition is built; what is built gets a verdict, not an IndexError
+    or a TypeError."""
+    dims, weights, index, factors, specs = columns
+    if defect == "shape":
+        factors[-1][0] = np.eye(dims[-1] + 1) / (dims[-1] + 1)
+    elif defect == "factors":
+        factors = factors[:-1]
+    elif defect == "specs":
+        specs = specs[:-1]
+    weights = np.abs(weights) / max(np.abs(weights).sum(), 1.0)
+    if defect:
+        with pytest.raises(ValueError):
+            SeparableDecomposition(dims, weights, index, factors, specs)
+        return
+    dec = SeparableDecomposition(dims, weights, index, factors, specs)
+    target = DensityMatrix(np.eye(dims.size, dtype=complex) / dims.size, dims)
+    result = verify_decomposition(dec, target)
+    assert result.ok in (True, False) and (result.failure is None) == result.ok
+
+
+def _parsed():
+    rho = mixed_to_norm(DimVector((2, 3)), 0.9, np.random.default_rng(3))
+    return parse_decomposition_document(decomposition_document(sufficient_certificate(rho).witness))
+
+
+BUILDERS = {
+    "certificate": lambda: sufficient_certificate(
+        mixed_to_norm(DimVector((3, 2, 2)), 0.8, np.random.default_rng(2))
+    ).witness,
+    "werner": lambda: werner_separable_decomposition(3, 3, 0.05),
+    "cyclic-family": lambda: cyclic_family_decomposition(4, 3, [(1, 0), (1, 1), (3, 2)], [0, 1, 5]),
+    "parser": _parsed,
+    "from_terms": lambda: from_terms(
+        DimVector((2, 3)),
+        [ProductTerm(0.5, (np.eye(2), np.ones((3, 3)))), ProductTerm(0.5, (np.eye(2), np.eye(3)))],
+    ),
+    "from_terms-empty": lambda: from_terms(DimVector((2, 3)), ()),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_each_slot_is_one_complex_stack(build):
+    """factors[a] is one (K_a, d_a, d_a) complex array holding the K_a
+    entries that slot a's terms use."""
+    dec = build()
+    assert len(dec.factors) == len(dec.specs) == len(dec.dims)
+    for a, (d, slot, specs) in enumerate(zip(dec.dims, dec.factors, dec.specs)):
+        assert isinstance(slot, np.ndarray) and slot.dtype == complex
+        assert slot.shape == (len(specs), d, d)
+        assert sorted(set(dec.index[:, a].tolist())) == list(range(len(slot)))
 
 
 def traced(call):

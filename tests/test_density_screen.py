@@ -3,7 +3,8 @@
 ``verify_decomposition`` screens each slot's distinct factors as one stack
 and sends only the factors the screen does not pass to ``check_density``.
 Its verdict and failure string must equal the per-term reference verifier's
-on stacks that mix valid projections with every kind of defect, and
+on stacks that mix valid projections with every kind of defect but a wrong
+shape, which the decomposition refuses when it is built, and
 ``check_density``, which takes its verdict from the same screen, must raise
 what the original one-matrix check raised.
 """
@@ -181,6 +182,12 @@ class TestAgainstReferenceVerifier:
         clean = mixture(dims, n_terms, pool, seed)
         dims = DimVector(dims)
         target = DensityMatrix(reference_assemble(from_terms(dims, clean)), dims)
+        misshapen = sorted(a % len(dims) for kind, _, a in defects if kind == "wrong-shape")
+        if misshapen:
+            a = misshapen[0]
+            with pytest.raises(ValueError, match=f"slot {a}: a factor is not {dims[a]} x "):
+                from_terms(dims, with_defects(clean, defects, seed + 1))
+            defects = [defect for defect in defects if defect[0] != "wrong-shape"]
         dec = from_terms(dims, with_defects(clean, defects, seed + 1))
         new = verify_decomposition(dec, target, TOL)
         old = reference_verify(dec, target, TOL)
@@ -203,7 +210,12 @@ class TestAgainstReferenceVerifier:
         clean = mixture((2, 2), 6, 3, 8)
         dims = DimVector((2, 2))
         target = DensityMatrix(reference_assemble(from_terms(dims, clean)), dims)
-        dec = from_terms(dims, with_defects(clean, [(kind, 3, 1)], 9))
+        broken = with_defects(clean, [(kind, 3, 1)], 9)
+        if kind == "wrong-shape":
+            with pytest.raises(ValueError, match="slot 1: a factor is not 2 x 2"):
+                from_terms(dims, broken)
+            return
+        dec = from_terms(dims, broken)
         result = verify_decomposition(dec, target, TOL)
         assert result.failure == reference_verify(dec, target, TOL).failure
         assert result.ok == kind.endswith("-below")

@@ -1,10 +1,11 @@
 """The decomposition writer, which renders each distinct float once (by
-its bits, so -0.0 and 0.0 apart), fills each distinct factor's block from
+its bits, so -0.0 and 0.0 apart), fills each slot's factor blocks from
 those strings and writes CHUNK_TERMS terms at a time, against the one-pass
 indented encoder it replaces: the same bytes on certificate witnesses,
-Werner decompositions, parsed files, CLI output and random mixtures, no
-file on NaN or infinity, and a memory peak well below the file's size.
-The readers leave the cyclic collector as they found it."""
+Werner decompositions, parsed files, CLI output and random mixtures, files
+that read back bit-equal, no file on NaN, infinity, a misshapen factor or
+a missing slot, and a memory peak well below the file's size.  The readers
+leave the cyclic collector as they found it."""
 
 import gc
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from spinsep import (
     DimVector,
     ProductTerm,
+    SeparableDecomposition,
     sufficient_certificate,
     werner_separable_decomposition,
     werner_threshold,
@@ -148,22 +150,25 @@ def test_content_equal_factors_in_distinct_objects(tmp_path):
 
 
 def test_mixed_slot_dimensions(tmp_path):
-    """One 2x2 object in both 2-level slots and, malformed, in the 3-level
-    slot: each slot keeps its own entries, so the 3-level use is separate."""
+    """One 2x2 object in both 2-level slots: each slot keeps its own
+    entries, and each renders from its own d x d template.  The same
+    object in the 3-level slot is refused when the decomposition is built."""
     a = np.diag([0.25, 0.75]).astype(complex)
     b = np.eye(3, dtype=complex) / 3
+    c = np.diag([0.5, 0.25, 0.25]).astype(complex)
     dims = DimVector((2, 3, 2))
     terms = (
         ProductTerm(0.5, (a, b, a)),
-        ProductTerm(0.25, (a, a, np.array(a))),
+        ProductTerm(0.25, (a, c, np.array(a))),
         ProductTerm(0.25, (np.eye(2) / 2, b, a)),
     )
     dec = from_terms(dims, terms)
     assert dec.index.tolist() == [[0, 0, 0], [0, 1, 0], [1, 0, 0]]
-    shapes = [[f.shape for f in slot] for slot in dec.factors]
-    assert shapes == [[(2, 2)] * 2, [(3, 3), (2, 2)], [(2, 2)]]
+    assert [slot.shape for slot in dec.factors] == [(2, 2, 2), (2, 3, 3), (1, 2, 2)]
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
     assert_same_table(dec)
+    with pytest.raises(ValueError, match="slot 1: a factor is not 3 x 3"):
+        from_terms(dims, (ProductTerm(1.0, (a, a, a)),))
 
 
 FLOAT_FORMS = [-0.0, 0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308, 0.1 + 0.2]
@@ -190,15 +195,15 @@ def test_one_term_bytes(tmp_path):
 
 
 def test_non_square_factor_bytes(tmp_path):
-    """A factor whose shape is not its slot's square is rendered from a
-    template of its own shape."""
+    """A factor whose shape is not its slot's square is refused when the
+    decomposition is built, so the writer never renders one."""
     wide = np.arange(6).reshape(2, 3) / 6 + 0.5j
     terms = (
         ProductTerm(0.5, (wide, np.eye(2) / 2)),
         ProductTerm(0.5, (np.eye(2) / 2, wide.T)),
     )
-    dec = from_terms(DimVector((2, 2)), terms)
-    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+    with pytest.raises(ValueError, match="slot 0: a factor is not 2 x 2"):
+        from_terms(DimVector((2, 2)), terms)
 
 
 def test_one_encoder_call_per_factor_shape(tmp_path, rng, monkeypatch):
@@ -269,6 +274,20 @@ def test_random_decomposition_bytes(dec, tmp_path_factory):
     assert_same_table(dec)
 
 
+@given(dec=decompositions())
+@settings(max_examples=100, deadline=None)
+def test_written_files_read_back_bit_equal(dec, tmp_path_factory):
+    """Whatever finite decomposition the constructor accepts, the reader
+    takes back from the writer with the same weights and per-term factors,
+    bit for bit."""
+    path = tmp_path_factory.mktemp("round-trip") / "dec.json"
+    write_decomposition_file(path, dec)
+    parsed = read_decomposition_file(path)
+    assert parsed.weights.tobytes() == dec.weights.tobytes()
+    for a, (slot, read) in enumerate(zip(dec.factors, parsed.factors, strict=True)):
+        assert read[parsed.index[:, a]].tobytes() == slot[dec.index[:, a]].tobytes()
+
+
 class TestCliOutput:
     def test_certify_emit_decomposition(self, tmp_path, rng, capsys):
         rho = mixed_to_norm(DimVector((2, 2, 3)), 1.0, rng)
@@ -324,6 +343,24 @@ class TestRefusedWithoutAFile:
         assert all(np.isfinite(f).all() for slot in dec.factors[:2] for f in slot)
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError):
+            write_decomposition_file(path, dec)
+        assert not path.exists()
+
+    def test_misshapen_factor(self, tmp_path):
+        columns = {"factors": [[np.full((2, 3), 0.5)], [np.eye(2) / 2]], "specs": [[None]] * 2}
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError, match="slot 0: a factor is not 2 x 2"):
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            write_decomposition_file(path, dec)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("short", ["factors", "specs"])
+    def test_one_slot_too_few(self, tmp_path, short):
+        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
+        columns[short] = columns[short][:1]
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError):
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
             write_decomposition_file(path, dec)
         assert not path.exists()
 

@@ -140,23 +140,22 @@ class TestAgreesWithReference:
 
 @pytest.mark.parametrize("reshape", [True, False])
 def test_repeated_bytes_in_the_wrong_shape_or_slot_rejected(reshape):
-    """A factor equal in bytes to a valid one is still checked for its slot."""
+    """A factor equal in bytes to a valid one, but in the wrong shape or in
+    a slot of another dimension, is refused when the decomposition is built."""
     if reshape:
-        dims = DimVector((4, 2))
+        dims, named = DimVector((4, 2)), "slot 0: a factor is not 4 x 4"
         first = np.eye(4, dtype=complex) / 4
         second = (first.reshape(2, 8), np.eye(2, dtype=complex) / 2)
     else:
-        dims = DimVector((2, 3))
+        dims, named = DimVector((2, 3)), "slot 1: a factor is not 3 x 3"
         first = np.eye(2, dtype=complex) / 2
         second = (np.eye(2, dtype=complex) / 2, first)
     terms = (
         ProductTerm(0.5, (first, np.eye(dims[1], dtype=complex) / dims[1])),
         ProductTerm(0.5, second),
     )
-    target = DensityMatrix(np.eye(dims.size, dtype=complex) / dims.size, dims)
-    result = verify_decomposition(from_terms(dims, terms), target)
-    assert not result
-    assert result.failure.startswith("term 1, factor ")
+    with pytest.raises(ValueError, match=named):
+        from_terms(dims, terms)
 
 
 class TestNonFinite:
