@@ -65,13 +65,19 @@ class SeparableDecomposition:
     def __init__(self, dims: DimVector, weights, index, factors, specs):
         """From the columns; each slot keeps the entries that some term uses,
         in their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a
-        factor is not d_a x d_a, or if a column has not len(dims) slots."""
+        column has not len(dims) slots, or if a factor is not d_a x d_a: a
+        slot given as one (K, d, d) array is checked by its shape alone."""
         self.dims = dims
         self.weights = np.asarray(weights, dtype=float)
+        slots = {"index": np.shape(index)[-1], "factors": len(factors), "specs": len(specs)}
+        for name, n in slots.items():
+            if n != len(dims):
+                raise ValueError(f"{name} has {n} slot{'s' * (n != 1)}, dims has {len(dims)}")
         self.index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims)).copy()
         self.factors, self.specs = (), ()
-        for a, (d, c, f, s) in enumerate(zip(dims, self.index.T, factors, specs, strict=True)):
-            if any(np.shape(m) != (d, d) for m in f):
+        for a, (d, c, f, s) in enumerate(zip(dims, self.index.T, factors, specs)):
+            stack = isinstance(f, np.ndarray) and f.ndim == 3
+            if not ({f.shape[1:]} if stack else set(map(np.shape, f))) <= {(d, d)}:
                 raise ValueError(f"slot {a}: a factor is not {d} x {d}")
             used = np.bincount(c, minlength=len(f)) > 0
             self.index[:, a] = (np.cumsum(used) - 1)[c]

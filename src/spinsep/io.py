@@ -9,7 +9,8 @@ reproducible.  Decomposition files render each distinct float once, with
 no per-term encoder work, to the same bytes, and are written
 ``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``), so their
 whole text never exists.  Every reader parses with the cyclic garbage
-collector paused (see ``_read``).
+collector paused (see ``_read``); a decomposition read also converts each
+distinct number text once per file (see ``_Floats``), from the same bytes.
 """
 
 from __future__ import annotations
@@ -184,50 +185,57 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
     one stack, and each slot keeps its distinct factors (by bytes) in the
     order of first use."""
     dims, _ = _parse_header(doc, "terms")
-    raw_terms = doc["terms"]
+    raw_terms, b = doc["terms"], len(dims)
     if not isinstance(raw_terms, list):
         raise FileFormatError("terms must be a list")
     weights, term_factors, error = [], [], None
     for i, raw in enumerate(raw_terms):
         try:
-            weights.append(_term_weight(raw, i, len(dims)))
+            weights.append(_term_weight(raw, i, b))
         except ValueError as err:
             error = err
             break
         term_factors.append(raw["factors"])
     # A malformed factor of an earlier term is named before a bad term.
-    slots = list(zip(*term_factors)) or [()] * len(dims)
+    slots = list(zip(*term_factors)) or [()] * b
     stacks = _parse_stacks(slots, dims, "term {t}, factor {a}")
     if error is not None:
         raise error
-    index, factors = [], []
+    # Each term points at its factor's first use; the constructor keeps those.
+    index = []
     for stack, d in zip(stacks, dims):
         keys = stack.reshape(-1).view(np.dtype((np.void, 16 * d * d)))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        used = np.sort(first)
-        index.append(np.searchsorted(used, first[inverse]))
-        factors.append(stack[used])
-    specs = [(None,) * len(f) for f in factors]
-    return SeparableDecomposition(dims, weights, np.array(index).T, factors, specs)
+        index.append(first[inverse])
+    specs = [(None,) * len(weights)] * b
+    return SeparableDecomposition(dims, weights, np.array(index).T, stacks, specs)
 
 
-def _load(path) -> dict:
+class _Floats(dict):
+    """Number text -> its float, converted at first sight, for one read."""
+
+    def __missing__(self, text: str) -> float:
+        self[text] = value = float(text)
+        return value
+
+
+def _load(path, parse_float=None) -> dict:
     """The parsed document; FileFormatError naming ``path`` if the file is
     not UTF-8, not JSON, or nested too deeply to parse."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=parse_float)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise FileFormatError(f"{path}: {err}") from err
 
 
-def _read(path, parse):
-    """``parse`` of the document at ``path``, with the cyclic collector
+def _read(path, parse, parse_float=None):
+    """``parse`` of ``_load(path, parse_float)``, with the cyclic collector
     paused, then restored as it was: a parsed JSON tree has no cycles, but
     each of its lists counts towards a collection, which would free nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return parse(_load(path))
+        return parse(_load(path, parse_float))
     finally:
         if enabled:
             gc.enable()
@@ -317,7 +325,7 @@ def read_coefficients_file(path) -> SpinCoefficients:
 
 
 def read_decomposition_file(path) -> SeparableDecomposition:
-    return _read(path, parse_decomposition_document)
+    return _read(path, parse_decomposition_document, _Floats().__getitem__)
 
 
 def write_decomposition_file(path, dec: SeparableDecomposition) -> None:

@@ -5,7 +5,9 @@ indented encoder it replaces: the same bytes on certificate witnesses,
 Werner decompositions, parsed files, CLI output and random mixtures, files
 that read back bit-equal, no file on NaN, infinity, a misshapen factor or
 a missing slot, and a memory peak well below the file's size.  The readers
-leave the cyclic collector as they found it."""
+leave the cyclic collector as they found it.  A decomposition read converts
+each distinct number text once and reads every number form as json's own
+decoder does; density and coefficient reads keep that decoder."""
 
 import gc
 import json
@@ -359,8 +361,27 @@ class TestRefusedWithoutAFile:
         columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
         columns[short] = columns[short][:1]
         path = tmp_path / "dec.json"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{short} has 1 slot, dims has 2$"):
             dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            write_decomposition_file(path, dec)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("extra", ["factors", "specs"])
+    def test_one_slot_too_many(self, tmp_path, extra):
+        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
+        columns[extra] = columns[extra] * 2
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError, match=f"^{extra} has 4 slots, dims has 2$"):
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            write_decomposition_file(path, dec)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row, named", [([0], "1 slot"), ([0, 0, 0], "3 slots")])
+    def test_index_of_the_wrong_width(self, tmp_path, row, named):
+        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError, match=f"^index has {named}, dims has 2$"):
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [row], **columns)
             write_decomposition_file(path, dec)
         assert not path.exists()
 
@@ -386,6 +407,75 @@ def test_integer_too_large_for_a_double_is_format_error(where, named, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError, match=re.escape(named)):
         read_decomposition_file(path)
+
+
+# Number texts as a hand-written file may spell them: signed zeros, one
+# value in two spellings, exponents in both cases, the least subnormal, a
+# double's overflow, integers, and an integer too large for a double.
+NUMBER_FORMS = ["-0.0", "0.0", "1e-05", "0.00001", "1E2", "1e+2", "5e-324", "1e400", "1", "0"]
+HUGE = str(10**400)
+
+
+def number_form_documents():
+    """Two-term decomposition texts over dims (2,) whose factor entries,
+    taken together, spell every form; then every form as the first weight,
+    and the huge integer in each place of the first factor."""
+
+    def text(weight, places):
+        pairs = [f"[{places[i]}, {places[i + 1]}]" for i in range(0, len(places), 2)]
+        factors = [f"[[[{p[0]}, {p[1]}], [{p[2]}, {p[3]}]]]" for p in (pairs[:4], pairs[4:])]
+        terms = [f'{{"weight": {w}, "factors": {f}}}' for w, f in zip((weight, "0.5"), factors)]
+        return '{"format_version": 1, "dims": [2], "terms": [' + ", ".join(terms) + "]}"
+
+    places = (NUMBER_FORMS * 2)[:16]
+    docs = {"entries": text("0.5", places)}
+    docs.update({f"weight {w}": text(w, places) for w in NUMBER_FORMS})
+    docs["weight huge"] = text(HUGE, places)
+    for k in range(8):
+        docs[f"huge place {k}"] = text("0.5", places[:k] + [HUGE] + places[k + 1 :])
+    return docs
+
+
+@pytest.mark.parametrize("name, text", list(number_form_documents().items()))
+def test_number_forms_read_as_the_stock_decoder_reads_them(name, text, tmp_path):
+    path = tmp_path / "dec.json"
+    path.write_text(text)
+    try:
+        expected = spinsep.io.parse_decomposition_document(json.loads(text))
+    except FileFormatError as err:
+        with pytest.raises(FileFormatError) as info:
+            read_decomposition_file(path)
+        assert str(info.value) == str(err)
+        return
+    got = read_decomposition_file(path)
+    assert got.weights.tobytes() == expected.weights.tobytes()
+    assert got.index.tobytes() == expected.index.tobytes()
+    assert [f.tobytes() for f in got.factors] == [f.tobytes() for f in expected.factors]
+
+
+def test_the_float_table_is_used_where_it_pays(tmp_path, monkeypatch):
+    """One conversion per distinct number text of a Werner (3,3) file; the
+    density and coefficient readers never touch the table."""
+    missing, misses = spinsep.io._Floats.__missing__, []
+
+    def count(table, text):
+        misses.append(text)
+        return missing(table, text)
+
+    monkeypatch.setattr(spinsep.io._Floats, "__missing__", count)
+    path = tmp_path / "dec.json"
+    write_decomposition_file(path, werner_separable_decomposition(3, 3))
+    texts = set()
+    json.loads(path.read_text(), parse_float=lambda t: texts.add(t) or float(t))
+    read_decomposition_file(path)
+    assert len(misses) == len(set(misses)) == len(texts) > 1
+    misses.clear()
+    for key, (read, _, doc) in reader_cases().items():
+        if key != "terms":
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            read(path)
+    assert misses == []
 
 
 def reader_cases():
