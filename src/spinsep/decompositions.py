@@ -76,8 +76,8 @@ class SeparableDecomposition:
         self.index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims)).copy()
         self.factors, self.specs = (), ()
         for a, (d, c, f, s) in enumerate(zip(dims, self.index.T, factors, specs)):
-            stack = isinstance(f, np.ndarray) and f.ndim == 3
-            if not ({f.shape[1:]} if stack else set(map(np.shape, f))) <= {(d, d)}:
+            stacked = isinstance(f, np.ndarray) and f.ndim == 3
+            if not ({f.shape[1:]} if stacked else set(map(np.shape, f))) <= {(d, d)}:
                 raise ValueError(f"slot {a}: a factor is not {d} x {d}")
             used = np.bincount(c, minlength=len(f)) > 0
             self.index[:, a] = (np.cumsum(used) - 1)[c]

@@ -179,6 +179,25 @@ def test_misshapen_factor_refused_at_construction():
         from_terms(DimVector((4, 2)), (term,))
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 3, 3), (0, 3, 3), (3, 4), (3, 2, 2, 1)])
+def test_misshapen_stack_refused_at_construction(shape):
+    """A slot given as one array: a (K, d, d) stack is checked by its shape,
+    any other array factor by factor, with the same message."""
+    factors = [np.zeros(shape, dtype=complex), np.eye(2)[None] / 2]
+    with pytest.raises(ValueError, match="slot 0: a factor is not 2 x 2"):
+        SeparableDecomposition(
+            DimVector((2, 2)), [1.0], [[0, 0]], factors, [[None] * shape[0], [None]]
+        )
+
+
+def test_a_stacked_slot_is_owned():
+    stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    dec = SeparableDecomposition(DimVector((2,)), [0.5, 0.5], [[2], [1]], [stack], [[None] * 3])
+    assert not np.shares_memory(dec.factors[0], stack)
+    assert dec.factors[0].tobytes() == stack[1:].tobytes()
+    assert dec.index.tolist() == [[1], [0]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(columns=column_arguments(), defect=st.sampled_from([None, "shape", "factors", "specs"]))
 def test_refused_at_construction_or_verified_without_raising(columns, defect):

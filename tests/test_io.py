@@ -436,8 +436,11 @@ def number_form_documents():
     return docs
 
 
-@pytest.mark.parametrize("name, text", list(number_form_documents().items()))
-def test_number_forms_read_as_the_stock_decoder_reads_them(name, text, tmp_path):
+NUMBER_FORM_DOCUMENTS = number_form_documents()
+
+
+@pytest.mark.parametrize("text", NUMBER_FORM_DOCUMENTS.values(), ids=NUMBER_FORM_DOCUMENTS.keys())
+def test_number_forms_read_as_the_stock_decoder_reads_them(text, tmp_path):
     path = tmp_path / "dec.json"
     path.write_text(text)
     try:
