@@ -82,8 +82,7 @@ def distinct_case(terms: int, b: int, seed: int):
     weights /= weights.sum()
     factors = [s[:, :, None] * s[:, None, :].conj() for s in states]
     index = np.tile(np.arange(terms)[:, None], (1, b))
-    specs = [[None] * terms] * b
-    dec = SeparableDecomposition(DimVector((2,) * b), weights, index, factors, specs)
+    dec = SeparableDecomposition(DimVector((2,) * b), weights, index, factors)
     psi = states[0]
     for s in states[1:]:
         psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)

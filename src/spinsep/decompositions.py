@@ -6,11 +6,11 @@ factors across thousands of terms, so a decomposition is held by columns:
 
 - ``weights``, shape (T,): the weight of each term;
 - ``index``, shape (T, b): the entry of each slot that each term uses;
-- ``factors[a]``, a (K_a, d_a, d_a) complex stack, and ``specs[a]``: the
-  entries of slot a that its terms use, one per distinct (content, spec).
+- ``factors[a]``, a (K_a, d_a, d_a) complex stack: the entries of slot a
+  that its terms use.
 
 Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
-factors, specs)``, the only constructor, which refuses a factor that is not
+factors)``, the only constructor, which refuses a factor that is not
 d_a x d_a and a column without len(dims) slots.  Verification screens each
 slot's stack at once, and checks one at a time only the factors it rejects.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -34,22 +33,13 @@ from .linalg import (
     density_screen,
 )
 
-if TYPE_CHECKING:
-    from .projections import ProjectionSpec
-
 
 @dataclass(frozen=True)
 class ProductTerm:
-    """One weighted product state: weight * factor_1 (x) ... (x) factor_b.
-
-    ``factor_specs`` optionally records, per factor, which subgroup
-    projection produced it (None for factors that are not subgroup
-    projections, e.g. local maximally mixed states).
-    """
+    """One weighted product state: weight * factor_1 (x) ... (x) factor_b."""
 
     weight: float
     factors: tuple[np.ndarray, ...]
-    factor_specs: Optional[tuple[Optional["ProjectionSpec"], ...]] = None
 
 
 class SeparableDecomposition:
@@ -60,42 +50,33 @@ class SeparableDecomposition:
     weights: np.ndarray
     index: np.ndarray
     factors: tuple[np.ndarray, ...]
-    specs: tuple[tuple[Optional["ProjectionSpec"], ...], ...]
 
-    def __init__(self, dims: DimVector, weights, index, factors, specs):
+    def __init__(self, dims: DimVector, weights, index, factors):
         """From the columns; each slot keeps the entries that some term uses,
         in their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a
         column has not len(dims) slots, or if a factor is not d_a x d_a: a
         slot given as one (K, d, d) array is checked by its shape alone."""
         self.dims = dims
         self.weights = np.asarray(weights, dtype=float)
-        slots = {"index": np.shape(index)[-1], "factors": len(factors), "specs": len(specs)}
-        for name, n in slots.items():
+        for name, n in (("index", np.shape(index)[-1]), ("factors", len(factors))):
             if n != len(dims):
                 raise ValueError(f"{name} has {n} slot{'s' * (n != 1)}, dims has {len(dims)}")
         self.index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims)).copy()
-        self.factors, self.specs = (), ()
-        for a, (d, c, f, s) in enumerate(zip(dims, self.index.T, factors, specs)):
+        self.factors = ()
+        for a, (d, c, f) in enumerate(zip(dims, self.index.T, factors)):
             stacked = isinstance(f, np.ndarray) and f.ndim == 3
             if not ({f.shape[1:]} if stacked else set(map(np.shape, f))) <= {(d, d)}:
                 raise ValueError(f"slot {a}: a factor is not {d} x {d}")
             used = np.bincount(c, minlength=len(f)) > 0
             self.index[:, a] = (np.cumsum(used) - 1)[c]
             self.factors += (np.asarray(f, dtype=complex).reshape(-1, d, d)[used],)
-            self.specs += (tuple(s[k] for k in np.flatnonzero(used)),)
 
     @cached_property
     def terms(self) -> tuple[ProductTerm, ...]:
-        """The terms as ProductTerms, built on first use from the columns;
-        a term without specs has ``factor_specs`` None."""
+        """The terms as ProductTerms, built on first use from the columns."""
         cols = self.index.T.tolist()
         factors = zip(*[[slot[k] for k in col] for slot, col in zip(self.factors, cols)])
-        specs = zip(*[[slot[k] for k in col] for slot, col in zip(self.specs, cols)])
-        none = (None,) * len(self.dims)
-        return tuple(
-            ProductTerm(w, f, None if s == none else s)
-            for w, f, s in zip(self.weights.tolist(), factors, specs)
-        )
+        return tuple(map(ProductTerm, self.weights.tolist(), factors))
 
     def assemble(self) -> np.ndarray:
         """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.
@@ -196,14 +177,14 @@ def verify_decomposition(
         if not math.isfinite(weight):
             return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
         return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
-    lows, suspects = [], []
+    lows, rejected = [], []
     for a, slot in enumerate(dec.factors):
         ok, _, _, lo = density_screen(slot, tol)
         if not ok.all():
             at = np.unique(dec.index[:, a], return_index=True)[1]
-            suspects += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
+            rejected += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
         lows.append(lo)
-    for i, a, k in sorted(suspects):
+    for i, a, k in sorted(rejected):
         try:
             check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
         except InvalidDensityError as err:

@@ -207,8 +207,7 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
         keys = stack.reshape(-1).view(np.dtype((np.void, 16 * d * d)))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         index.append(first[inverse])
-    specs = [(None,) * len(weights)] * b
-    return SeparableDecomposition(dims, weights, np.array(index).T, stacks, specs)
+    return SeparableDecomposition(dims, weights, np.array(index).T, stacks)
 
 
 class _Floats(dict):

@@ -138,7 +138,7 @@ def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomp
     offsets = digit_table(dims)
     offsets = offsets[offsets.sum(axis=1) % d == 0]
     weights = np.full(len(offsets), 1.0 / d ** (n - 1))
-    return SeparableDecomposition(dims, weights, offsets, factors, specs)
+    return SeparableDecomposition(dims, weights, offsets, factors)
 
 
 def cyclic_family_density(
@@ -151,8 +151,8 @@ def cyclic_family_density(
     ``cyclic_family_decomposition(d, n, u_vec, r_vec)``.
     """
     dec = cyclic_family_decomposition(d, n, u_vec, r_vec)
-    # Entry 0 of each slot carries the unshifted offset r_i.
-    acc = sum(kron_all(_generator_power(slot[0], m) for slot in dec.specs) for m in range(d))
+    gens = [ProjectionSpec(d, u, r) for u, r in zip(u_vec, r_vec)]
+    acc = sum(kron_all(_generator_power(g, m) for g in gens) for m in range(d))
     return check_density(acc / dec.dims.size, dec.dims), dec
 
 

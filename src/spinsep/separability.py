@@ -160,19 +160,18 @@ def _label_table(d: int) -> tuple:
     """Expansion maps of every label j*d + k of a d-level factor, read-only.
 
     S_{j,k} = sum_l beta omega_l P_u(l) over d projections of distinct
-    content.  Contents are numbered in first-seen (label, offset) order and
-    keep their first spec: (1, 2) and (2, 1) for d = 3 reach equal
-    projections.  Returns the (d^2, K) maps E[L, c] = beta omega_l and
-    C[L, c] = 1 where offset l of label L has content c, the K specs and
-    their projections.
+    content.  Contents are numbered in first-seen (label, offset) order:
+    (1, 2) and (2, 1) for d = 3 reach equal projections.  Returns the
+    (d^2, K) maps E[L, c] = beta omega_l and C[L, c] = 1 where offset l of
+    label L has content c, and the K projections.
     """
-    content: dict[bytes, tuple[int, ProjectionSpec]] = {}
+    content: dict[bytes, tuple[int, np.ndarray]] = {}
     entries = []
     for label in range(d * d):
         u, t, beta = _reduced_generator(d, *divmod(label, d))
         for w, r in expand_spin_power(ProjectionSpec(d, u), t):
-            spec = ProjectionSpec(d, u, r)
-            c, _ = content.setdefault(subgroup_projection(spec).tobytes(), (len(content), spec))
+            p = subgroup_projection(ProjectionSpec(d, u, r))
+            c, _ = content.setdefault(p.tobytes(), (len(content), p))
             entries.append((label, c, beta * w))
     rows, cols, values = zip(*entries)
     phases = np.zeros((d * d, len(content)), dtype=complex)
@@ -180,8 +179,7 @@ def _label_table(d: int) -> tuple:
     phases[rows, cols], hits[rows, cols] = values, 1.0
     for a in (phases, hits):
         a.setflags(write=False)
-    specs = tuple(spec for _, spec in content.values())
-    return phases, hits, specs, tuple(subgroup_projection(s) for s in specs)
+    return phases, hits, tuple(p for _, p in content.values())
 
 
 def sufficient_certificate(
@@ -200,7 +198,7 @@ def sufficient_certificate(
     the maps of ``_label_table``.  The witness holds, once each and in C
     order over the per-slot content indices, every product whose merged
     weight reaches WEIGHT_FLOOR (a content that several generators reach
-    keeps the spec seen first), then the leftover norm budget as a
+    is one entry), then the leftover norm budget as a
     uniform-mixture term.  Above the bound the verdict is inconclusive.
     The witness is verified; VerificationError reports a failure, for
     example under a tolerance too tight for double rounding.
@@ -232,13 +230,12 @@ def sufficient_certificate(
     # The uniform residual, if any, is the last term.
     residual = int(1.0 - norm > WEIGHT_FLOOR)
     parts = np.append(merged[index], [1.0 - norm] * residual)
-    columns, factors, specs = [], [], []
-    for c, d, (*_, spec_d, factor_d) in zip(index, dims, tables):
-        columns.append(np.append(c, [len(spec_d)] * residual))
-        specs.append(spec_d + (None,) * residual)
+    columns, factors = [], []
+    for c, d, (*_, factor_d) in zip(index, dims, tables):
+        columns.append(np.append(c, [len(factor_d)] * residual))
         factors.append(factor_d + (np.eye(d, dtype=complex) / d,) * residual)
     weights = parts / math.fsum(parts.tolist())
-    dec = SeparableDecomposition(dims, weights, np.column_stack(columns), factors, specs)
+    dec = SeparableDecomposition(dims, weights, np.column_stack(columns), factors)
     result = verify_decomposition(dec, rho, tol)
     if not result:
         raise VerificationError(f"internal decomposition failed verification: {result.failure}")

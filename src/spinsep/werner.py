@@ -99,8 +99,11 @@ def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
 
 def werner_bound(p: int, n: int) -> float:
     """1/(1 + p^(n-1)): the threshold for prime p, a necessary-condition
-    bound otherwise.  ValueError when p^(n-1) overflows a double."""
+    bound otherwise.  ValueError when p^(n-1) overflows a double; the lower
+    bound 2^((p.bit_length() - 1)(n - 1)) finds most cases before the power."""
     try:
+        if (p.bit_length() - 1) * (n - 1) >= 1024:
+            raise OverflowError
         return 1.0 / (1.0 + p ** (n - 1))
     except OverflowError:
         raise ValueError(
@@ -143,16 +146,14 @@ def werner_separable_decomposition(
     if p == 2:
         r[:, 0] = rows.sum(axis=1) // 2 % 2
     # Every slot is offered the same entries, and keeps those in use: the
-    # diagonal projections, P_{(j, 1)}(o) at p + j*(p + 1) + o for o <= p,
-    # and the residual.
+    # diagonal projections, P_{(j, 1)}(o) at p + j*p + o for o < p, and the residual.
     specs = [ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for j in range(p)]
-    specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p + 1)]
-    blocks = p + ((rows * (p + 1) + r)[:, None, :] + rows[None, :, :]).reshape(-1, n)
+    specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p)]
+    blocks = (p + rows[:, None] * p + (r[:, None] + rows[None]) % p).reshape(-1, n)
     residual = int(1.0 - mu > 1e-15)
     block = mu / (1 + p ** (n - 1)) * (1.0 / p ** (n - 1))
     weights = [mu / (p * (1 + p ** (n - 1)))] * p + [block] * len(blocks) + [1.0 - mu] * residual
     diagonal = np.repeat(np.arange(p)[:, None], n, axis=1)
     index = np.vstack([diagonal, blocks, np.full((residual, n), len(specs))])
     factors = [subgroup_projection(sp) for sp in specs] + [np.eye(p, dtype=complex) / p] * residual
-    specs += [None] * residual
-    return SeparableDecomposition(dims, weights, index, [factors] * n, [specs] * n)
+    return SeparableDecomposition(dims, weights, index, [factors] * n)

@@ -1,7 +1,16 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from spinsep import DimVector, random_density
+from spinsep import (
+    DimVector,
+    ProjectionSpec,
+    SpinLabel,
+    random_density,
+    subgroup_projection,
+    valid_generator,
+)
 
 
 @pytest.fixture
@@ -25,3 +34,30 @@ def mixed_to_norm(dims: DimVector, target: float, rng):
     n = dims.size
     m = lam * rho0.matrix + (1.0 - lam) * np.eye(n) / n
     return check_density(m, dims)
+
+
+@lru_cache(maxsize=None)
+def projection_bytes(d: int) -> frozenset:
+    """The bytes of every subgroup projection P_u(r) of a d-level system."""
+    return frozenset(
+        subgroup_projection(ProjectionSpec(d, SpinLabel(j, k), r)).tobytes()
+        for j in range(d)
+        for k in range(d)
+        if valid_generator(d, j, k)
+        for r in range(d)
+    )
+
+
+def residual_flags(dec) -> list:
+    """Per term, whether it is the uniform residual: its factors are all
+    I/d_a.  Asserts that every factor of every other term is bit-identical
+    to a subgroup projection of its slot's d; those have rank one, so no
+    other term can match."""
+    mixed = [(np.eye(d, dtype=complex) / d).tobytes() for d in dec.dims]
+    flags = []
+    for term in dec.terms:
+        blobs = [f.tobytes() for f in term.factors]
+        flags.append(blobs == mixed)
+        if not flags[-1]:
+            assert all(blob in projection_bytes(d) for blob, d in zip(blobs, dec.dims))
+    return flags

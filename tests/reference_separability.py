@@ -90,8 +90,7 @@ def reference_reduced_generator(d, j, k):
 
 
 def _projection(d, j, k, r):
-    spec = ProjectionSpec(d, SpinLabel(j, k), r)
-    return subgroup_projection(spec).tobytes(), spec
+    return subgroup_projection(ProjectionSpec(d, SpinLabel(j, k), r))
 
 
 def reference_certificate(rho):
@@ -137,22 +136,20 @@ def reference_certificate(rho):
                     _projection(d_i, u.j, u.k, l)
                     for d_i, (u, _), l in zip(dims, gens, offsets)
                 ]
-                key = tuple(content for content, _ in parts)
+                key = tuple(p.tobytes() for p in parts)
                 entry = merged.get(key)
                 if entry is None:
-                    merged[key] = [weight, tuple(spec for _, spec in parts)]
+                    merged[key] = [weight, tuple(parts)]
                 else:
                     entry[0] += weight
     terms = [
-        ProductTerm(weight, tuple(subgroup_projection(sp) for sp in specs), specs)
-        for weight, specs in merged.values()
+        ProductTerm(weight, factors)
+        for weight, factors in merged.values()
         if weight >= WEIGHT_FLOOR
     ]
     residual = 1.0 - norm
     if residual > WEIGHT_FLOOR:
-        terms.append(
-            ProductTerm(residual, tuple(np.eye(d, dtype=complex) / d for d in dims), None)
-        )
+        terms.append(ProductTerm(residual, tuple(np.eye(d, dtype=complex) / d for d in dims)))
     total = math.fsum(term.weight for term in terms)
-    terms = [ProductTerm(t.weight / total, t.factors, t.factor_specs) for t in terms]
+    terms = [ProductTerm(t.weight / total, t.factors) for t in terms]
     return from_terms(dims, tuple(terms)), raw

@@ -557,6 +557,15 @@ class TestWernerCommand:
         assert f"--p {p} --n 2000" in captured.err
         assert "1/(1 + p^(n-1))" in captured.err
 
+    def test_huge_n_exits_3_at_once(self, capsys):
+        assert main(["werner", "--p", "3", "--n", "10000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --p 3 --n 10000000: p^(n-1) overflows a double, "
+            "so 1/(1 + p^(n-1)) cannot be computed\n"
+        )
+
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli
 

@@ -1,8 +1,8 @@
 """Decompositions held by columns: the builders' columns against those
 ``from_terms`` derives from the same terms, one (K_a, d_a, d_a) complex
-stack per slot from every builder, a misshapen factor refused at
-construction, failing factors named at the first term that uses them,
-and assembly against the per-term reference."""
+stack of pairwise distinct entries per slot from every builder, a
+misshapen factor refused at construction, failing factors named at the
+first term that uses them, and assembly against the per-term reference."""
 
 import tracemalloc
 
@@ -26,19 +26,15 @@ from spinsep import (
 )
 from spinsep.io import decomposition_document, parse_decomposition_document
 
-from conftest import mixed_to_norm
+from conftest import mixed_to_norm, residual_flags
 from reference_terms import from_terms
 from reference_verifier import reference_assemble
 
 
 def per_term(dec):
-    """(weight, factor shapes and bytes, specs) of every term, read from the columns."""
+    """(weight, factor shapes and bytes) of every term, read from the columns."""
     return [
-        (
-            w,
-            [(dec.factors[a][k].shape, dec.factors[a][k].tobytes()) for a, k in enumerate(row)],
-            [dec.specs[a][k] for a, k in enumerate(row)],
-        )
+        (w, [(dec.factors[a][k].shape, dec.factors[a][k].tobytes()) for a, k in enumerate(row)])
         for w, row in zip(dec.weights.tolist(), dec.index.tolist())
     ]
 
@@ -46,9 +42,10 @@ def per_term(dec):
 def assert_rebuilds(dec):
     rebuilt = from_terms(dec.dims, dec.terms)
     assert per_term(rebuilt) == per_term(dec)
-    # Each slot holds one entry per distinct (content, spec) that its terms use.
+    # Each slot holds one entry per distinct content that its terms use.
     assert [len(slot) for slot in dec.factors] == [len(slot) for slot in rebuilt.factors]
-    assert [len(slot) for slot in dec.specs] == [len(slot) for slot in dec.factors]
+    # Every factor outside the residual, the last term if any, is a subgroup projection.
+    assert not any(residual_flags(dec)[:-1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,9 +68,6 @@ def test_werner_columns_rebuild(pn, fraction):
     p, n = pn
     dec = werner_separable_decomposition(p, n, fraction * werner_threshold(p, n))
     assert_rebuilds(dec)
-    specs = [s for _, _, term in per_term(dec) for s in term]
-    # Offsets r + l stay unreduced: for p = 2 the first slot reaches offset 2.
-    assert max(s.r for s in specs if s is not None) == (2 if p == 2 else p - 1)
 
 
 @st.composite
@@ -92,10 +86,9 @@ def test_cyclic_family_columns_rebuild(family):
     assert_rebuilds(cyclic_family_decomposition(*family))
 
 
-def test_all_none_specs_come_back_as_none():
+def test_residual_is_the_only_maximally_mixed_term():
     dec = werner_separable_decomposition(2, 2, 0.1)
-    assert dec.terms[-1].factor_specs is None
-    assert all(t.factor_specs is not None for t in dec.terms[:-1])
+    assert residual_flags(dec) == [False] * (len(dec.weights) - 1) + [True]
 
 
 def test_signed_zeros_stay_distinct_entries():
@@ -125,7 +118,6 @@ class TestFailingFactorNamedAtFirstUse:
             [0.25, 0.25, 0.5],
             [[1, 0], [1, 1], [0, 0]],
             [[first_bad, self.good], [self.good, self.bad]],
-            [[None, None], [None, None]],
         )
         result = verify_decomposition(dec, self.target)
         assert not result
@@ -158,9 +150,8 @@ def column_arguments(draw):
         [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(k)]
         for d, k in zip(dims, sizes)
     ]
-    specs = [[None] * k for k in sizes]
     weights = rng.standard_normal(terms)
-    return DimVector(tuple(dims)), weights, index, factors, specs
+    return DimVector(tuple(dims)), weights, index, factors
 
 
 def random_columns():
@@ -185,38 +176,36 @@ def test_misshapen_stack_refused_at_construction(shape):
     any other array factor by factor, with the same message."""
     factors = [np.zeros(shape, dtype=complex), np.eye(2)[None] / 2]
     with pytest.raises(ValueError, match="slot 0: a factor is not 2 x 2"):
-        SeparableDecomposition(
-            DimVector((2, 2)), [1.0], [[0, 0]], factors, [[None] * shape[0], [None]]
-        )
+        SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], factors)
 
 
 def test_a_stacked_slot_is_owned():
     stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    dec = SeparableDecomposition(DimVector((2,)), [0.5, 0.5], [[2], [1]], [stack], [[None] * 3])
+    dec = SeparableDecomposition(DimVector((2,)), [0.5, 0.5], [[2], [1]], [stack])
     assert not np.shares_memory(dec.factors[0], stack)
     assert dec.factors[0].tobytes() == stack[1:].tobytes()
     assert dec.index.tolist() == [[1], [0]]
 
 
 @settings(max_examples=40, deadline=None)
-@given(columns=column_arguments(), defect=st.sampled_from([None, "shape", "factors", "specs"]))
+@given(columns=column_arguments(), defect=st.sampled_from([None, "shape", "factors", "index"]))
 def test_refused_at_construction_or_verified_without_raising(columns, defect):
     """A misshapen factor or a missing slot raises ValueError when the
     decomposition is built; what is built gets a verdict, not an IndexError
     or a TypeError."""
-    dims, weights, index, factors, specs = columns
+    dims, weights, index, factors = columns
     if defect == "shape":
         factors[-1][0] = np.eye(dims[-1] + 1) / (dims[-1] + 1)
     elif defect == "factors":
         factors = factors[:-1]
-    elif defect == "specs":
-        specs = specs[:-1]
+    elif defect == "index":
+        index = index[:, :-1]
     weights = np.abs(weights) / max(np.abs(weights).sum(), 1.0)
     if defect:
         with pytest.raises(ValueError):
-            SeparableDecomposition(dims, weights, index, factors, specs)
+            SeparableDecomposition(dims, weights, index, factors)
         return
-    dec = SeparableDecomposition(dims, weights, index, factors, specs)
+    dec = SeparableDecomposition(dims, weights, index, factors)
     target = DensityMatrix(np.eye(dims.size, dtype=complex) / dims.size, dims)
     result = verify_decomposition(dec, target)
     assert result.ok in (True, False) and (result.failure is None) == result.ok
@@ -232,6 +221,8 @@ BUILDERS = {
         mixed_to_norm(DimVector((3, 2, 2)), 0.8, np.random.default_rng(2))
     ).witness,
     "werner": lambda: werner_separable_decomposition(3, 3, 0.05),
+    "werner-2-3": lambda: werner_separable_decomposition(2, 3),
+    "werner-2-6": lambda: werner_separable_decomposition(2, 6),
     "cyclic-family": lambda: cyclic_family_decomposition(4, 3, [(1, 0), (1, 1), (3, 2)], [0, 1, 5]),
     "parser": _parsed,
     "from_terms": lambda: from_terms(
@@ -247,11 +238,20 @@ def test_each_slot_is_one_complex_stack(build):
     """factors[a] is one (K_a, d_a, d_a) complex array holding the K_a
     entries that slot a's terms use."""
     dec = build()
-    assert len(dec.factors) == len(dec.specs) == len(dec.dims)
-    for a, (d, slot, specs) in enumerate(zip(dec.dims, dec.factors, dec.specs)):
+    assert len(dec.factors) == len(dec.dims)
+    for a, (d, slot) in enumerate(zip(dec.dims, dec.factors)):
         assert isinstance(slot, np.ndarray) and slot.dtype == complex
-        assert slot.shape == (len(specs), d, d)
+        assert slot.ndim == 3 and slot.shape[1:] == (d, d)
         assert sorted(set(dec.index[:, a].tolist())) == list(range(len(slot)))
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_each_slot_holds_each_content_once(build):
+    """No two entries of a slot have the same bytes, so ``from_terms``
+    rebuilds as many entries as the builder holds."""
+    dec = build()
+    for slot in dec.factors:
+        assert len({f.tobytes() for f in slot}) == len(slot)
 
 
 def traced(call):
@@ -276,8 +276,7 @@ def test_assemble_scratch_memory_with_distinct_factors():
     terms, dims = 300, DimVector((2,) * 7)
     factors = [list(rng.standard_normal((terms, 2, 2)) / 2 + 0j) for _ in dims]
     index = np.tile(np.arange(terms)[:, None], (1, len(dims)))
-    specs = [[None] * terms] * len(dims)
-    dec = SeparableDecomposition(dims, rng.random(terms), index, factors, specs)
+    dec = SeparableDecomposition(dims, rng.random(terms), index, factors)
     assembled, peak = traced(dec.assemble)
     assert peak < 5e6
     assert np.abs(assembled - reference_assemble(dec)).max() <= 1e-12

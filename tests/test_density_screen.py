@@ -297,7 +297,7 @@ def test_verify_memory_stays_bounded():
     factors = [s[:, :, None] * s[:, None, :].conj() for s in states]
     index = np.tile(np.arange(terms)[:, None], (1, b))
     dims = DimVector((2,) * b)
-    dec = SeparableDecomposition(dims, weights, index, factors, [[None] * terms] * b)
+    dec = SeparableDecomposition(dims, weights, index, factors)
     psi = states[0]
     for s in states[1:]:
         psi = (psi[:, :, None] * s[:, None, :]).reshape(terms, -1)

@@ -58,27 +58,23 @@ def written_bytes(dec, path) -> bytes:
 
 
 def slot_reference(dims, terms):
-    """Per slot, the distinct (shape, bytes, spec) of the terms' factors in
+    """Per slot, the distinct (shape, bytes) of the terms' factors in
     first-seen order, and each term's position among them."""
     keys, rows = [{} for _ in dims], []
     for term in terms:
-        specs = term.factor_specs or (None,) * len(dims)
         row = []
-        for a, (f, spec) in enumerate(zip(term.factors, specs)):
+        for a, f in enumerate(term.factors):
             f = np.asarray(f, dtype=complex)
-            row.append(keys[a].setdefault((f.shape, f.tobytes(), spec), len(keys[a])))
+            row.append(keys[a].setdefault((f.shape, f.tobytes()), len(keys[a])))
         rows.append(row)
     return [list(k) for k in keys], rows
 
 
 def assert_same_table(dec):
-    """The columns hold the terms' factors and specs, one entry per
-    distinct (shape, bytes, spec) in each slot."""
+    """The columns hold the terms' factors, one entry per distinct
+    (shape, bytes) in each slot."""
     keys, rows = slot_reference(dec.dims, dec.terms)
-    entries = [
-        [(f.shape, f.tobytes(), spec) for f, spec in zip(fs, ss)]
-        for fs, ss in zip(dec.factors, dec.specs)
-    ]
+    entries = [[(f.shape, f.tobytes()) for f in fs] for fs in dec.factors]
     assert [len(e) for e in entries] == [len(set(e)) for e in entries] == [len(k) for k in keys]
     assert dec.index.shape == (len(rows), len(dec.dims))
     for t, row in enumerate(rows):
@@ -349,39 +345,37 @@ class TestRefusedWithoutAFile:
         assert not path.exists()
 
     def test_misshapen_factor(self, tmp_path):
-        columns = {"factors": [[np.full((2, 3), 0.5)], [np.eye(2) / 2]], "specs": [[None]] * 2}
+        factors = [[np.full((2, 3), 0.5)], [np.eye(2) / 2]]
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError, match="slot 0: a factor is not 2 x 2"):
-            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], factors)
             write_decomposition_file(path, dec)
         assert not path.exists()
 
-    @pytest.mark.parametrize("short", ["factors", "specs"])
+    @pytest.mark.parametrize("short", ["factors"])
     def test_one_slot_too_few(self, tmp_path, short):
-        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
-        columns[short] = columns[short][:1]
+        factors = [[np.eye(2) / 2]]
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError, match=f"^{short} has 1 slot, dims has 2$"):
-            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], factors)
             write_decomposition_file(path, dec)
         assert not path.exists()
 
-    @pytest.mark.parametrize("extra", ["factors", "specs"])
+    @pytest.mark.parametrize("extra", ["factors"])
     def test_one_slot_too_many(self, tmp_path, extra):
-        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
-        columns[extra] = columns[extra] * 2
+        factors = [[np.eye(2) / 2]] * 4
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError, match=f"^{extra} has 4 slots, dims has 2$"):
-            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], **columns)
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, 0]], factors)
             write_decomposition_file(path, dec)
         assert not path.exists()
 
     @pytest.mark.parametrize("row, named", [([0], "1 slot"), ([0, 0, 0], "3 slots")])
     def test_index_of_the_wrong_width(self, tmp_path, row, named):
-        columns = {"factors": [[np.eye(2) / 2]] * 2, "specs": [[None]] * 2}
+        factors = [[np.eye(2) / 2]] * 2
         path = tmp_path / "dec.json"
         with pytest.raises(ValueError, match=f"^index has {named}, dims has 2$"):
-            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [row], **columns)
+            dec = SeparableDecomposition(DimVector((2, 2)), [1.0], [row], factors)
             write_decomposition_file(path, dec)
         assert not path.exists()
 

@@ -1,10 +1,13 @@
 """The public names of ``spinsep``: the paper's named objects and the
 decomposition types stay exported, and the helpers that only tests call
 live under ``tests/`` instead, so a later move cannot drop or keep one
-silently."""
+silently.  The decomposition types hold weights, index and factors only."""
 
+import dataclasses
 import importlib
+import inspect
 
+import numpy as np
 import pytest
 
 import spinsep
@@ -44,3 +47,19 @@ def test_reference_names_are_gone(module, name):
 
 def test_one_decomposition_constructor():
     assert not hasattr(spinsep.SeparableDecomposition, "from_columns")
+
+
+def test_product_term_fields():
+    assert [f.name for f in dataclasses.fields(spinsep.ProductTerm)] == ["weight", "factors"]
+
+
+def test_constructor_takes_four_columns():
+    params = list(inspect.signature(spinsep.SeparableDecomposition.__init__).parameters)
+    assert params == ["self", "dims", "weights", "index", "factors"]
+
+
+def test_specs_keyword_refused():
+    with pytest.raises(TypeError):
+        spinsep.SeparableDecomposition(
+            spinsep.DimVector((2,)), [1.0], [[0]], [[np.eye(2) / 2]], specs=[[None]]
+        )

@@ -331,7 +331,7 @@ def test_empty_terms_read_back_as_zero_columns(tmp_path):
     dec = read_decomposition_file(path)
     assert dec.weights.shape == (0,) and dec.index.shape == (0, 2)
     assert [(f.shape, f.dtype) for f in dec.factors] == [((0, 2, 2), complex), ((0, 3, 3), complex)]
-    assert dec.specs == ((), ()) and dec.terms == ()
+    assert dec.terms == ()
     empty = dec.assemble()
     assert empty.shape == (6, 6) and empty.dtype == complex and not empty.any()
     target = DensityMatrix(np.eye(6, dtype=complex) / 6, DimVector((2, 3)))

@@ -258,7 +258,6 @@ class TestCyclicFamily:
         assert len(dec.terms) == len(paired.terms) == len(expected)
         for term, other, specs in zip(dec.terms, paired.terms, expected):
             assert term.weight == other.weight == 1.0 / d ** (n - 1)
-            assert term.factor_specs == other.factor_specs == specs
             for f, g, spec in zip(term.factors, other.factors, specs):
                 assert np.array_equal(f, g) and np.array_equal(f, subgroup_projection(spec))
 

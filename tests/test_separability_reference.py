@@ -24,7 +24,7 @@ from spinsep import (
 )
 from spinsep.separability import WEIGHT_FLOOR
 
-from conftest import mixed_to_norm
+from conftest import mixed_to_norm, residual_flags
 from reference_separability import reference_certificate, reference_necessary
 
 TOL = Tolerance()
@@ -57,8 +57,8 @@ def assert_same_witness(rho):
     assert got.keys() == want.keys()
     for key, weight in want.items():
         assert abs(got[key] - weight) <= WEIGHT_BOUND
-    residual = ref.terms[-1].factor_specs is None
-    last = [term.factor_specs is None for term in dec.terms]
+    residual = residual_flags(ref)[-1]
+    last = residual_flags(dec)
     assert last == [False] * (len(last) - residual) + [True] * residual
     return dec, raw
 
@@ -99,7 +99,7 @@ def test_d3_generators_merge_as_in_reference():
         dims, [(((1, 2), (0, 1)), 0.1 + 0.05j), (((1, 1), (0, 2)), -0.08 + 0.1j)]
     )
     dec, raw = assert_same_witness(rho)
-    assert dec.terms[-1].factor_specs is None
+    assert residual_flags(dec)[-1]
     assert len(dec.terms) - 1 < raw
 
 

@@ -10,7 +10,6 @@ from spinsep import (
     ind_set,
     necessary_check,
     spin_l1_norm,
-    subgroup_projection,
     to_spin,
     verify_decomposition,
     werner_density,
@@ -18,6 +17,10 @@ from spinsep import (
     werner_spin_coeffs,
     werner_threshold,
 )
+
+from spinsep.werner import werner_bound
+
+from conftest import residual_flags
 
 PRIME_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]
 
@@ -149,11 +152,9 @@ class TestSeparableDecomposition:
         assert result, result.failure
 
     def test_factors_regenerate_from_specs(self):
+        # every factor is bit-identical to a subgroup projection; no residual
         dec = werner_separable_decomposition(3, 2)
-        for term in dec.terms:
-            assert term.factor_specs is not None
-            for factor, spec in zip(term.factors, term.factor_specs):
-                assert np.array_equal(factor, subgroup_projection(spec))
+        assert not any(residual_flags(dec))
 
     def test_sub_threshold_convex_mixture(self):
         p, n, s = 3, 2, 0.1
@@ -203,3 +204,18 @@ class TestEndToEndThresholdBehaviour:
             dec = werner_separable_decomposition(p, n, s)
             w = werner_density(WernerSpec(p, n, s))
             assert verify_decomposition(dec, w)
+
+
+class _NoPower(int):
+    """An int whose powers cannot be formed."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError("p^(n-1) was formed")
+
+
+def test_overflowing_bound_found_before_the_power():
+    with pytest.raises(ValueError, match=r"^--p 3 --n 10000000: p\^\(n-1\) overflows a double"):
+        werner_bound(_NoPower(3), 10_000_000)
+    # Below the bit-length guard the power is formed exactly, as before.
+    with pytest.raises(AssertionError):
+        werner_bound(_NoPower(3), 600)
