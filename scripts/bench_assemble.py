@@ -9,8 +9,10 @@ factors.  The script then records, per case, the best wall time of
 ``--repeat`` calls to ``assemble``, the tracemalloc peak of one more call,
 the largest entrywise distance of the result from the target density, and
 the best wall time of ``--repeat`` calls to ``verify_decomposition``
-against it.  Run as a script, the BLAS runs on one thread unless the
-environment says otherwise.
+against it.  For a certificate witness it also records ``build_s``, the
+best wall time of ``--repeat`` builds, and ``build_peak_mb``, the
+tracemalloc peak of one more, both with verification off.  Run as a
+script, the BLAS runs on one thread unless the environment says otherwise.
 
 Usage: python scripts/bench_assemble.py --out BENCH.json [--cases werner-3-5,...]
 """
@@ -60,7 +62,28 @@ def werner_case(p: int, n: int):
     return werner_separable_decomposition(p, n), target
 
 
-def mixed_case(dims: tuple[int, ...], seed: int):
+def best_time(repeat: int, call):
+    """The best wall time of ``repeat`` calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def traced_peak_mb(call) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def mixed_case(dims: tuple[int, ...], seed: int, repeat: int):
+    """The witness, its target and the witness's build figures."""
     dims = DimVector(dims)
     rho0 = random_density(dims, np.random.default_rng(seed))
     lam = NORM / spin_l1_norm(to_spin(rho0))
@@ -69,7 +92,9 @@ def mixed_case(dims: tuple[int, ...], seed: int):
     # Verification would assemble the witness once more before timing starts.
     accept = mock.Mock(return_value=VerificationResult(True))
     with mock.patch.object(separability, "verify_decomposition", accept):
-        return sufficient_certificate(rho).witness, rho
+        build_s, report = best_time(repeat, lambda: sufficient_certificate(rho))
+        peak = traced_peak_mb(lambda: sufficient_certificate(rho))
+    return report.witness, rho, {"build_s": build_s, "build_peak_mb": peak}
 
 
 def distinct_case(terms: int, b: int, seed: int):
@@ -90,28 +115,14 @@ def distinct_case(terms: int, b: int, seed: int):
 
 
 def measure(dec, target, repeat: int) -> dict:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        matrix = dec.assemble()
-        best = min(best, time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        dec.assemble()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    verify = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = verify_decomposition(dec, target)
-        verify = min(verify, time.perf_counter() - start)
+    best, matrix = best_time(repeat, dec.assemble)
+    verify, result = best_time(repeat, lambda: verify_decomposition(dec, target))
     return {
         "dims": list(dec.dims),
         "terms": len(dec.weights),
         "distinct_factors": [len(slot) for slot in dec.factors],
         "assemble_s": best,
-        "peak_mb": peak / 1e6,
+        "peak_mb": traced_peak_mb(dec.assemble),
         "defect": float(np.abs(matrix - target.matrix).max()),
         "verify_s": verify,
         "verified": result.ok,
@@ -136,17 +147,18 @@ def main() -> None:
 
     cases = {}
     for name in names:
+        build = {}
         if name in WERNER:
             dec, target = werner_case(*WERNER[name])
         elif name in MIXED:
-            dec, target = mixed_case(MIXED[name], args.seed)
+            dec, target, build = mixed_case(MIXED[name], args.seed, args.repeat)
         else:
             dec, target = distinct_case(*DISTINCT[name], args.seed)
-        cases[name] = measure(dec, target, args.repeat)
-        case = cases[name]
+        cases[name] = case = {**measure(dec, target, args.repeat), **build}
+        built = f", build {case['build_s']:.4f} s, {case['build_peak_mb']:.1f} MB" if build else ""
         print(
             f"{name}: {case['assemble_s']:.4f} s, {case['peak_mb']:.1f} MB,"
-            f" verify {case['verify_s']:.4f} s"
+            f" verify {case['verify_s']:.4f} s{built}"
         )
     doc = {
         "repeat": args.repeat,

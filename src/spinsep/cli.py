@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -219,15 +220,20 @@ def cmd_werner(args, tol: Tolerance) -> int:
         s = s_star
 
     rho = werner_density(WernerSpec(p, n, s))
-    if args.output is not None:
-        _emit_document(density_document(rho.matrix, rho.dims), args.output)
-
-    if args.emit_decomposition:
-        dec = werner_separable_decomposition(p, n, s)
-        result = verify_decomposition(dec, rho, tol)
-        if not result:
-            raise VerificationError(f"decomposition failed verification: {result.failure}")
+    dec = werner_separable_decomposition(p, n, s) if args.emit_decomposition else None
+    if dec is not None and not (result := verify_decomposition(dec, rho, tol)):
+        raise VerificationError(f"decomposition failed verification: {result.failure}")
+    if dec is not None:
         write_decomposition_file(args.emit_decomposition, dec)
+    if args.output is not None:
+        try:
+            _emit_document(density_document(rho.matrix, rho.dims), args.output)
+        except OSError:
+            # A failed run leaves no output: the decomposition file goes too.
+            if dec is not None:
+                Path(args.emit_decomposition).unlink(missing_ok=True)
+            raise
+    if dec is not None:
         print(f"wrote {args.emit_decomposition} ({len(dec.weights)} terms, verified)")
     return EXIT_OK
 

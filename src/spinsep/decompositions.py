@@ -10,8 +10,8 @@ factors across thousands of terms, so a decomposition is held by columns:
   that its terms use.
 
 Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
-factors)``, the only constructor, which refuses a factor that is not
-d_a x d_a and a column without len(dims) slots.  Verification screens each
+factors)``, the only constructor, which refuses a misshapen factor or column
+and an index entry outside its slot's stack.  Verification screens each
 slot's stack at once, and checks one at a time only the factors it rejects.
 """
 
@@ -52,23 +52,29 @@ class SeparableDecomposition:
     factors: tuple[np.ndarray, ...]
 
     def __init__(self, dims: DimVector, weights, index, factors):
-        """From the columns; each slot keeps the entries that some term uses,
-        in their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a
-        column has not len(dims) slots, or if a factor is not d_a x d_a: a
-        slot given as one (K, d, d) array is checked by its shape alone."""
+        """From the columns; each slot keeps the entries that some term uses, in
+        their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a column
+        has not len(dims) slots, a non-empty index has no integer dtype, an entry of
+        slot a is outside 0..K_a - 1, or a factor is not d_a x d_a, by shape for a stack."""
         self.dims = dims
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights, index = np.asarray(weights, dtype=float), np.asarray(index)
         for name, n in (("index", np.shape(index)[-1]), ("factors", len(factors))):
             if n != len(dims):
                 raise ValueError(f"{name} has {n} slot{'s' * (n != 1)}, dims has {len(dims)}")
-        self.index = np.asarray(index, dtype=np.intp).reshape(len(self.weights), len(dims)).copy()
-        self.factors = ()
-        for a, (d, c, f) in enumerate(zip(dims, self.index.T, factors)):
+        if index.size and index.dtype.kind not in "iu":
+            raise ValueError(f"slot 0: index entries are {index.dtype}, not integers")
+        index = index.reshape(len(self.weights), len(dims))
+        self.index, self.factors = index.astype(np.intp, order="C"), ()
+        # Each slot's range is read from the given column: no copy, no wrap.
+        for a, (d, given, f) in enumerate(zip(dims, index.T, factors)):
             stacked = isinstance(f, np.ndarray) and f.ndim == 3
             if not ({f.shape[1:]} if stacked else set(map(np.shape, f))) <= {(d, d)}:
                 raise ValueError(f"slot {a}: a factor is not {d} x {d}")
-            used = np.bincount(c, minlength=len(f)) > 0
-            self.index[:, a] = (np.cumsum(used) - 1)[c]
+            for v in (given.min(), given.max()) if len(given) else ():
+                if not 0 <= v < len(f):
+                    raise ValueError(f"slot {a}: index entry {v} is outside 0..{len(f) - 1}")
+            used = np.bincount(self.index[:, a], minlength=len(f)) > 0
+            self.index[:, a] = (np.cumsum(used) - 1)[self.index[:, a]]
             self.factors += (np.asarray(f, dtype=complex).reshape(-1, d, d)[used],)
 
     @cached_property

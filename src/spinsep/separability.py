@@ -157,13 +157,13 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
 
 @lru_cache(maxsize=None)
 def _label_table(d: int) -> tuple:
-    """Expansion maps of every label j*d + k of a d-level factor, read-only.
+    """Expansion map of every label j*d + k of a d-level factor, read-only.
 
     S_{j,k} = sum_l beta omega_l P_u(l) over d projections of distinct
     content.  Contents are numbered in first-seen (label, offset) order:
     (1, 2) and (2, 1) for d = 3 reach equal projections.  Returns the
-    (d^2, K) maps E[L, c] = beta omega_l and C[L, c] = 1 where offset l of
-    label L has content c, and the K projections.
+    (d^2, K) map E[L, c] = beta omega_l, of modulus one, where offset l of
+    label L has content c and 0 elsewhere, and the K projections.
     """
     content: dict[bytes, tuple[int, np.ndarray]] = {}
     entries = []
@@ -175,11 +175,9 @@ def _label_table(d: int) -> tuple:
             entries.append((label, c, beta * w))
     rows, cols, values = zip(*entries)
     phases = np.zeros((d * d, len(content)), dtype=complex)
-    hits = np.zeros((d * d, len(content)))
-    phases[rows, cols], hits[rows, cols] = values, 1.0
-    for a in (phases, hits):
-        a.setflags(write=False)
-    return phases, hits, tuple(p for _, p in content.values())
+    phases[rows, cols] = values
+    phases.setflags(write=False)
+    return phases, tuple(p for _, p in content.values())
 
 
 def sufficient_certificate(
@@ -195,13 +193,13 @@ def sufficient_certificate(
     mult * (|s| + Re(s prod_a beta_a omega_a(l_a))) / N.  That weight
     factorises over the slots, so the merged weight of each product of
     projection contents is one contraction of the spin table per slot with
-    the maps of ``_label_table``.  The witness holds, once each and in C
-    order over the per-slot content indices, every product whose merged
-    weight reaches WEIGHT_FLOOR (a content that several generators reach
-    is one entry), then the leftover norm budget as a
-    uniform-mixture term.  Above the bound the verdict is inconclusive.
-    The witness is verified; VerificationError reports a failure, for
-    example under a tolerance too tight for double rounding.
+    the maps of ``_label_table``.  Each slot's grid axis gains I/d_a as a
+    last entry; the corner holds the residual 1 - l1 if above WEIGHT_FLOOR,
+    else 0.  The witness holds, once each and in C order, every grid point
+    of weight at least WEIGHT_FLOOR (a content that several generators
+    reach is one entry), so the residual is last.  Above the bound the
+    verdict is inconclusive.  The witness is verified; VerificationError
+    reports a failure, as under a tolerance too tight for double rounding.
     """
     dims = rho.dims
     n, b = dims.size, len(dims)
@@ -221,21 +219,16 @@ def sufficient_certificate(
     s = s.reshape([d * d for d in dims])
     tables = [_label_table(d) for d in dims]
     phased, modulus = s, np.abs(s)
-    for phases, hits, *_ in tables:
+    for phases, _ in tables:
         phased = np.tensordot(phased, phases, axes=(0, 0))
-        modulus = np.tensordot(modulus, hits, axes=(0, 0))
-    merged = (modulus + phased.real) / n
-    index = np.nonzero(merged >= WEIGHT_FLOOR)
-
-    # The uniform residual, if any, is the last term.
-    residual = int(1.0 - norm > WEIGHT_FLOOR)
-    parts = np.append(merged[index], [1.0 - norm] * residual)
-    columns, factors = [], []
-    for c, d, (*_, factor_d) in zip(index, dims, tables):
-        columns.append(np.append(c, [len(factor_d)] * residual))
-        factors.append(factor_d + (np.eye(d, dtype=complex) / d,) * residual)
+        modulus = np.tensordot(modulus, phases != 0, axes=(0, 0))
+    merged = np.pad((modulus + phased.real) / n, (0, 1))
+    merged[(-1,) * b] = 1.0 - norm if 1.0 - norm > WEIGHT_FLOOR else 0.0
+    index = np.argwhere(merged >= WEIGHT_FLOOR)
+    parts = merged[tuple(index.T)]
+    factors = [(*p, np.eye(d, dtype=complex) / d) for d, (_, p) in zip(dims, tables)]
     weights = parts / math.fsum(parts.tolist())
-    dec = SeparableDecomposition(dims, weights, np.column_stack(columns), factors)
+    dec = SeparableDecomposition(dims, weights, index, factors)
     result = verify_decomposition(dec, rho, tol)
     if not result:
         raise VerificationError(f"internal decomposition failed verification: {result.failure}")

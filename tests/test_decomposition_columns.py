@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
@@ -187,19 +187,51 @@ def test_a_stacked_slot_is_owned():
     assert dec.index.tolist() == [[1], [0]]
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (2, "slot 1: index entry 2 is outside 0..1"),
+        (-1, "slot 1: index entry -1 is outside 0..1"),
+        (1.5, "slot 0: index entries are float64, not integers"),
+    ],
+    ids=["out-of-range", "negative", "fractional"],
+)
+def test_index_entry_outside_its_slot_refused_at_construction(entry, message):
+    """An index entry that names no entry of its slot, or an index that is
+    not of an integer dtype, raises ValueError naming the slot, instead of
+    an IndexError, a bincount error or a silent truncation."""
+    mixed, up = np.eye(2) / 2, np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SeparableDecomposition(DimVector((2, 2)), [1.0], [[0, entry]], [[mixed], [mixed, up]])
+
+
+INDEX_DEFECTS = ("out-of-range", "negative", "fractional")
+
+
 @settings(max_examples=40, deadline=None)
-@given(columns=column_arguments(), defect=st.sampled_from([None, "shape", "factors", "index"]))
+@given(
+    columns=column_arguments(),
+    defect=st.sampled_from([None, "shape", "factors", "index", *INDEX_DEFECTS]),
+)
 def test_refused_at_construction_or_verified_without_raising(columns, defect):
-    """A misshapen factor or a missing slot raises ValueError when the
-    decomposition is built; what is built gets a verdict, not an IndexError
-    or a TypeError."""
+    """A misshapen factor, a missing slot or an index entry outside its slot
+    raises ValueError when the decomposition is built; what is built gets a
+    verdict, not an IndexError or a TypeError."""
     dims, weights, index, factors = columns
+    assume(defect not in INDEX_DEFECTS or len(index))
     if defect == "shape":
         factors[-1][0] = np.eye(dims[-1] + 1) / (dims[-1] + 1)
     elif defect == "factors":
         factors = factors[:-1]
     elif defect == "index":
         index = index[:, :-1]
+    elif defect == "out-of-range":
+        index[-1, -1] = len(factors[-1])
+    elif defect == "negative":
+        index[0, 0] = -1
+    elif defect == "fractional":
+        index = index + 0.0
+        index[-1, -1] += 0.5
     weights = np.abs(weights) / max(np.abs(weights).sum(), 1.0)
     if defect:
         with pytest.raises(ValueError):

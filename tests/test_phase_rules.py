@@ -85,10 +85,10 @@ def test_every_subgroup_projection_is_bit_identical(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_label_table_is_bit_identical(d):
-    phases, hits, projections = _label_table(d)
+    phases, projections = _label_table(d)
     ref_phases, ref_hits, ref_projections = reference_label_table(d)
     assert np.array_equal(phases, ref_phases)
     assert phases.tobytes() == ref_phases.tobytes()
-    assert np.array_equal(hits, ref_hits)
+    assert np.array_equal(phases != 0, ref_hits)
     for got, ref in zip(projections, ref_projections, strict=True):
         assert got.tobytes() == ref.tobytes()

@@ -51,6 +51,17 @@ def test_bench_assemble(monkeypatch, capsys, tmp_path):
     case = json.loads(out.read_text())["cases"]["werner-3-5"]
     assert case["dims"] == [3] * 5 and case["terms"] == 6564
     assert case["assemble_s"] > 0 and case["peak_mb"] > 0 and case["defect"] < 1e-12
+    assert "build_s" not in case and "build_peak_mb" not in case
+
+
+def test_bench_assemble_times_the_witness_build(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--cases", "mixed-3^5", "--repeat", "1"]
+    run_script("bench_assemble", argv, monkeypatch)
+    assert ", build " in capsys.readouterr().out
+    case = json.loads(out.read_text())["cases"]["mixed-3^5"]
+    assert case["dims"] == [3] * 5 and case["verified"] is True
+    assert case["build_s"] > 0 and case["build_peak_mb"] > case["peak_mb"] > 0
 
 
 @pytest.mark.parametrize(
