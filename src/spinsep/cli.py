@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands wrap the library constructors and certificates around the JSON
-file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic
-error (dims, primality, permutation, a --tol below 2.2e-16 or above 1e-2,
-werner --p, --n or --s out of range, output with NaN or infinite entries, a
-built decomposition failing its own verification, as under a --tol too
-tight for double rounding, certify checks that contradict each other, or a
-request too large to allocate), 4 invalid density (any certify input, or
-transform --strict, including an eigenvalue solve that fails on entries
-too large).
+file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
+(dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
+werner --p, --n or --s out of range, a --p from 3317044064679887385961981 up
+that no Miller-Rabin base 2..41 shows composite, NaN or infinite output, a
+built decomposition failing its own verification, as under a --tol too tight
+for double rounding, certify checks that contradict each other, or a request
+too large to allocate), 4 invalid density (any certify input, or transform
+--strict, including a failed eigenvalue solve).
 """
 
 from __future__ import annotations

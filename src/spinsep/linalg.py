@@ -1,5 +1,6 @@
-"""Dense complex-matrix substrate: tolerances, density validation (one
-stacked screen for many matrices), partial transpose, random densities."""
+"""Dense complex-matrix substrate: tolerances, density validation (a stacked
+eigvalsh screen, after a Cholesky factorisation of H + tau I for one matrix,
+tau = abs_eps - 2n(n+1)u (2 nu + abs_eps)), partial transpose, random densities."""
 
 from __future__ import annotations
 
@@ -66,9 +67,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match dims product {self.dims.size}"
             )
-        bad = np.argwhere(~np.isfinite(m))
-        if len(bad):
-            i, j = bad[0]
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
             raise InvalidDensityError(
                 f"non-finite entry {m[i, j]} at ({i}, {j})", float(abs(m[i, j]))
             )
@@ -112,21 +112,39 @@ def check_density(
 ) -> DensityMatrix:
     """Validate a matrix as a density and return it wrapped with its dims.
 
-    Its verdict is ``density_screen`` on a stack of one.  A violation raises
-    NotHermitianError, TraceError, NegativeEigenvalueError, or, for a NaN or
-    infinite entry or a failed solve (as when (m + m^dag)/2 overflows),
-    InvalidDensityError, each carrying the worst offending value.
+    Its verdict is ``density_screen`` on a stack of one: the lowest eigenvalue
+    lo of H = (m + m^dag)/2 passes at -abs_eps.  A matrix that passes the
+    Hermitian and trace gates returns at once if 2(H + tau I) factorises
+    (doubling is exact), since then lo >= -abs_eps.  With c = 2n(n+1)u,
+    nu = 1.5 n max(|Re m_ij|, |Im m_ij|) >= n max|h_ij| >= ||H||_2 and
+    tau = abs_eps - c (2 nu + abs_eps), the rounded shift and the
+    factorisation's backward error (Higham, Accuracy and Stability of
+    Numerical Algorithms, 10.1) total at most c (nu + tau), and lo errs by
+    at most c nu, generously.  The trace gate makes nu >= ~1.5, so tau > 0
+    keeps n(n+1)u < ~abs_eps / 6: these first-order bounds hold.  Else the
+    spectrum decides.  A violation raises NotHermitianError, TraceError,
+    NegativeEigenvalueError, or, for a NaN or infinite entry or a failed
+    solve, InvalidDensityError, each carrying the worst offending value.
     """
     rho = DensityMatrix(np.array(m, dtype=complex), dims)
-    ok, asym, tr, lo = (x.item() for x in density_screen(rho.matrix[None], tol))
+    m, eps, n = rho.matrix, tol.abs_eps, len(rho.matrix)
+    parts, mh = m.view(float), np.conj(m.T, order="C")
+    tau = eps - n * (n + 1) * math.ulp(1.0) * (3 * n * float(max(parts.max(), -parts.min())) + eps)
+    if tau > 0 and np.abs(m - mh).max() <= eps and abs(m.trace() - 1.0) <= eps:
+        twice = np.add(m, mh, out=mh)  # 2H: H halves it exactly, but for subnormals
+        twice.flat[:: n + 1] += 2 * tau
+        with suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(twice.T)  # conj(twice), same spectrum, read in column order
+            return rho
+    ok, asym, tr, lo = (x.item() for x in density_screen(m[None], tol))
     if ok:
         return rho
-    if not asym <= tol.abs_eps:
+    if not asym <= eps:
         raise NotHermitianError(f"not Hermitian: worst |m - m^dag| entry is {asym:.3e}", asym)
-    if not abs(tr - 1.0) <= tol.abs_eps:
+    if not abs(tr - 1.0) <= eps:
         raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
     if not math.isfinite(lo):
-        big = float(np.abs(rho.matrix).max())
+        big = float(np.abs(m).max())
         message = f"eigenvalue solve failed; largest entry magnitude is {big:.3e}"
         raise InvalidDensityError(message, big)
     raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)

@@ -44,15 +44,22 @@ class WernerSpec:
         return DimVector((self.d,) * self.n)
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981  # psi_13 (Sorenson and Webster)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate at desk scale."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin on PRIME_BASES, exact below PRIME_LIMIT.  At or above it a
+    base that witnesses compositeness still decides; otherwise ValueError."""
+    if n < 42:
+        return n in PRIME_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d with d odd
+    for b in PRIME_BASES:
+        x = pow(b, (n - 1) >> r, n)  # b is a witness unless x is 1 or squares to n - 1
+        if x != 1 and n - 1 not in [x] + [x := x * x % n for _ in range(r - 1)]:
             return False
-        f += 1
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"cannot tell if {n} is prime: the test is exact only below {PRIME_LIMIT}")
     return True
 
 

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from spinsep import (
 import spinsep.cli
 from spinsep.cli import main
 from spinsep.composite import kron_all
+from spinsep.werner import PRIME_LIMIT
 from spinsep.io import (
     coefficients_document,
     density_document,
@@ -512,6 +514,25 @@ class TestWernerCommand:
         assert main(["werner", "--p", "4", "--n", "2"]) == 0
         out = capsys.readouterr().out
         assert "necessary-condition bound" in out
+
+    def test_large_prime_p_answers_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["werner", "--p", str(2**61 - 1), "--n", "2"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == f"separability threshold: {1 / (1 + (2**61 - 1))!r}\n"
+
+    def test_huge_composite_p_reports_bound(self, capsys):
+        assert main(["werner", "--p", str(10**30), "--n", "2"]) == 0
+        assert capsys.readouterr().out.startswith("necessary-condition bound: ")
+
+    @pytest.mark.parametrize("p", [PRIME_LIMIT, 2**89 - 1], ids=["psi13", "mersenne-89"])
+    def test_undecidable_p_exits_3_naming_the_limit(self, capsys, p):
+        assert main(["werner", "--p", str(p), "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot tell if {p} is prime: the test is exact only below {PRIME_LIMIT}\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--output", "--emit-decomposition"])
     def test_request_too_large_to_allocate_exits_3(self, tmp_path, capsys, flag):

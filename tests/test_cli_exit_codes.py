@@ -26,7 +26,7 @@ from spinsep.io import coefficients_document, density_document, document_text
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
-HUGE = [10**30, -(10**30), 2**63, 2**64 + 1]
+HUGE = [10**30, -(10**30), 2**63, 2**64 + 1, 2**61 - 1, 2**89 - 1]
 FLOATS = ["nan", "NaN", "inf", "-inf", "-0.0", "1e999", "1e-320", "0x10", "", "abc"]
 TOLS = ["1e-9", "1e-6", "2.2e-16", "1e-17", "0.01", "0.02", "0", *FLOATS]
 LISTS = ["", ",", "2,", ",2", "2,,2", "a,b", "2.0,2", "1e1", " 2 , 2 ", "2;2", f"{10**30},2"]

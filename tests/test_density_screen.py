@@ -9,7 +9,6 @@ shape, which the decomposition refuses when it is built, and
 what the original one-matrix check raised.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -20,13 +19,9 @@ from hypothesis import strategies as st
 from spinsep import (
     DensityMatrix,
     DimVector,
-    InvalidDensityError,
-    NegativeEigenvalueError,
-    NotHermitianError,
     ProductTerm,
     SeparableDecomposition,
     Tolerance,
-    TraceError,
     WernerSpec,
     sufficient_certificate,
     verify_decomposition,
@@ -36,39 +31,13 @@ from spinsep import (
 from spinsep.linalg import check_density, density_screen
 
 from conftest import mixed_to_norm
+from reference_density import outcome, reference_check_density
 from reference_terms import from_terms
 from reference_verifier import reference_assemble, reference_verify
 
 TOL = Tolerance()
 EPS = TOL.abs_eps
 SHAPES = [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (4, 2)]
-
-
-def reference_check_density(m, dims, tol=TOL):
-    """The original one-matrix density check, invariant by invariant."""
-    rho = DensityMatrix(np.array(m, dtype=complex), dims)
-    m = rho.matrix
-    asym = np.abs(m - m.conj().T).max()
-    if asym > tol.abs_eps:
-        raise NotHermitianError(
-            f"not Hermitian: worst |m - m^dag| entry is {asym:.3e}", float(asym)
-        )
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.abs_eps:
-        raise TraceError(f"trace is {tr:.17g}, expected 1", abs(tr - 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        except np.linalg.LinAlgError:
-            lo = math.nan
-        if not math.isfinite(lo):
-            big = float(np.abs(m).max())
-            raise InvalidDensityError(
-                f"eigenvalue solve failed; largest entry magnitude is {big:.3e}", big
-            )
-    if lo < -tol.abs_eps:
-        raise NegativeEigenvalueError(f"negative eigenvalue {lo:.3e}", lo)
-    return rho
 
 
 def projection(d, rng):
@@ -152,14 +121,6 @@ def with_defects(terms, defects, seed):
         factors[a] = DEFECTS[kind](np.array(factors[a]), rng)
         terms[i] = ProductTerm(terms[i].weight, tuple(factors))
     return terms
-
-
-def outcome(check, m, dims):
-    try:
-        check(m, dims)
-    except (InvalidDensityError, ValueError) as err:
-        return type(err), str(err), repr(getattr(err, "worst", None))
-    return None
 
 
 class TestAgainstReferenceVerifier:

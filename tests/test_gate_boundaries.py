@@ -2,11 +2,15 @@
 its bound: a factor eigenvalue, the weight sum and the reconstruction
 defect in ``verify_decomposition`` (at the default tolerance and under a
 ``--tol`` override), the spin-norm bound of ``sufficient_certificate``,
-and its rule that keeps the uniform residual only above WEIGHT_FLOOR.
+its rules that keep the uniform residual only above WEIGHT_FLOOR and a
+spin coefficient only at or above it, and the closed range of ``--tol``.
 
 Each input sits at 0.5x (inside) and 2x (outside) its bound, so loosening
 any of these comparisons tenfold, or closing the residual's open bound,
-makes one of these cases fail."""
+makes one of these cases fail.  ``--tol`` is taken exactly at MIN_TOL and
+MAX_TOL and one double outside each."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +21,10 @@ from spinsep import (
     DensityMatrix,
     DimVector,
     SeparableDecomposition,
+    SpinCoefficients,
     WernerSpec,
+    check_density,
+    from_spin,
     spin_l1_norm,
     sufficient_certificate,
     to_spin,
@@ -25,7 +32,7 @@ from spinsep import (
     werner_density,
 )
 from spinsep import separability
-from spinsep.cli import _tolerance
+from spinsep.cli import MAX_TOL, MIN_TOL, _tolerance, main
 from spinsep.separability import INCONCLUSIVE, NORM_SLACK, WEIGHT_FLOOR
 
 TOLERANCES = [DEFAULT_TOLERANCE, _tolerance(1e-6)]
@@ -117,3 +124,41 @@ def test_residual_exactly_at_the_floor_is_dropped(monkeypatch):
     rho = werner_at_norm(1.0 - 2.0 * WEIGHT_FLOOR)
     monkeypatch.setattr(separability, "WEIGHT_FLOOR", 1.0 - spin_l1_norm(to_spin(rho)))
     assert holds_residual(sufficient_certificate(rho).witness) == (False, False)
+
+
+@pytest.mark.parametrize("scale, kept", [(0.5, False), (2.0, True)], ids=["absent", "present"])
+def test_coefficient_floor(scale, kept):
+    """I/4 plus one spin coefficient c at label (1, 2): the witness carries c
+    only when |c| >= WEIGHT_FLOOR."""
+    c = scale * WEIGHT_FLOOR
+    table = np.zeros((4, 4), dtype=complex)
+    table[0, 0], table[1, 2] = 1.0, c
+    m = from_spin(SpinCoefficients(DIMS, table))
+    rho = check_density((m + m.conj().T) / 2, DIMS)
+    assert to_spin(rho).table[1, 2] == pytest.approx(c, rel=1e-6)
+    dec = sufficient_certificate(rho).witness
+    carried = to_spin(DensityMatrix(dec.assemble(), DIMS)).table[1, 2]
+    assert (len(dec.weights) > 1) is kept
+    assert carried == pytest.approx(c if kept else 0.0, rel=1e-6, abs=1e-3 * WEIGHT_FLOOR)
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        (MIN_TOL, 0),
+        (MAX_TOL, 0),
+        (math.nextafter(MIN_TOL, 0.0), 3),
+        (math.nextafter(MAX_TOL, 1.0), 3),
+    ],
+    ids=["min", "max", "below-min", "above-max"],
+)
+def test_tol_range_is_closed(capsys, value, code):
+    assert main(["--tol", repr(value), "werner", "--p", "2", "--n", "2"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            f"error: --tol must be finite, at least {MIN_TOL:.3g} and at most {MAX_TOL:.3g}, "
+            f"got {value!r}\n"
+        )
+    else:
+        assert err == ""

@@ -108,3 +108,32 @@ def test_bench_assemble_times_verification(monkeypatch, capsys, tmp_path):
     assert " verify " in capsys.readouterr().out
     case = json.loads(out.read_text())["cases"]["distinct-2^7"]
     assert case["verified"] is True and case["verify_s"] > 0
+
+
+def test_bench_psd(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--sizes", "2^5", "--repeat", "1", "--rounds", "1"]
+    run_script("bench_psd", argv, monkeypatch)
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    doc = json.loads(out.read_text())
+    case = doc["cases"]["2^5"]
+    assert doc["threads"] == doc["rounds"] == 1 and case["dims"] == [2] * 5
+    assert case["screen_s"] > 0 and case["eigvalsh_s"] > 0
+    assert case["speedup"] == case["eigvalsh_s"] / case["screen_s"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--sizes", "2^9"], "--sizes: unknown size '2^9'"),
+        (["--repeat", "0"], "--repeat must be at least 1"),
+        (["--rounds", "0"], "--rounds must be at least 1"),
+    ],
+)
+def test_bench_psd_bad_argument(monkeypatch, capsys, tmp_path, argv, named):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        run_script("bench_psd", ["--out", str(out), *argv], monkeypatch)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

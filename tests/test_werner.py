@@ -18,7 +18,7 @@ from spinsep import (
     werner_threshold,
 )
 
-from spinsep.werner import werner_bound
+from spinsep.werner import PRIME_LIMIT, is_prime, werner_bound
 
 from conftest import residual_flags
 
@@ -219,3 +219,30 @@ def test_overflowing_bound_found_before_the_power():
     # Below the bit-length guard the power is formed exactly, as before.
     with pytest.raises(AssertionError):
         werner_bound(_NoPower(3), 600)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-3, 20_000) if is_prime(n)] == [
+            n for n in range(-3, 20_000) if trial_division(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n", [2047, 3215031751, 3825123056546413051, 318665857834031151167461],
+        ids=["psi1", "psi4", "psi9", "psi12"],
+    )
+    def test_strong_pseudoprimes_below_the_limit_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [10**9 + 7, 2**31 - 1, 2**61 - 1])
+    def test_primes_below_the_limit(self, n):
+        assert is_prime(n)
+
+    def test_limit_is_psi13(self):
+        with pytest.raises(ValueError, match=f"exact only below {PRIME_LIMIT}$"):
+            is_prime(PRIME_LIMIT)
+        assert not is_prime(PRIME_LIMIT + 1)
