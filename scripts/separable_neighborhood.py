@@ -53,7 +53,7 @@ def main() -> None:
         radii.append(lam)
 
     radii = np.array(radii)
-    print(f"dims={dims.dims}  N={n}  samples={args.samples}")
+    print(f"dims={dims}  N={n}  samples={args.samples}")
     print(f"certified mixing radius lambda*: min={radii.min():.4f}  "
           f"mean={radii.mean():.4f}  max={radii.max():.4f}")
     print("every blend at lambda* was certified with a verified decomposition")

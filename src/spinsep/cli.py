@@ -317,7 +317,7 @@ def _tolerance(value: float | None) -> Tolerance:
         raise ValueError(
             f"--tol must be finite, at least {MIN_TOL:.3g} and at most {MAX_TOL:.3g}, got {value!r}"
         )
-    return Tolerance(abs_eps=value, reconstruction_eps=10 * value)
+    return Tolerance(value)
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,6 @@ carrying a matrix written on the swapped dims back to (2, 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,38 +24,28 @@ import numpy as np
 from .spin import spin_matrix
 
 
-@dataclass(frozen=True)
-class DimVector:
+class DimVector(tuple):
     """Ordered subsystem dimensions defining a tensor decomposition."""
 
-    dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+    def __new__(cls, dims):
+        dims = tuple(int(d) for d in dims)
         if len(dims) < 1:
             raise ValueError("need at least one subsystem")
         if any(d < 2 for d in dims):
             raise ValueError(f"every dimension must be at least 2, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        return super().__new__(cls, dims)
 
     @property
     def size(self) -> int:
         """Total dimension, the product of the factors."""
-        return math.prod(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
+        return math.prod(self)
 
 
 def strides(dims: DimVector) -> tuple[int, ...]:
     """Place value of each digit under the big-endian encoding."""
-    return tuple(math.prod(dims.dims[i + 1 :]) for i in range(len(dims)))
+    return tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
 
 
 def encode(dims: DimVector, digits) -> int:
@@ -77,7 +66,7 @@ def decode(dims: DimVector, index: int) -> tuple[int, ...]:
     if not (0 <= index < dims.size):
         raise ValueError(f"index {index} out of range for size {dims.size}")
     out = []
-    for d in reversed(dims.dims):
+    for d in reversed(dims):
         index, rem = divmod(index, d)
         out.append(rem)
     return tuple(reversed(out))
@@ -86,7 +75,7 @@ def decode(dims: DimVector, index: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def digit_table(dims: DimVector) -> np.ndarray:
     """Array of shape (size, b) holding the digits of every flat index."""
-    out = np.indices(dims.dims, dtype=np.int64).reshape(len(dims), -1).T.copy()
+    out = np.indices(dims, dtype=np.int64).reshape(len(dims), -1).T.copy()
     out.setflags(write=False)
     return out
 
@@ -131,13 +120,13 @@ def _check_sigma(dims: DimVector, sigma) -> tuple[int, ...]:
 def permute_dims(dims: DimVector, sigma) -> DimVector:
     """Dimension vector (d_sigma(1), ..., d_sigma(b))."""
     sigma = _check_sigma(dims, sigma)
-    return DimVector(tuple(dims[s - 1] for s in sigma))
+    return DimVector(dims[s - 1] for s in sigma)
 
 
 def _index_permutation(dims: DimVector, sigma) -> np.ndarray:
     """idx[s] = flat index over ``dims`` whose sigma-reordered digits encode to s."""
     axes = [s - 1 for s in _check_sigma(dims, sigma)]
-    return np.arange(dims.size).reshape(dims.dims).transpose(axes).reshape(-1)
+    return np.arange(dims.size).reshape(dims).transpose(axes).reshape(-1)
 
 
 def as_square(m: np.ndarray, dims: DimVector) -> np.ndarray:

@@ -53,10 +53,11 @@ class SeparableDecomposition:
 
     def __init__(self, dims: DimVector, weights, index, factors):
         """From the columns; each slot keeps the entries that some term uses, in
-        their order, as one (K_a, d_a, d_a) complex stack.  ValueError if a column
-        has not len(dims) slots, a non-empty index has no integer dtype, an entry of
-        slot a is outside 0..K_a - 1, or a factor is not d_a x d_a, by shape for a stack."""
-        self.dims = dims
+        their order, as one (K_a, d_a, d_a) complex stack.  ValueError if dims fails
+        DimVector's checks, a column has not len(dims) slots, a non-empty index has no
+        integer dtype, an entry of slot a is outside 0..K_a - 1, or a factor is not
+        d_a x d_a, by shape for a stack."""
+        self.dims = dims = DimVector(dims)
         self.weights, index = np.asarray(weights, dtype=float), np.asarray(index)
         for name, n in (("index", np.shape(index)[-1]), ("factors", len(factors))):
             if n != len(dims):
@@ -175,7 +176,7 @@ def verify_decomposition(
     first it fails, by (first term, slot, entry).  Every comparison fails on NaN.
     """
     if dec.dims != target.dims:
-        raise ValueError(f"dims mismatch: {dec.dims.dims} vs {target.dims.dims}")
+        raise ValueError(f"dims mismatch: {dec.dims} vs {target.dims}")
     w = dec.weights
     bad = np.flatnonzero(~np.isfinite(w) | ~(w >= -tol.abs_eps))
     if len(bad):

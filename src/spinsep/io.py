@@ -116,7 +116,7 @@ def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
         raise FileFormatError("dims must be a non-empty list of integers")
     if expected_key not in doc:
         raise FileFormatError(f"missing {expected_key!r} key")
-    dims = DimVector(tuple(dims_raw))
+    dims = DimVector(dims_raw)
     return dims, dims.size
 
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import DimVector
+from .composite import DimVector, as_square
 
 
 @dataclass(frozen=True)
@@ -18,15 +18,18 @@ class Tolerance:
     """Absolute comparison tolerances used across the library.
 
     All matrices handled here have entries of magnitude at most one, so a
-    single absolute scale is adequate.
+    single absolute scale is adequate.  ``abs_eps`` is the one setting; the
+    reconstruction bound of a decomposition is derived as 10 * abs_eps, for
+    the CLI's ``--tol`` and for library callers alike.
     """
 
     abs_eps: float = 1e-9
-    reconstruction_eps: float = 1e-8
+    reconstruction_eps: float = field(init=False)
 
     def __post_init__(self):
-        if self.abs_eps <= 0 or self.reconstruction_eps <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.abs_eps < math.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
+        object.__setattr__(self, "reconstruction_eps", 10 * self.abs_eps)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -54,29 +57,20 @@ class NegativeEigenvalueError(InvalidDensityError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix together with its tensor decomposition."""
+    """A complex matrix square over its tensor decomposition, with finite
+    entries; ``check_density`` is what validates it as a density."""
 
     matrix: np.ndarray
     dims: DimVector
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if m.shape[0] != self.dims.size:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match dims product {self.dims.size}"
-            )
+        m = as_square(self.matrix, self.dims)
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise InvalidDensityError(
                 f"non-finite entry {m[i, j]} at ({i}, {j})", float(abs(m[i, j]))
             )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -155,8 +149,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
     b = len(rho.dims)
     if not (1 <= subsystem <= b):
         raise ValueError(f"subsystem must be in 1..{b}, got {subsystem}")
-    shape = tuple(rho.dims) + tuple(rho.dims)
-    t = rho.matrix.reshape(shape)
+    t = rho.matrix.reshape(rho.dims * 2)
     ax = subsystem - 1
     t = np.swapaxes(t, ax, b + ax)
     n = rho.dims.size

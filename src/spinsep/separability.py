@@ -209,13 +209,13 @@ def sufficient_certificate(
         return CertificateReport(INCONCLUSIVE, l1_norm=norm)
 
     # neg[f] is the flat index of the componentwise negation of f's digits.
-    neg = ((-digit_table(dims)) % np.asarray(dims.dims)) @ np.asarray(strides(dims))
+    neg = ((-digit_table(dims)) % np.asarray(dims)) @ np.asarray(strides(dims))
     # mult is 2, 1 or 0 as the partner label comes later, is the label or comes first.
     mult = 1 + np.sign(np.add.outer(neg * n, neg) - np.arange(n * n).reshape(n, n))
     mult[0, 0] = 0
     s = np.where(np.abs(coeffs.table) >= WEIGHT_FLOOR, mult * coeffs.table, 0.0)
     # One axis per slot, indexed by the slot's label j_a * d_a + k_a.
-    s = s.reshape(dims.dims * 2).transpose(np.arange(2 * b).reshape(2, b).T.ravel())
+    s = s.reshape(dims * 2).transpose(np.arange(2 * b).reshape(2, b).T.ravel())
     s = s.reshape([d * d for d in dims])
     tables = [_label_table(d) for d in dims]
     phased, modulus = s, np.abs(s)

@@ -26,17 +26,13 @@ class SpinCoefficients:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=complex)
-        n = self.dims.size
-        if t.shape != (n, n):
-            raise ValueError(f"table shape {t.shape} does not match size {n}")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", as_square(self.table, self.dims))
 
 
 def _apply_factored(mats, table: np.ndarray, dims: DimVector) -> np.ndarray:
     """Apply (x)_i mats[i] to the row index of an (N, M) table, factor by factor."""
     n = dims.size
-    x = table.reshape(tuple(dims) + (-1,))
+    x = table.reshape(dims + (-1,))
     for axis, f in enumerate(mats):
         x = np.moveaxis(np.tensordot(f, x, axes=(1, axis)), 0, axis)
     return x.reshape(n, -1)

@@ -105,7 +105,7 @@ def reference_certificate(rho):
         return None
     table = coeffs.table
     digits = digit_table(dims)
-    neg = (((-digits) % np.asarray(dims.dims)) @ np.asarray(strides(dims))).tolist()
+    neg = (((-digits) % np.asarray(dims)) @ np.asarray(strides(dims))).tolist()
     digit_rows = digits.tolist()
     merged = {}
     raw = 0

@@ -28,7 +28,7 @@ def reference_assemble(dec) -> np.ndarray:
 
 def reference_verify(dec, target, tol) -> VerificationResult:
     if dec.dims != target.dims:
-        raise ValueError(f"dims mismatch: {dec.dims.dims} vs {target.dims.dims}")
+        raise ValueError(f"dims mismatch: {dec.dims} vs {target.dims}")
     total = 0.0
     for i, term in enumerate(dec.terms):
         if term.weight < -tol.abs_eps:

@@ -200,7 +200,7 @@ def test_criterion_04_projection_suite():
 @criterion("5 cyclic-family densities and decompositions")
 def test_criterion_05_cyclic_families():
     rng = np.random.default_rng(5)
-    tol = Tolerance(abs_eps=1e-9, reconstruction_eps=1e-8)
+    tol = Tolerance(abs_eps=1e-9)
     for d, n in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
         labels = valid_labels(d)
         for _ in range(5):
@@ -238,7 +238,7 @@ def test_criterion_06_norm_certificates():
 
 @criterion("7 Werner thresholds and explicit decompositions")
 def test_criterion_07_werner_suite():
-    tight = Tolerance(abs_eps=1e-9, reconstruction_eps=1e-10)
+    tight = Tolerance(abs_eps=1e-11)
     for p, n in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
         s_star = werner_threshold(p, n)
         assert s_star == 1.0 / (1.0 + p ** (n - 1))

@@ -33,15 +33,26 @@ class TestDimVector:
         assert DimVector((2, 2, 2)).size == 8
 
     def test_rejects_small_dims(self):
-        with pytest.raises(ValueError):
-            DimVector((2, 1))
-        with pytest.raises(ValueError):
-            DimVector(())
+        for dims, message in [
+            ((), "need at least one subsystem"),
+            ((1,), r"every dimension must be at least 2, got \(1,\)"),
+            ((2, 1), r"every dimension must be at least 2, got \(2, 1\)"),
+            (("a",), "invalid literal for int"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                DimVector(dims)
 
     def test_iteration(self):
         d = DimVector((2, 3, 4))
         assert list(d) == [2, 3, 4]
         assert len(d) == 3 and d[1] == 3
+
+    def test_is_its_tuple(self):
+        d = DimVector([2, 3])
+        assert isinstance(d, tuple)
+        assert d == (2, 3) and hash(d) == hash((2, 3))
+        assert {(2, 3): "x"}[d] == "x"
+        assert repr(d) == str(d) == "(2, 3)"
 
 
 class TestEncodeDecode:
@@ -168,7 +179,7 @@ class TestPermutations:
     def test_swap_2x3_enumeration(self):
         dv = DimVector((2, 3))
         swapped = permute_dims(dv, (2, 1))
-        assert swapped.dims == (3, 2)
+        assert swapped == (3, 2)
         q = permutation_matrix(dv, (2, 1))
         assert np.array_equal(q @ q.T, np.eye(6))
         for j1 in range(2):

@@ -170,6 +170,16 @@ def test_misshapen_factor_refused_at_construction():
         from_terms(DimVector((4, 2)), (term,))
 
 
+def test_dims_taken_as_a_dim_vector():
+    """A plain tuple is checked and held as a DimVector, so the decomposition
+    verifies against a density on the same dims."""
+    dec = SeparableDecomposition((2,), [1.0], [[0]], [[np.eye(2) / 2]])
+    assert type(dec.dims) is DimVector
+    assert verify_decomposition(dec, DensityMatrix(np.eye(2) / 2, DimVector((2,))))
+    with pytest.raises(ValueError, match="every dimension must be at least 2"):
+        SeparableDecomposition((1,), [1.0], [[0]], [[np.eye(1)]])
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 3), (3, 3, 3), (0, 3, 3), (3, 4), (3, 2, 2, 1)])
 def test_misshapen_stack_refused_at_construction(shape):
     """A slot given as one array: a (K, d, d) stack is checked by its shape,

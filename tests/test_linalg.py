@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from spinsep import (
     werner_density,
     WernerSpec,
 )
+from spinsep.cli import MAX_TOL, MIN_TOL, _tolerance
 from spinsep.composite import kron_all
+from spinsep.linalg import DEFAULT_TOLERANCE
 
 from conftest import random_matrix
 from reference_identities import trace_inner
@@ -76,11 +80,37 @@ class TestTraceInner:
         assert abs(val.real - np.linalg.norm(a, "fro") ** 2) < 1e-9
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_refuses_non_finite_or_non_positive(self, value):
+        with pytest.raises(ValueError, match="tolerances must be finite and strictly positive"):
+            Tolerance(value)
+
+    @pytest.mark.parametrize("value", [MIN_TOL, MAX_TOL])
+    def test_accepts_the_cli_bounds(self, value):
+        assert Tolerance(value).abs_eps == value
+
+    def test_one_init_field(self):
+        fields = dataclasses.fields(Tolerance)
+        assert [f.name for f in fields if f.init] == ["abs_eps"]
+        with pytest.raises(TypeError):
+            Tolerance(abs_eps=1e-9, reconstruction_eps=1e-8)
+
+    @pytest.mark.parametrize("value", [MIN_TOL, 1e-6, MAX_TOL])
+    def test_reconstruction_bound_is_ten_times(self, value):
+        tol = _tolerance(value)
+        assert (tol.abs_eps, tol.reconstruction_eps) == (value, 10 * value)
+        assert tol == Tolerance(value)
+
+    def test_default(self):
+        assert (DEFAULT_TOLERANCE.abs_eps, DEFAULT_TOLERANCE.reconstruction_eps) == (1e-9, 1e-8)
+        assert _tolerance(None) is DEFAULT_TOLERANCE
+
+
 class TestCheckDensity:
     def test_maximally_mixed_accepted(self):
         for d in (2, 3, 4):
-            dm = check_density(np.eye(d) / d, DimVector((d,)))
-            assert dm.dim == d
+            check_density(np.eye(d) / d, DimVector((d,)))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NegativeEigenvalueError) as err:
@@ -98,6 +128,10 @@ class TestCheckDensity:
     def test_dims_product_must_match(self):
         with pytest.raises(ValueError):
             check_density(np.eye(4) / 4, DimVector((2, 3)))
+        # DensityMatrix refuses through as_square: a 2x3 matrix, and a 3x3 one on (2, 2).
+        for m, dims in [(np.zeros((2, 3)), (2,)), (np.eye(3) / 3, (2, 2))]:
+            with pytest.raises(ValueError, match=r"matrix shape \(\d, \d\) does not match size"):
+                DensityMatrix(m, DimVector(dims))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_diagonal_rejected(self, value):

@@ -63,3 +63,9 @@ def test_specs_keyword_refused():
         spinsep.SeparableDecomposition(
             spinsep.DimVector((2,)), [1.0], [[0]], [[np.eye(2) / 2]], specs=[[None]]
         )
+
+
+def test_value_types_state_their_fields_once():
+    assert not hasattr(spinsep.DensityMatrix, "dim")
+    assert not hasattr(spinsep.DimVector((2, 3)), "dims")
+    assert [f.name for f in dataclasses.fields(spinsep.DensityMatrix)] == ["matrix", "dims"]

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,43 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, argv, monkeypatch):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, argv, monkeypatch):
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
-    module.main()
+    return module.main()
+
+
+MUTATIONS = load_script("mutation_gate").MUTATIONS
+
+
+@pytest.fixture(scope="module")
+def src_texts():
+    return {p: p.read_text() for p in (SCRIPTS.parent / "src").rglob("*.py")}
+
+
+@pytest.mark.parametrize("m", MUTATIONS, ids=range(len(MUTATIONS)))
+def test_mutation_old_text_occurs_once_in_src(m, src_texts):
+    assert m.old != m.new
+    assert src_texts[SCRIPTS.parent / "src" / "spinsep" / m.file].count(m.old) == 1
+    assert sum(text.count(m.old) for text in src_texts.values()) == 1
+
+
+def test_mutation_gate_lists_its_mutants(monkeypatch, capsys):
+    start = time.perf_counter()
+    assert run_script("mutation_gate", ["--list"], monkeypatch) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    run = [m for m in MUTATIONS if not m.equivalent]
+    assert len(run) >= 20
+    assert sum(line.startswith("[") for line in lines) == len(MUTATIONS)
+    assert sum(line.strip().startswith("equivalent: ") for line in lines) == len(MUTATIONS) - len(run)
 
 
 @pytest.mark.parametrize("p", ["2", "4"])

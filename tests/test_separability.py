@@ -261,7 +261,7 @@ class TestVerifyDecomposition:
         # A target a known 1e-12 away from rho, far above rounding noise.
         off = DensityMatrix(rho.matrix + 1e-12 * np.diag([1.0, -1.0, 0.0, 0.0]), rho.dims)
         assert verify_decomposition(dec, off, DEFAULT_TOLERANCE)
-        tight = Tolerance(abs_eps=1e-9, reconstruction_eps=1e-13)
+        tight = Tolerance(abs_eps=1e-14)
         result = verify_decomposition(dec, off, tight)
         assert not result
         assert "reconstruction defect" in result.failure

@@ -184,8 +184,10 @@ class TestL2Identity:
 
 class TestSpinTableShape:
     def test_table_shape_enforced(self):
-        with pytest.raises(ValueError):
-            SpinCoefficients(DimVector((2, 2)), np.zeros((3, 3)))
+        """Refused through as_square: a 2x3 table, and a 3x3 one on dims (2, 2)."""
+        for table, dims in [(np.zeros((2, 3)), (2,)), (np.zeros((3, 3)), (2, 2))]:
+            with pytest.raises(ValueError, match=r"matrix shape \(\d, \d\) does not match size"):
+                SpinCoefficients(DimVector(dims), table)
 
     def test_matrix_shape_enforced(self):
         with pytest.raises(ValueError):
