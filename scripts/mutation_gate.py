@@ -149,6 +149,39 @@ MUTATIONS = [
              "the reconstruction bound is 100 x abs_eps"),
     Mutation("decompositions.py", "self.dims = dims = DimVector(dims)", "self.dims = dims",
              "a decomposition on plain-tuple dims fails with AttributeError in assemble"),
+    Mutation("linalg.py",
+             'object.__setattr__(self, "dims", DimVector(self.dims))\n        m = as_square',
+             "m = as_square",
+             "a density on plain-tuple dims fails with AttributeError in as_square"),
+    Mutation("transform.py",
+             'object.__setattr__(self, "dims", DimVector(self.dims))\n        object.__setattr__',
+             "object.__setattr__",
+             "a coefficient table on plain-tuple dims fails with AttributeError in as_square"),
+    # Gates of an inseparable verdict and of a term weight, loosened and tightened.
+    Mutation("decompositions.py",
+             "bad = np.flatnonzero(~np.isfinite(w) | ~(w >= -tol.abs_eps))",
+             "bad = np.flatnonzero(~np.isfinite(w))",
+             "weights (1.5, -0.5) whose mixture matches the target verify"),
+    Mutation("decompositions.py", "~(w >= -tol.abs_eps))", "~(w >= -10 * tol.abs_eps))",
+             "a term weight of -5e-9 verifies at the default tolerance"),
+    Mutation("separability.py", "if lo < -tol.abs_eps:", "if lo < -10 * tol.abs_eps:",
+             "a partial-transpose eigenvalue of -5e-9 is not called inseparable"),
+    Mutation("separability.py", "if lo < -tol.abs_eps:", "if lo < -0.1 * tol.abs_eps:",
+             "a partial-transpose eigenvalue of -5e-10 is called inseparable"),
+    Mutation("separability.py", "if not excess[p, r] > tol.abs_eps:",
+             "if not excess[p, r] > 10 * tol.abs_eps:",
+             "a necessary excess of 5e-9 is not called inseparable"),
+    Mutation("separability.py", "if not excess[p, r] > tol.abs_eps:",
+             "if not excess[p, r] > 0.1 * tol.abs_eps:",
+             "a necessary excess of 5e-10 is called inseparable"),
+    Mutation("cli.py", 'if len(dims) < 2:\n        raise ValueError("certification',
+             'if False:\n        raise ValueError("certification',
+             "certify --peres and --sufficient run on a single subsystem"),
+    # The Werner builder's threshold slack and residual floor.
+    Mutation("werner.py", "s <= s_star + NORM_SLACK", "s <= s_star + 1e-6",
+             "an s of s* + 2e-12 gets a decomposition"),
+    Mutation("werner.py", "1.0 - mu > WEIGHT_FLOOR", "1.0 - mu > 1e-9",
+             "a residual of weight 2e-14 is dropped"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",

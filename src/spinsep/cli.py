@@ -52,7 +52,6 @@ from .werner import (
     werner_bound,
     werner_density,
     werner_separable_decomposition,
-    werner_threshold,
 )
 
 EXIT_OK = 0
@@ -202,12 +201,10 @@ def cmd_werner(args, tol: Tolerance) -> int:
     p, n, s = args.p, args.n, args.s
     # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.
     WernerSpec(p, n, 0.0 if s is None else s)
-    if is_prime(p):
-        s_star = werner_threshold(p, n)
-        print(f"separability threshold: {s_star!r}")
+    prime, bound = is_prime(p), werner_bound(p, n)
+    if prime:
+        print(f"separability threshold: {bound!r}")
     else:
-        s_star = None
-        bound = werner_bound(p, n)
         print(
             f"necessary-condition bound: {bound!r} "
             "(exact threshold unknown for composite dimension)"
@@ -215,9 +212,9 @@ def cmd_werner(args, tol: Tolerance) -> int:
     if args.output is None and not args.emit_decomposition:
         return EXIT_OK
     if s is None:
-        if s_star is None:
+        if not prime:
             raise ValueError("--s is required for composite dimensions")
-        s = s_star
+        s = bound
 
     rho = werner_density(WernerSpec(p, n, s))
     dec = werner_separable_decomposition(p, n, s) if args.emit_decomposition else None

@@ -218,23 +218,20 @@ class _Floats(dict):
         return value
 
 
-def _load(path, parse_float=None) -> dict:
-    """The parsed document; FileFormatError naming ``path`` if the file is
-    not UTF-8, not JSON, or nested too deeply to parse."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=parse_float)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
-        raise FileFormatError(f"{path}: {err}") from err
-
-
 def _read(path, parse, parse_float=None):
-    """``parse`` of ``_load(path, parse_float)``, with the cyclic collector
+    """``parse`` of the document at ``path``, parsed with the cyclic collector
     paused, then restored as it was: a parsed JSON tree has no cycles, but
-    each of its lists counts towards a collection, which would free nothing."""
+    each of its lists counts towards a collection, which would free nothing.
+    FileFormatError naming ``path`` if the file is not UTF-8, not JSON, or
+    nested too deeply to parse."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return parse(_load(path, parse_float))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=parse_float)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise FileFormatError(f"{path}: {err}") from err
+    else:
+        return parse(doc)
     finally:
         if enabled:
             gc.enable()

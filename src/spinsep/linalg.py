@@ -64,6 +64,7 @@ class DensityMatrix:
     dims: DimVector
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", DimVector(self.dims))
         m = as_square(self.matrix, self.dims)
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
@@ -79,7 +80,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     Symmetrising first keeps the solve robust to 1e-12-scale asymmetry
     from accumulated rounding.
     """
-    m = np.asarray(m, dtype=complex)
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 

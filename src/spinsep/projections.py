@@ -125,8 +125,6 @@ def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomp
     over all offset vectors with l_1 + ... + l_n = 0 mod d, in lexicographic
     order of (l_1, ..., l_{n-1}); the first term has every l_i = 0.
     """
-    if n < 1:
-        raise ValueError(f"need at least one factor, got n={n}")
     u_vec = [SpinLabel(*u) for u in u_vec]
     r_vec = [int(r) for r in r_vec]
     if len(u_vec) != n or len(r_vec) != n:
@@ -179,11 +177,6 @@ def m3_map(theta) -> np.ndarray:
     return _diag_phase_map(3, theta)
 
 
-def _phase_differences_ok(theta: np.ndarray, tol: float = 1e-9) -> bool:
-    s = float(theta.sum()) % (2.0 * math.pi)
-    return min(s, 2.0 * math.pi - s) <= tol
-
-
 def projection_from_diagonal(
     d: int, amplitudes, theta
 ) -> tuple[DensityMatrix, SpinCoefficients]:
@@ -213,7 +206,8 @@ def projection_from_diagonal(
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (d,):
             raise ValueError(f"need {d} phase differences, got shape {theta.shape}")
-        if not _phase_differences_ok(theta):
+        s = float(theta.sum()) % (2.0 * math.pi)
+        if not min(s, 2.0 * math.pi - s) <= 1e-9:
             raise ValueError("phase differences must sum to 0 mod 2*pi")
     phi = np.zeros(d)
     for k in range(d - 1):

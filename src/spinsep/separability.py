@@ -36,8 +36,8 @@ SEPARABLE = "separable-certified"
 INSEPARABLE = "inseparable-certified"
 INCONCLUSIVE = "inconclusive"
 
-# Accept spin norms up to 1 + this slack so exact-threshold cases survive
-# double rounding; the sufficiency bound is closed.
+# Accept spin norms up to 1 + this slack, and Werner s up to s* + it, so
+# exact-threshold cases survive double rounding; both bounds are closed.
 NORM_SLACK = 1e-12
 
 # Decomposition terms below this weight are dropped and the rest renormalised.

@@ -118,10 +118,7 @@ def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
     and S_{1,0} the clock matrix diag(1, eta, ..., eta^(d-1)).
     """
     _check_label(d, j, k)
-    out = np.zeros((d, d), dtype=complex)
-    for r in range(d):
-        out[r, (r + k) % d] = eta(d, (j * r) % d)
-    return out
+    return np.roll(np.diag(fourier_table(d)[j]), k, axis=1)
 
 
 def spin_power(d: int, label: SpinLabel, m: int) -> tuple[RootOfUnity, SpinLabel]:

@@ -26,6 +26,7 @@ class SpinCoefficients:
     table: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", DimVector(self.dims))
         object.__setattr__(self, "table", as_square(self.table, self.dims))
 
 
@@ -38,18 +39,12 @@ def _apply_factored(mats, table: np.ndarray, dims: DimVector) -> np.ndarray:
     return x.reshape(n, -1)
 
 
-def _adjusted_table(matrix: np.ndarray, dims: DimVector) -> np.ndarray:
-    add = flat_add_table(dims)
-    n = dims.size
-    return matrix[np.arange(n)[:, None], add]
-
-
 # Entries near the float range overflow to inf and nan, which the writers
 # refuse; numpy's overflow warnings would only repeat that on stderr.
 @np.errstate(over="ignore", invalid="ignore")
 def spin_table(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
     """Spin coefficients of an arbitrary matrix (no density validation)."""
-    a = _adjusted_table(as_square(matrix, dims), dims)
+    a = as_square(matrix, dims)[np.arange(dims.size)[:, None], flat_add_table(dims)]
     mats = [fourier_table(d).conj() for d in dims]
     return SpinCoefficients(dims, _apply_factored(mats, a, dims))
 

@@ -13,6 +13,7 @@ from .composite import DimVector, digit_table, encode
 from .decompositions import SeparableDecomposition
 from .linalg import DensityMatrix, check_density
 from .projections import ProjectionSpec, subgroup_projection
+from .separability import NORM_SLACK, WEIGHT_FLOOR
 # Not called here: perfbench/layers.py wraps this name for its traced run.
 from .projections import cyclic_family_density  # noqa: F401
 from .spin import SpinLabel
@@ -93,7 +94,6 @@ def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
     The identity label carries 1; every other label with j in the zero-sum
     set and a repeated column index carries s; everything else vanishes.
     """
-    _require_prime(spec.d)
     dims = spec.dims
     n = dims.size
     table = np.zeros((n, n), dtype=complex)
@@ -139,7 +139,7 @@ def werner_separable_decomposition(
     s_star = werner_threshold(p, n)
     if s is None:
         s = s_star
-    if not (0.0 <= s <= s_star + 1e-12):
+    if not (0.0 <= s <= s_star + NORM_SLACK):
         raise ValueError(f"no decomposition for s = {s} above the threshold {s_star}")
     mu = min(s / s_star, 1.0)
     dims = DimVector((p,) * n)
@@ -157,7 +157,7 @@ def werner_separable_decomposition(
     specs = [ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for j in range(p)]
     specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p)]
     blocks = (p + rows[:, None] * p + (r[:, None] + rows[None]) % p).reshape(-1, n)
-    residual = int(1.0 - mu > 1e-15)
+    residual = int(1.0 - mu > WEIGHT_FLOOR)
     block = mu / (1 + p ** (n - 1)) * (1.0 / p ** (n - 1))
     weights = [mu / (p * (1 + p ** (n - 1)))] * p + [block] * len(blocks) + [1.0 - mu] * residual
     diagonal = np.repeat(np.arange(p)[:, None], n, axis=1)

@@ -1,6 +1,8 @@
 import argparse
 import importlib.util
 import json
+import runpy
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -106,6 +108,14 @@ class TestBasis:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --label takes two integers j,k, got {label!r}\n"
+
+    @pytest.mark.parametrize("label", ["4,0", "0,-1"])
+    def test_label_out_of_range_exits_3(self, capsys, label):
+        assert main(["basis", "--dims", "2,2", "--label", label]) == 3
+        captured = capsys.readouterr()
+        j, k = label.split(",")
+        assert captured.out == ""
+        assert captured.err == f"error: label ({j},{k}) out of range for total dimension 4\n"
 
 
 class TestTransform:
@@ -316,6 +326,16 @@ class TestCertify:
         src = tmp_path / "single.json"
         write_density_file(src, rho.matrix, rho.dims)
         assert main(["certify", "--input", str(src)]) == 3
+
+    @pytest.mark.parametrize("flag", ["--peres", "--sufficient"])
+    def test_single_subsystem_refused_by_every_check(self, tmp_path, capsys, flag):
+        """Peres and the certificate would run on one subsystem; the CLI refuses first."""
+        src = tmp_path / "single.json"
+        write_density_file(src, np.eye(4) / 4, DimVector((4,)))
+        assert main(["certify", "--input", str(src), flag]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certification needs at least two subsystems\n"
 
     def test_invalid_density_exits_4(self, tmp_path):
         src = tmp_path / "bad.json"
@@ -587,6 +607,52 @@ class TestWernerCommand:
             "so 1/(1 + p^(n-1)) cannot be computed\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--output", "--emit-decomposition"])
+    def test_composite_p_needs_s_for_an_output(self, tmp_path, capsys, flag):
+        out = tmp_path / "out.json"
+        assert main(["werner", "--p", "4", "--n", "2", flag, str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("necessary-condition bound: 0.2 ")
+        assert captured.err == "error: --s is required for composite dimensions\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_output", [False, True], ids=["emit", "emit-and-output"])
+    def test_verification_failure_exits_3_without_a_file(self, tmp_path, capsys, with_output):
+        """At --tol 2^-52 the factors' rounded traces fail the gate."""
+        dec_path, rho_path = tmp_path / "dec.json", tmp_path / "w.json"
+        argv = ["--tol", repr(spinsep.cli.MIN_TOL), "werner", "--p", "3", "--n", "3"]
+        argv += ["--emit-decomposition", str(dec_path)]
+        argv += ["--output", str(rho_path)] * with_output
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: decomposition failed verification: term 0, factor 0: trace")
+        assert not dec_path.exists() and not rho_path.exists()
+
+    @pytest.mark.parametrize("p, s, code", [("3", [], 0), ("4", ["--s", "0.1"], 3)])
+    def test_prime_test_and_bound_run_once(self, tmp_path, monkeypatch, p, s, code):
+        calls = []
+
+        def counted(name):
+            real = getattr(spinsep.cli, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("is_prime", "werner_bound"):
+            monkeypatch.setattr(spinsep.cli, name, counted(name))
+        argv = ["werner", "--p", p, "--n", "3", "--output", str(tmp_path / "w.json"), *s]
+        assert main(argv + ["--emit-decomposition", str(tmp_path / "d.json")]) == code
+        assert calls == ["is_prime", "werner_bound"]
+
+    def test_prime_test_fails_before_the_bound(self, capsys):
+        """Both would fail: the prime test is undecidable at PRIME_LIMIT and
+        p^(n-1) overflows; the prime test's error is the one reported."""
+        assert main(["werner", "--p", str(PRIME_LIMIT), "--n", "10000000"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot tell if {PRIME_LIMIT} is prime")
+
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli
 
@@ -776,3 +842,13 @@ class TestParserReuse:
             printed.append(getattr(capsys.readouterr(), stream))
         assert printed[0] == printed[1]
         assert printed[0].startswith("usage: spinsep") and text in printed[0]
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    """``python -m spinsep`` exits with main()'s status."""
+    monkeypatch.setattr("sys.argv", ["spinsep", "werner", "--p", "2", "--n", "2"])
+    monkeypatch.delitem(sys.modules, "spinsep.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("spinsep", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"separability threshold: {1 / 3!r}\n"

@@ -91,6 +91,11 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             decode(dv, 6)
 
+    @pytest.mark.parametrize("digits", [(1,), (1, 0, 0)])
+    def test_digit_count_must_match(self, digits):
+        with pytest.raises(ValueError, match=f"expected 2 digits, got {len(digits)}"):
+            encode(DimVector((2, 3)), digits)
+
 
 class TestMultiAdd:
     def test_wraps_componentwise(self):
@@ -112,6 +117,11 @@ class TestMultiAdd:
 
 
 class TestCompositeSpin:
+    @pytest.mark.parametrize("j, k", [((0,), (0, 0)), ((0, 0), (0, 0, 0))])
+    def test_label_needs_one_digit_per_subsystem(self, j, k):
+        with pytest.raises(ValueError, match="labels must have one digit per subsystem"):
+            composite_spin(DimVector((2, 2)), j, k)
+
     def test_identity_label(self):
         dv = DimVector((2, 2))
         assert np.array_equal(composite_spin(dv, (0, 0), (0, 0)), np.eye(4, dtype=complex))

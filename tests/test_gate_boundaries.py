@@ -1,14 +1,18 @@
-"""Every gate of a separable verdict, pinned just inside and just outside
-its bound: a factor eigenvalue, the weight sum and the reconstruction
-defect in ``verify_decomposition`` (at the default tolerance and under a
-``--tol`` override), the spin-norm bound of ``sufficient_certificate``,
-its rules that keep the uniform residual only above WEIGHT_FLOOR and a
-spin coefficient only at or above it, and the closed range of ``--tol``.
+"""Every gate of a verdict, pinned just inside and just outside its bound:
+a factor eigenvalue, a term weight, the weight sum and the reconstruction
+defect in ``verify_decomposition``, the partial-transpose eigenvalue of
+``peres_check`` and the excess of ``necessary_check`` (each at the default
+tolerance and under a ``--tol`` override), the spin-norm bound of
+``sufficient_certificate``, its rules that keep the uniform residual only
+above WEIGHT_FLOOR and a spin coefficient only at or above it, the same
+slack and floor in ``werner_separable_decomposition``, and the closed
+range of ``--tol``.
 
 Each input sits at 0.5x (inside) and 2x (outside) its bound, so loosening
-any of these comparisons tenfold, or closing the residual's open bound,
-makes one of these cases fail.  ``--tol`` is taken exactly at MIN_TOL and
-MAX_TOL and one double outside each."""
+any of these comparisons tenfold, tightening an inseparable gate tenfold,
+or closing the residual's open bound, makes one of these cases fail.
+``--tol`` is taken exactly at MIN_TOL and MAX_TOL and one double outside
+each."""
 
 import math
 
@@ -17,6 +21,7 @@ import pytest
 
 from spinsep import (
     DEFAULT_TOLERANCE,
+    INSEPARABLE,
     SEPARABLE,
     DensityMatrix,
     DimVector,
@@ -25,15 +30,21 @@ from spinsep import (
     WernerSpec,
     check_density,
     from_spin,
+    necessary_check,
+    peres_check,
     spin_l1_norm,
     sufficient_certificate,
     to_spin,
     verify_decomposition,
     werner_density,
+    werner_separable_decomposition,
+    werner_threshold,
 )
 from spinsep import separability
 from spinsep.cli import MAX_TOL, MIN_TOL, _tolerance, main
 from spinsep.separability import INCONCLUSIVE, NORM_SLACK, WEIGHT_FLOOR
+
+from conftest import residual_flags
 
 TOLERANCES = [DEFAULT_TOLERANCE, _tolerance(1e-6)]
 TOL_IDS = ["default", "tol-1e-6"]
@@ -81,6 +92,86 @@ def test_reconstruction_gate(tol, scale, ok):
     assert result.ok is ok
     if not ok:
         assert result.failure.startswith("reconstruction defect")
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=TOL_IDS)
+@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+def test_term_weight_gate(tol, scale, ok):
+    """Weights (1 + e, -e) on two copies of I/2 (x) I/2 mix to I/4 exactly."""
+    e = scale * tol.abs_eps
+    dec = SeparableDecomposition(DIMS, [1.0 + e, -e], [[0, 0], [0, 0]], [[MIXED], [MIXED]])
+    result = verify_decomposition(dec, DensityMatrix(np.eye(4) / 4, DIMS), tol)
+    assert result.ok is ok
+    if not ok:
+        assert result.failure == f"term 1: negative weight {-e:.3e}"
+
+
+def test_negative_weight_named_although_the_mixture_matches():
+    dec = SeparableDecomposition(DIMS, [1.5, -0.5], [[0, 0], [0, 0]], [[MIXED], [MIXED]])
+    assert np.array_equal(dec.assemble(), np.eye(4) / 4)
+    result = verify_decomposition(dec, DensityMatrix(np.eye(4) / 4, DIMS))
+    assert (result.ok, result.failure) == (False, "term 1: negative weight -5.000e-01")
+
+
+def phi_plus_at(delta):
+    """(1 - p) I/4 + p |Phi+><Phi+| with p = (1 + 4 delta)/3: its partial
+    transpose has lowest eigenvalue -delta, and its necessary excess
+    |rho_{00,11}| - sqrt(rho_{01,01} rho_{10,10}) is +delta."""
+    p = (1.0 + 4.0 * delta) / 3.0
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    return check_density((1.0 - p) * np.eye(4) / 4 + p * np.outer(phi, phi), DIMS)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=TOL_IDS)
+@pytest.mark.parametrize(
+    "scale, verdict", [(0.5, INCONCLUSIVE), (2.0, INSEPARABLE)], ids=["inside", "outside"]
+)
+def test_peres_gate(tol, scale, verdict):
+    delta = scale * tol.abs_eps
+    for subsystem in (1, 2):
+        report = peres_check(phi_plus_at(delta), subsystem, tol)
+        assert report.verdict == verdict
+        if verdict == INSEPARABLE:
+            assert report.witness.subsystem == subsystem
+            assert report.witness.value == pytest.approx(-delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=TOL_IDS)
+@pytest.mark.parametrize(
+    "scale, verdict", [(0.5, INCONCLUSIVE), (2.0, INSEPARABLE)], ids=["inside", "outside"]
+)
+def test_necessary_gate(tol, scale, verdict):
+    delta = scale * tol.abs_eps
+    report = necessary_check(phi_plus_at(delta), tol)
+    assert report.verdict == verdict
+    if verdict == INSEPARABLE:
+        w = report.witness
+        assert w.magnitude - w.bound == pytest.approx(delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+def test_werner_threshold_slack(scale, ok):
+    """The Werner builder accepts s up to s* + NORM_SLACK, as the certificate
+    accepts a spin norm up to 1 + NORM_SLACK."""
+    s = werner_threshold(2, 3) + scale * NORM_SLACK
+    if ok:
+        dec = werner_separable_decomposition(2, 3, s)
+        assert not any(residual_flags(dec))
+    else:
+        with pytest.raises(ValueError, match="above the threshold"):
+            werner_separable_decomposition(2, 3, s)
+
+
+@pytest.mark.parametrize("scale, kept", [(0.5, False), (2.0, True)], ids=["dropped", "kept"])
+def test_werner_residual_floor(scale, kept):
+    """The Werner builder keeps the residual (1 - s/s*) I/N only above
+    WEIGHT_FLOOR, as the certificate does."""
+    s = werner_threshold(2, 3) * (1.0 - scale * WEIGHT_FLOOR)
+    dec = werner_separable_decomposition(2, 3, s)
+    assert residual_flags(dec) == [False] * (len(dec.weights) - kept) + [True] * kept
+    if kept:
+        assert dec.weights[-1] == pytest.approx(scale * WEIGHT_FLOOR, rel=1e-2)
+    assert verify_decomposition(dec, werner_density(WernerSpec(2, 3, s)))
 
 
 def werner_at_norm(norm):

@@ -231,3 +231,14 @@ class TestRandomDensity:
     def test_full_rank(self, rng):
         rho = random_density(DimVector((2, 2)), rng)
         assert np.linalg.eigvalsh(rho.matrix).min() > 1e-6
+
+
+@pytest.mark.parametrize("dims", [(2, 2), [2, 2], np.array([2, 2])], ids=["tuple", "list", "array"])
+def test_density_dims_taken_as_a_dim_vector(dims):
+    """Any sequence of dimensions is checked and held as a DimVector."""
+    rho = DensityMatrix(np.eye(4) / 4, dims)
+    assert type(rho.dims) is DimVector and rho.dims == (2, 2)
+    assert type(check_density(np.eye(4) / 4, dims).dims) is DimVector
+    assert np.array_equal(partial_transpose(rho, 2), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="every dimension must be at least 2"):
+        DensityMatrix(np.eye(4) / 4, (1, 4))

@@ -351,3 +351,27 @@ def test_nan_factor_entry_parses_then_fails_verification(tmp_path):
     target = werner_density(WernerSpec(2, 3, werner_threshold(2, 3)))
     result = verify_decomposition(parsed, target)
     assert not result and result.failure.startswith("term 2, factor 1: ")
+
+
+@pytest.mark.parametrize("terms", [{}, None, "terms", 3], ids=["dict", "null", "string", "number"])
+def test_terms_must_be_a_list(terms):
+    doc = {"format_version": 1, "dims": [2, 2], "terms": terms}
+    for parse in (parse_decomposition_document, reference_decomposition):
+        with pytest.raises(FileFormatError, match="^terms must be a list$"):
+            parse(doc)
+
+
+def test_numpy_floats_parse_entry_by_entry():
+    """A document built in Python may hold numpy floats: the stacked path
+    refuses their type, and the per-entry path reads them as the floats
+    they are."""
+    dec = werner_separable_decomposition(2, 3, 0.1)
+    doc = decomposition_document(dec)
+    as_numpy = json.loads(json.dumps(doc), parse_float=np.float64)
+    assert type(as_numpy["terms"][0]["factors"][0][0][0][0]) is np.float64
+    got, want = parse_decomposition_document(as_numpy), parse_decomposition_document(doc)
+    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.index, want.index)
+    assert [f.tobytes() for f in got.factors] == [f.tobytes() for f in want.factors]
+    rows = [[[np.float64(i == j), np.float64(0.0)] for j in range(4)] for i in range(4)]
+    matrix, dims = parse_density_document({"format_version": 1, "dims": [2, 2], "matrix": rows})
+    assert np.array_equal(matrix, np.eye(4)) and dims == (2, 2)

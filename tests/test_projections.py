@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,52 @@ class TestCyclicFamily:
             cyclic_family_decomposition(3, 2, [SpinLabel(1, 1)], [0, 0])
         with pytest.raises(ValueError):
             cyclic_family_decomposition(3, 0, [], [])
+
+    def test_decomposition_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="u_vec and r_vec must each have n entries"):
+            cyclic_family_decomposition(3, -1, [], [])
+
+
+class TestInputChecks:
+    """Each refused input of the projection constructors, with its message."""
+
+    @pytest.mark.parametrize("j, k", [(3, 1), (1, 3), (-1, 1), (1, -1)])
+    def test_label_outside_the_range_is_no_generator(self, j, k):
+        assert not valid_generator(3, j, k)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="power must be non-negative, got -1"):
+            expand_spin_power(ProjectionSpec(3, SpinLabel(1, 0)), -1)
+
+    def test_one_spec_per_subsystem(self):
+        with pytest.raises(ValueError, match="1 projection specs for 2 subsystems"):
+            ProductProjectionSpec(DimVector((2, 2)), (ProjectionSpec(2, SpinLabel(1, 0)),))
+
+    @pytest.mark.parametrize("theta", [(0.0, 0.0), np.zeros((3, 1))])
+    def test_m3_needs_three_angles(self, theta):
+        shape = np.shape(theta)
+        with pytest.raises(ValueError, match=re.escape(f"need exactly 3 angles, got shape {shape}")):
+            m3_map(theta)
+
+    @pytest.mark.parametrize(
+        "d, amplitudes, theta, message",
+        [
+            (3, (1.0, 0.0), (0.0, 0.0, 0.0), "need 3 amplitudes, got shape (2,)"),
+            (2, (-1.0, 0.0), 0.0, "amplitudes must be non-negative"),
+            (3, (1.0, 0.0, 0.0), (0.0, 0.0), "need 3 phase differences, got shape (2,)"),
+            (3, (1.0, 0.0, 0.0), (0.1, 0.2, 0.3), "phase differences must sum to 0 mod 2*pi"),
+            (3, (1.0, 0.0, 0.0), (math.nan, 0.0, 0.0), "phase differences must sum to 0 mod 2*pi"),
+        ],
+        ids=["amplitude-count", "negative-amplitude", "phase-count", "phase-sum", "phase-nan"],
+    )
+    def test_projection_from_diagonal_refuses(self, d, amplitudes, theta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            projection_from_diagonal(d, amplitudes, theta)
+
+    @pytest.mark.parametrize("total", [2 * math.pi, -4 * math.pi, 2 * math.pi - 5e-10])
+    def test_phase_sum_accepted_modulo_two_pi(self, total):
+        rho, _ = projection_from_diagonal(3, np.full(3, 1 / math.sqrt(3)), (total, 0.0, 0.0))
+        assert np.allclose(np.diagonal(rho.matrix), 1 / 3)
 
 
 class TestPhaseMixingMaps:

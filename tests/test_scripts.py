@@ -1,12 +1,17 @@
 """Smoke tests: each script in scripts/ runs end to end on tiny arguments."""
 
 import importlib.util
+import inspect
 import json
+import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from spinsep import spin
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,6 +53,27 @@ def test_mutation_gate_lists_its_mutants(monkeypatch, capsys):
     assert len(run) >= 20
     assert sum(line.startswith("[") for line in lines) == len(MUTATIONS)
     assert sum(line.strip().startswith("equivalent: ") for line in lines) == len(MUTATIONS) - len(run)
+
+
+def test_uncovered_lines_over_one_test_class():
+    """Run as a program on the spin_matrix tests: pytest's summary, then each
+    listed line as file:line: text.  Those tests run all of spin_matrix but
+    not spin_power, and never import __main__.py."""
+    root = SCRIPTS.parent
+    argv = [sys.executable, str(SCRIPTS / "uncovered_lines.py"), "tests/test_spin.py::TestSpinMatrix"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    summary = next(i for i, line in enumerate(lines) if re.fullmatch(r"\d+ passed in .*", line))
+    listed = [re.fullmatch(r"(src/spinsep/\w+\.py):(\d+): (.*)", line) for line in lines[summary + 1 :]]
+    assert listed and all(listed)
+    for m in listed:
+        assert (root / m[1]).read_text().splitlines()[int(m[2]) - 1].strip() == m[3]
+    in_spin = {int(m[2]) for m in listed if m[1] == "src/spinsep/spin.py"}
+    for function, ran in ((spin.spin_matrix, True), (spin.spin_power, False)):
+        body, first = inspect.getsourcelines(function)
+        assert in_spin.isdisjoint(range(first, first + len(body))) is ran
+    assert "src/spinsep/__main__.py:4: raise SystemExit(main())" in lines
 
 
 @pytest.mark.parametrize("p", ["2", "4"])

@@ -192,3 +192,15 @@ class TestSpinTableShape:
     def test_matrix_shape_enforced(self):
         with pytest.raises(ValueError):
             spin_table(np.eye(5), DimVector((2, 3)))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), [2, 3]], ids=["tuple", "list"])
+def test_coefficient_dims_taken_as_a_dim_vector(dims):
+    """Any sequence of dimensions is checked and held as a DimVector."""
+    table = np.zeros((6, 6), dtype=complex)
+    table[0, 0] = 1.0
+    coeffs = SpinCoefficients(dims, table)
+    assert type(coeffs.dims) is DimVector and coeffs.dims == (2, 3)
+    assert np.allclose(from_spin(coeffs), np.eye(6) / 6)
+    with pytest.raises(ValueError, match="every dimension must be at least 2"):
+        SpinCoefficients((1, 6), table)

@@ -135,6 +135,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             werner_threshold(4, 2)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_subsystems(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+            werner_threshold(3, n)
+
     @pytest.mark.parametrize("p,n", PRIME_CASES)
     def test_norm_at_threshold(self, p, n):
         w = werner_density(WernerSpec(p, n, werner_threshold(p, n)))
