@@ -182,6 +182,19 @@ MUTATIONS = [
              "an s of s* + 2e-12 gets a decomposition"),
     Mutation("werner.py", "1.0 - mu > WEIGHT_FLOOR", "1.0 - mu > 1e-9",
              "a residual of weight 2e-14 is dropped"),
+    # Refusals of misfitting input, each flipped back to the form that let it through.
+    Mutation("cli.py", "if out and emit and Path(out).resolve() == Path(emit).resolve():",
+             "if False:",
+             "werner --output A --emit-decomposition A writes the density over the decomposition"),
+    Mutation("cli.py", "Path(out).resolve() == Path(emit).resolve()", "Path(out) == Path(emit)",
+             "sub/../A.json and an absolute path are not seen as the file A.json"),
+    Mutation("decompositions.py",
+             "if (w := self.weights).ndim != 1 or index.size != w.size * len(dims):", "if False:",
+             "2-D weights are accepted, and a weight count off the index rows fails in reshape"),
+    Mutation("projections.py", "if not b.min() >= 0:", "if b.min() < 0:",
+             "a NaN amplitude is refused only by the sum rule, under its message"),
+    Mutation("werner.py", "if not s >= 0.0:", "if s < 0.0:",
+             "a NaN s is reported as above the threshold"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",
@@ -196,6 +209,11 @@ MUTATIONS = [
              "p^(n-1) of exactly 1024 bits skips the shortcut",
              equivalent="p >= 2^(bit_length - 1), so p^(n-1) >= 2^1024 and 1 + p^(n-1) "
              "overflows a double: the same ValueError is raised after the power"),
+    Mutation("projections.py", "if not abs(float((b**2).sum()) - 1.0) <= 1e-9:",
+             "if abs(float((b**2).sum()) - 1.0) > 1e-9:",
+             "a NaN sum of squares passes the sum rule",
+             equivalent="a NaN amplitude is refused by the non-negativity check before, and "
+             "squares of non-negative amplitudes that are not NaN never sum to NaN"),
 ]
 
 

@@ -3,12 +3,13 @@
 Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
 (dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
-werner --p, --n or --s out of range, a --p from 3317044064679887385961981 up
-that no Miller-Rabin base 2..41 shows composite, NaN or infinite output, a
-built decomposition failing its own verification, as under a --tol too tight
-for double rounding, certify checks that contradict each other, or a request
-too large to allocate), 4 invalid density (any certify input, or transform
---strict, including a failed eigenvalue solve).
+werner --p, --n or --s out of range, werner --output and --emit-decomposition
+naming one file, a --p from 3317044064679887385961981 up that no Miller-Rabin
+base 2..41 shows composite, NaN or infinite output, a built decomposition
+failing its own verification, as under a --tol too tight for double rounding,
+certify checks that contradict each other, or a request too large to
+allocate), 4 invalid density (any certify input, or transform --strict,
+including a failed eigenvalue solve).
 """
 
 from __future__ import annotations
@@ -198,7 +199,9 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 
 def cmd_werner(args, tol: Tolerance) -> int:
-    p, n, s = args.p, args.n, args.s
+    p, n, s, out, emit = args.p, args.n, args.s, args.output, args.emit_decomposition
+    if out and emit and Path(out).resolve() == Path(emit).resolve():
+        raise ValueError(f"--output and --emit-decomposition are the same file: {out}, {emit}")
     # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.
     WernerSpec(p, n, 0.0 if s is None else s)
     prime, bound = is_prime(p), werner_bound(p, n)
@@ -209,7 +212,7 @@ def cmd_werner(args, tol: Tolerance) -> int:
             f"necessary-condition bound: {bound!r} "
             "(exact threshold unknown for composite dimension)"
         )
-    if args.output is None and not args.emit_decomposition:
+    if out is None and not emit:
         return EXIT_OK
     if s is None:
         if not prime:
@@ -217,31 +220,27 @@ def cmd_werner(args, tol: Tolerance) -> int:
         s = bound
 
     rho = werner_density(WernerSpec(p, n, s))
-    dec = werner_separable_decomposition(p, n, s) if args.emit_decomposition else None
+    dec = werner_separable_decomposition(p, n, s) if emit else None
     if dec is not None and not (result := verify_decomposition(dec, rho, tol)):
         raise VerificationError(f"decomposition failed verification: {result.failure}")
     if dec is not None:
-        write_decomposition_file(args.emit_decomposition, dec)
-    if args.output is not None:
+        write_decomposition_file(emit, dec)
+    if out is not None:
         try:
-            _emit_document(density_document(rho.matrix, rho.dims), args.output)
+            _emit_document(density_document(rho.matrix, rho.dims), out)
         except OSError:
             # A failed run leaves no output: the decomposition file goes too.
             if dec is not None:
-                Path(args.emit_decomposition).unlink(missing_ok=True)
+                Path(emit).unlink(missing_ok=True)
             raise
     if dec is not None:
-        print(f"wrote {args.emit_decomposition} ({len(dec.weights)} terms, verified)")
+        print(f"wrote {emit} ({len(dec.weights)} terms, verified)")
     return EXIT_OK
 
 
 def cmd_permute(args, tol: Tolerance) -> int:
     matrix, dims = read_density_file(args.input)
     sigma = _parse_int_list(args.sigma, "--sigma")
-    if len(sigma) != len(dims):
-        raise ValueError(
-            f"permutation length {len(sigma)} does not match {len(dims)} subsystems"
-        )
     out = reorder_subsystems(matrix, dims, sigma)
     _emit_document(density_document(out, permute_dims(dims, sigma)), args.output)
     return EXIT_OK

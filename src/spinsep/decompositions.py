@@ -55,13 +55,15 @@ class SeparableDecomposition:
         """From the columns; each slot keeps the entries that some term uses, in
         their order, as one (K_a, d_a, d_a) complex stack.  ValueError if dims fails
         DimVector's checks, a column has not len(dims) slots, a non-empty index has no
-        integer dtype, an entry of slot a is outside 0..K_a - 1, or a factor is not
-        d_a x d_a, by shape for a stack."""
+        integer dtype, weights are not 1-D with one per index row, an entry of slot a
+        is outside 0..K_a - 1, or a factor is not d_a x d_a, by shape for a stack."""
         self.dims = dims = DimVector(dims)
         self.weights, index = np.asarray(weights, dtype=float), np.asarray(index)
         for name, n in (("index", np.shape(index)[-1]), ("factors", len(factors))):
             if n != len(dims):
                 raise ValueError(f"{name} has {n} slot{'s' * (n != 1)}, dims has {len(dims)}")
+        if (w := self.weights).ndim != 1 or index.size != w.size * len(dims):
+            raise ValueError(f"weights {w.shape}: need one per row of index {index.shape}")
         if index.size and index.dtype.kind not in "iu":
             raise ValueError(f"slot 0: index entries are {index.dtype}, not integers")
         index = index.reshape(len(self.weights), len(dims))

@@ -153,11 +153,8 @@ def parse_coefficients_document(doc) -> SpinCoefficients:
 
 
 def decomposition_document(dec: SeparableDecomposition) -> dict:
-    terms = [
-        {"weight": float(t.weight), "factors": [matrix_entries(f) for f in t.factors]}
-        for t in dec.terms
-    ]
-    return document(dec.dims, "terms", terms)
+    """The document ``write_decomposition_file`` writes for ``dec``, read back."""
+    return json.loads("".join(decomposition_chunks(dec)))
 
 
 def _term_weight(raw, i: int, b: int) -> float:
@@ -265,7 +262,7 @@ def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
-    """``document_text(decomposition_document(dec))`` in consecutive pieces.
+    """``document_text`` of ``dec``'s terms document in consecutive pieces.
 
     Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
     apart, is rendered once by ``float.__repr__``, the number ``json.dumps``

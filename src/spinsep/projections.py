@@ -69,16 +69,11 @@ def _generator_power(spec: ProjectionSpec, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _subgroup_projection_cached(d: int, j: int, k: int, r: int) -> np.ndarray:
-    spec = ProjectionSpec(d, SpinLabel(j, k), r)
-    acc = sum(_generator_power(spec, m) for m in range(d)) / d
+def subgroup_projection(spec: ProjectionSpec) -> np.ndarray:
+    """The trace-one projection P_u(r), read-only; Hermitian and idempotent."""
+    acc = sum(_generator_power(spec, m) for m in range(spec.d)) / spec.d
     acc.setflags(write=False)
     return acc
-
-
-def subgroup_projection(spec: ProjectionSpec) -> np.ndarray:
-    """The trace-one projection P_u(r); Hermitian and idempotent."""
-    return _subgroup_projection_cached(spec.d, spec.u.j, spec.u.k, spec.r % spec.d)
 
 
 def expand_spin_power(spec: ProjectionSpec, t: int) -> list[tuple[complex, int]]:
@@ -184,8 +179,8 @@ def projection_from_diagonal(
 
     ``amplitudes`` are the non-negative moduli b_k with sum b_k^2 = 1, so
     the diagonal of the result is b_k^2.  ``theta`` holds the cyclic phase
-    differences theta_k = phi_k - phi_{k+1}; a scalar is accepted for
-    d = 2, and a length-d vector must sum to 0 mod 2*pi.  When exactly one
+    differences theta_k = phi_k - phi_{k+1}, d of them summing to 0 mod
+    2*pi; at d = 2 a scalar theta stands for (theta, -theta).  When exactly one
     b_k vanishes the same theta describes a one-parameter family, which
     needs no special casing here.
     """
@@ -194,21 +189,20 @@ def projection_from_diagonal(
     b = np.asarray(amplitudes, dtype=float)
     if b.shape != (d,):
         raise ValueError(f"need {d} amplitudes, got shape {b.shape}")
-    if b.min() < 0:
+    if not b.min() >= 0:
         raise ValueError("amplitudes must be non-negative")
-    if abs(float((b**2).sum()) - 1.0) > 1e-9:
+    if not abs(float((b**2).sum()) - 1.0) <= 1e-9:
         raise ValueError(f"amplitudes must satisfy sum b^2 = 1, got {(b**2).sum()!r}")
-    if np.isscalar(theta) or np.ndim(theta) == 0:
+    if np.ndim(theta) == 0:
         if d != 2:
             raise ValueError("a scalar phase is only meaningful for d = 2")
-        theta = np.array([float(theta), -float(theta)])
-    else:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (d,):
-            raise ValueError(f"need {d} phase differences, got shape {theta.shape}")
-        s = float(theta.sum()) % (2.0 * math.pi)
-        if not min(s, 2.0 * math.pi - s) <= 1e-9:
-            raise ValueError("phase differences must sum to 0 mod 2*pi")
+        theta = (theta, -theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"need {d} phase differences, got shape {theta.shape}")
+    s = float(theta.sum()) % (2.0 * math.pi)
+    if not min(s, 2.0 * math.pi - s) <= 1e-9:
+        raise ValueError("phase differences must sum to 0 mod 2*pi")
     phi = np.zeros(d)
     for k in range(d - 1):
         phi[k + 1] = phi[k] - theta[k]

@@ -124,15 +124,13 @@ def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
 def spin_power(d: int, label: SpinLabel, m: int) -> tuple[RootOfUnity, SpinLabel]:
     """Reduce the m-th matrix power of a spin matrix to phase * spin matrix.
 
-    S_{j,k}^m = eta^(j*k*m*(m-1)/2) S_{mj mod d, mk mod d} for m >= 1;
-    m = 0 returns (1, S_{0,0}).
+    S_{j,k}^m = eta^(j*k*m*(m-1)/2) S_{mj mod d, mk mod d}, which is
+    (1, S_{0,0}) at m = 0.
     """
     j, k = label
     _check_label(d, j, k)
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
-    if m == 0:
-        return RootOfUnity(d, 0), SpinLabel(0, 0)
     exponent = (j * k * (m * (m - 1) // 2)) % d
     return RootOfUnity(d, exponent), SpinLabel((m * j) % d, (m * k) % d)
 

@@ -139,7 +139,9 @@ def werner_separable_decomposition(
     s_star = werner_threshold(p, n)
     if s is None:
         s = s_star
-    if not (0.0 <= s <= s_star + NORM_SLACK):
+    if not s >= 0.0:
+        raise ValueError(f"no decomposition for s = {s}: the mixing parameter must be non-negative")
+    if not s <= s_star + NORM_SLACK:
         raise ValueError(f"no decomposition for s = {s} above the threshold {s_star}")
     mu = min(s / s_star, 1.0)
     dims = DimVector((p,) * n)

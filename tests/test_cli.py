@@ -653,6 +653,27 @@ class TestWernerCommand:
         assert main(["werner", "--p", str(PRIME_LIMIT), "--n", "10000000"]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot tell if {PRIME_LIMIT} is prime")
 
+    @pytest.mark.parametrize("spelling", ["A.json", "./A.json", "sub/../A.json", "absolute"])
+    def test_output_and_decomposition_on_one_file_exit_3(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        """Both files written to one path would leave the density where the
+        decomposition is reported: refused before anything is printed or
+        written, and a file already there keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "A.json"
+        target.write_text("kept\n")
+        emit = str(target) if spelling == "absolute" else spelling
+        argv = ["werner", "--p", "2", "--n", "2", "--output", "A.json"]
+        assert main(argv + ["--emit-decomposition", emit]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --output and --emit-decomposition are the same file: A.json, {emit}\n"
+        )
+        assert target.read_text() == "kept\n"
+
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli
 

@@ -4,6 +4,7 @@ stack of pairwise distinct entries per slot from every builder, a
 misshapen factor refused at construction, failing factors named at the
 first term that uses them, and assembly against the per-term reference."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,9 +25,10 @@ from spinsep import (
     werner_separable_decomposition,
     werner_threshold,
 )
-from spinsep.io import decomposition_document, parse_decomposition_document
+from spinsep.io import decomposition_document, document_text, parse_decomposition_document
 
 from conftest import mixed_to_norm, residual_flags
+from reference_io import reference_document
 from reference_terms import from_terms
 from reference_verifier import reference_assemble
 
@@ -253,9 +255,22 @@ def test_refused_at_construction_or_verified_without_raising(columns, defect):
     assert result.ok in (True, False) and (result.failure is None) == result.ok
 
 
+@pytest.mark.parametrize(
+    "weights, index",
+    [([0.5, 0.5], [[0, 0]]), ([1.0], [[0, 0], [0, 0]]), ([[1.0]], [[0, 0]]), (1.0, [[0, 0]])],
+    ids=["more-weights", "more-rows", "2-d-weights", "scalar-weight"],
+)
+def test_weights_are_one_per_index_row(weights, index):
+    """Anything but one weight per index row is refused, naming both shapes,
+    before a reshape, a verification or a write can fail on it."""
+    shapes = f"weights {np.shape(weights)}: need one per row of index {np.shape(index)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(shapes)}$"):
+        SeparableDecomposition((2, 2), weights, index, [[np.eye(2) / 2]] * 2)
+
+
 def _parsed():
     rho = mixed_to_norm(DimVector((2, 3)), 0.9, np.random.default_rng(3))
-    return parse_decomposition_document(decomposition_document(sufficient_certificate(rho).witness))
+    return parse_decomposition_document(reference_document(sufficient_certificate(rho).witness))
 
 
 BUILDERS = {
@@ -294,6 +309,14 @@ def test_each_slot_holds_each_content_once(build):
     dec = build()
     for slot in dec.factors:
         assert len({f.tobytes() for f in slot}) == len(slot)
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_decomposition_document_is_the_reference_document(build):
+    """The writer's document, read back, renders as the term-by-term
+    reference does, bit for bit in every float."""
+    dec = build()
+    assert document_text(decomposition_document(dec)) == document_text(reference_document(dec))
 
 
 def traced(call):

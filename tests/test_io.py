@@ -33,7 +33,6 @@ from spinsep.io import (
     CHUNK_TERMS,
     FileFormatError,
     coefficients_document,
-    decomposition_document,
     density_document,
     document_text,
     read_coefficients_file,
@@ -45,11 +44,12 @@ from spinsep.io import (
 from spinsep.transform import SpinCoefficients
 
 from conftest import mixed_to_norm
+from reference_io import reference_document
 from reference_terms import from_terms
 
 
 def reference_bytes(dec) -> bytes:
-    return (document_text(decomposition_document(dec)) + "\n").encode("utf-8")
+    return (document_text(reference_document(dec)) + "\n").encode("utf-8")
 
 
 def written_bytes(dec, path) -> bytes:
@@ -392,7 +392,7 @@ class TestRefusedWithoutAFile:
     "where, named", [("weight", "term 1: weight"), ("entry", "term 1, factor 0: entry (0,1)")]
 )
 def test_integer_too_large_for_a_double_is_format_error(where, named, tmp_path):
-    doc = decomposition_document(werner_separable_decomposition(2, 2))
+    doc = reference_document(werner_separable_decomposition(2, 2))
     if where == "weight":
         doc["terms"][1]["weight"] = 10**400
     else:
@@ -488,7 +488,7 @@ def reader_cases():
         "terms": (
             read_decomposition_file,
             "parse_decomposition_document",
-            decomposition_document(werner_separable_decomposition(2, 2)),
+            reference_document(werner_separable_decomposition(2, 2)),
         ),
     }
 

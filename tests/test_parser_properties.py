@@ -27,7 +27,6 @@ from spinsep import (
 from spinsep.cli import main
 from spinsep.io import (
     FileFormatError,
-    decomposition_document,
     parse_coefficients_document,
     parse_decomposition_document,
     parse_density_document,
@@ -36,6 +35,7 @@ from spinsep.io import (
     read_density_file,
 )
 
+from reference_io import reference_document
 from reference_parser import reference_coefficients, reference_decomposition, reference_density
 
 # Everything a valid document may hold where a number goes: -0.0, NaN of
@@ -248,7 +248,7 @@ def test_first_malformed_entry_is_named_in_document_order():
     """A bad weight of a later term, and bad entries in a later slot of an
     earlier term and an earlier slot of a later term: the earliest term wins,
     then its earliest slot."""
-    doc = decomposition_document(werner_separable_decomposition(2, 3))
+    doc = reference_document(werner_separable_decomposition(2, 3))
     doc["terms"][3]["factors"][0][1][0] = [1.0, True]
     doc["terms"][2]["factors"][2][0][1] = [1.0]
     doc["terms"][4]["weight"] = "1"
@@ -308,7 +308,7 @@ def test_format_version_must_be_the_integer_one(kind, version, tmp_path, capsys)
     doc = {
         "matrix": {"format_version": 1, "dims": [2], "matrix": [[[0.5, 0]] * 2] * 2},
         "coefficients": {"format_version": 1, "dims": [2], "coefficients": [[[1, 0]] * 2] * 2},
-        "terms": decomposition_document(werner_separable_decomposition(2, 2)),
+        "terms": reference_document(werner_separable_decomposition(2, 2)),
     }[kind]
     parse, reference, read = KINDS[kind]
     assert parse(doc) is not None
@@ -341,7 +341,7 @@ def test_empty_terms_read_back_as_zero_columns(tmp_path):
 
 def test_nan_factor_entry_parses_then_fails_verification(tmp_path):
     dec = werner_separable_decomposition(2, 3)
-    doc = decomposition_document(dec)
+    doc = reference_document(dec)
     doc["terms"][2]["factors"][1][0][1] = [math.nan, 0.0]
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
@@ -366,7 +366,7 @@ def test_numpy_floats_parse_entry_by_entry():
     refuses their type, and the per-entry path reads them as the floats
     they are."""
     dec = werner_separable_decomposition(2, 3, 0.1)
-    doc = decomposition_document(dec)
+    doc = reference_document(dec)
     as_numpy = json.loads(json.dumps(doc), parse_float=np.float64)
     assert type(as_numpy["terms"][0]["factors"][0][0][0][0]) is np.float64
     got, want = parse_decomposition_document(as_numpy), parse_decomposition_document(doc)

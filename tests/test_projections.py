@@ -116,6 +116,18 @@ class TestSubgroupProjection:
         b = subgroup_projection(ProjectionSpec(3, SpinLabel(1, 1), 4))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_offset_shifted_by_d_gives_the_same_bytes(self, d):
+        """Each spec is its own cache entry: r, r - d and r + d are built
+        apart, and the reduced phase exponents make them bit-equal."""
+        for j, k in valid_labels(d):
+            for r in range(d):
+                p = subgroup_projection(ProjectionSpec(d, SpinLabel(j, k), r))
+                assert not p.flags.writeable
+                for shifted in (r - d, r + d):
+                    q = subgroup_projection(ProjectionSpec(d, SpinLabel(j, k), shifted))
+                    assert q.tobytes() == p.tobytes()
+
 
 class TestExpandSpinPower:
     @pytest.mark.parametrize("d", range(2, 7))
@@ -308,6 +320,22 @@ class TestInputChecks:
         ids=["amplitude-count", "negative-amplitude", "phase-count", "phase-sum", "phase-nan"],
     )
     def test_projection_from_diagonal_refuses(self, d, amplitudes, theta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            projection_from_diagonal(d, amplitudes, theta)
+
+    @pytest.mark.parametrize(
+        "d, amplitudes, theta, message",
+        [
+            (2, (math.nan, 1.0), 0.0, "amplitudes must be non-negative"),
+            (3, (1.0, math.nan, 0.0), (0.0, 0.0, 0.0), "amplitudes must be non-negative"),
+            (2, (1.0, 0.0), math.nan, "phase differences must sum to 0 mod 2*pi"),
+            (2, (1.0, 0.0), np.array(math.nan), "phase differences must sum to 0 mod 2*pi"),
+        ],
+        ids=["nan-amplitude-d2", "nan-amplitude-d3", "nan-scalar-phase", "nan-0-d-phase"],
+    )
+    def test_non_finite_input_refused_before_the_density(self, d, amplitudes, theta, message):
+        """NaN fails each amplitude comparison, and a scalar phase theta is
+        checked as the vector (theta, -theta), whose sum is NaN here."""
         with pytest.raises(ValueError, match=re.escape(message)):
             projection_from_diagonal(d, amplitudes, theta)
 

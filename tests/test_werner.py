@@ -181,6 +181,21 @@ class TestSeparableDecomposition:
         with pytest.raises(ValueError):
             werner_separable_decomposition(4, 2)
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (-0.1, "no decomposition for s = -0.1: the mixing parameter must be non-negative"),
+            (-5e-324, "no decomposition for s = -5e-324: the mixing parameter must be non-negative"),
+            (float("nan"), "no decomposition for s = nan: the mixing parameter must be non-negative"),
+            (0.2 + 1e-9, "no decomposition for s = 0.200000001 above the threshold 0.2"),
+        ],
+        ids=["negative", "negative-subnormal", "nan", "above"],
+    )
+    def test_each_side_of_the_range_has_its_message(self, s, message):
+        with pytest.raises(ValueError) as info:
+            werner_separable_decomposition(2, 3, s)
+        assert str(info.value) == message
+
     def test_builds_no_density(self, monkeypatch):
         import spinsep.projections
         import spinsep.werner
