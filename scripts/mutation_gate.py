@@ -188,6 +188,18 @@ MUTATIONS = [
              "werner --output A --emit-decomposition A writes the density over the decomposition"),
     Mutation("cli.py", "Path(out).resolve() == Path(emit).resolve()", "Path(out) == Path(emit)",
              "sub/../A.json and an absolute path are not seen as the file A.json"),
+    Mutation("cli.py", "if emit and Path(emit).resolve() == Path(args.input).resolve():",
+             "if False:",
+             "certify --emit-decomposition A --input A writes the witness over the density"),
+    Mutation("cli.py", "Path(emit).resolve() == Path(args.input).resolve()",
+             "Path(emit) == Path(args.input)",
+             "certify does not see sub/../A.json or an absolute path as its --input A.json"),
+    Mutation("projections.py", "if not np.isfinite(theta).all():", "if False:",
+             "an infinite phase pair warns inside the sum, and NaN is named by the sum rule"),
+    Mutation("io.py", "if not np.isfinite(dec.weights).all():", "if False:",
+             "an infinite weight is reported as a non-finite factor entry"),
+    Mutation("io.py", "if not np.isfinite(values).all():", "if False:",
+             "a NaN factor entry is written as the bare token nan, which JSON lacks"),
     Mutation("decompositions.py",
              "if (w := self.weights).ndim != 1 or index.size != w.size * len(dims):", "if False:",
              "2-D weights are accepted, and a weight count off the index rows fails in reshape"),

@@ -4,12 +4,13 @@ Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
 (dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
 werner --p, --n or --s out of range, werner --output and --emit-decomposition
-naming one file, a --p from 3317044064679887385961981 up that no Miller-Rabin
-base 2..41 shows composite, NaN or infinite output, a built decomposition
-failing its own verification, as under a --tol too tight for double rounding,
-certify checks that contradict each other, or a request too large to
-allocate), 4 invalid density (any certify input, or transform --strict,
-including a failed eigenvalue solve).
+naming one file, certify --emit-decomposition naming its own --input, a --p
+from 3317044064679887385961981 up that no Miller-Rabin base 2..41 shows
+composite, NaN or infinite output, a built decomposition failing its own
+verification, as under a --tol too tight for double rounding, certify checks
+that contradict each other, or a request too large to allocate), 4 invalid
+density (any certify input, or transform --strict, including a failed
+eigenvalue solve).
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def _report_json(report) -> dict:
 
 
 def cmd_certify(args, tol: Tolerance) -> int:
+    emit = args.emit_decomposition
+    if emit and Path(emit).resolve() == Path(args.input).resolve():
+        raise ValueError(f"--emit-decomposition would overwrite --input: {emit}, {args.input}")
     matrix, dims = read_density_file(args.input)
     if len(dims) < 2:
         raise ValueError("certification needs at least two subsystems")
@@ -188,11 +192,11 @@ def cmd_certify(args, tol: Tolerance) -> int:
             print(f"{name}: {report.verdict}")
         print(f"verdict: {overall}")
 
-    if args.emit_decomposition:
+    if emit:
         if sufficient is not None and sufficient.verdict == SEPARABLE:
             # The certificate verified its witness before returning it.
-            write_decomposition_file(args.emit_decomposition, sufficient.witness)
-            print(f"wrote {args.emit_decomposition}")
+            write_decomposition_file(emit, sufficient.witness)
+            print(f"wrote {emit}")
         else:
             print("no decomposition emitted (not certified separable)")
     return EXIT_OK

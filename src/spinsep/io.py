@@ -5,10 +5,10 @@ Every complex entry is serialised as a [real, imaginary] pair of decimal
 numbers; Python's shortest-repr float writing makes parse -> serialize ->
 parse the identity on the numeric content.  Every file is exactly
 ``json.dumps(document, indent=2)`` and a newline, so its bytes are
-reproducible.  Decomposition files render each distinct float once, with
-no per-term encoder work, to the same bytes, and are written
-``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``), so their
-whole text never exists.  Every reader parses with the cyclic garbage
+reproducible.  A decomposition file renders each distinct float once, to
+the same bytes, as per term its weight, slot blocks and one separator, and
+is written ``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``),
+so its whole text never exists.  Every reader parses with the cyclic garbage
 collector paused (see ``_read``); a decomposition read also converts each
 distinct number text once per file (see ``_Floats``), from the same bytes.
 """
@@ -267,10 +267,10 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
     Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
     apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
     writes.  Each slot's factors fill a tiled d_a x d_a template with their
-    entries' strings.  A (T, b + 4) array holds the pieces: per term its
-    opener, weight, "factors" opener, one block per slot and closer, with
-    the document's header and tail folded into the first and last rows.
-    Each chunk joins ``CHUNK_TERMS`` of its rows.  ValueError on NaN or
+    entries' strings.  A (T, b + 2) array holds per term its weight, one
+    block per slot (slot 0's open "factors") and a separator into the next
+    term, or the document's tail; the header and first opener are the first
+    chunk, then each chunk joins ``CHUNK_TERMS`` rows.  ValueError on NaN or
     infinity, which JSON lacks, raised by this call, before any chunk.
     """
     head = document_text(document(dec.dims, "terms", []))
@@ -285,23 +285,22 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     strings = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse]
     chunks = iter(np.split(strings, np.cumsum([len(v) for v in (dec.weights, *entries)])))
-    pieces = np.empty((len(dec.weights), len(dec.dims) + 4), dtype=object)
-    pieces[:, 0] = '    {\n      "weight": '
-    pieces[0, 0] = head.removesuffix("[]\n}") + "[\n" + pieces[0, 0]
-    pieces[:, 1] = next(chunks)
-    pieces[:, 2] = ',\n      "factors": [\n        '
+    opener = '    {\n      "weight": '
+    pieces = np.empty((len(dec.weights), len(dec.dims) + 2), dtype=object)
+    pieces[:, 0] = next(chunks)
     for a, slot in enumerate(dec.factors):
         rows = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1))
         rows[:, 1::2] = next(chunks).reshape(len(slot), -1)
-        # Slots after the first carry the separator from the block before.
-        rows[:, 0] = ",\n        " * (a > 0) + rows[0, 0]
+        # Each block carries the text between it and the piece before.
+        rows[:, 0] = (",\n        " if a else ',\n      "factors": [\n        ') + rows[0, 0]
         blocks = np.array(list(map("".join, rows.tolist())), dtype=object)
-        pieces[:, 3 + a] = blocks[dec.index[:, a]]
-    pieces[:, -1] = "\n      ]\n    },\n"
+        pieces[:, 1 + a] = blocks[dec.index[:, a]]
+    pieces[:, -1] = "\n      ]\n    },\n" + opener
     pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"
-    return (
-        "".join(pieces[i : i + CHUNK_TERMS].ravel().tolist())
-        for i in range(0, len(pieces), CHUNK_TERMS)
+    starts = range(0, len(pieces), CHUNK_TERMS)
+    return chain(
+        (head.removesuffix("[]\n}") + "[\n" + opener,),
+        ("".join(pieces[i : i + CHUNK_TERMS].ravel().tolist()) for i in starts),
     )
 
 

@@ -200,6 +200,8 @@ def projection_from_diagonal(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d,):
         raise ValueError(f"need {d} phase differences, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError(f"phase differences must be finite, got {theta.tolist()!r}")
     s = float(theta.sum()) % (2.0 * math.pi)
     if not min(s, 2.0 * math.pi - s) <= 1e-9:
         raise ValueError("phase differences must sum to 0 mod 2*pi")

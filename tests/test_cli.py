@@ -469,6 +469,27 @@ class TestCertify:
         assert not out.exists()
         assert "no decomposition emitted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spelling", ["A.json", "./A.json", "sub/../A.json", "absolute"])
+    def test_decomposition_over_its_own_input_exits_3(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        """A certified witness written over the input would destroy the
+        density: refused before anything is printed, the input keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "A.json"
+        w = werner_density(WernerSpec(2, 2, 1 / 3))
+        write_density_file(target, w.matrix, w.dims)
+        before = target.read_bytes()
+        emit = str(target) if spelling == "absolute" else spelling
+        assert main(["certify", "--input", "A.json", "--all", "--emit-decomposition", emit]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --emit-decomposition would overwrite --input: {emit}, A.json\n"
+        )
+        assert target.read_bytes() == before
+
 
 def exact_trace_density(dims: DimVector) -> np.ndarray:
     """Near-mixed density with a dyadic diagonal summing to exactly one."""
@@ -871,5 +892,16 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     monkeypatch.delitem(sys.modules, "spinsep.__main__", raising=False)
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("spinsep", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"separability threshold: {1 / 3!r}\n"
+
+
+def test_python_dash_m_runs_the_cli_module(monkeypatch, capsys):
+    """``python -m spinsep.cli`` exits with main()'s status."""
+    monkeypatch.setattr("sys.argv", ["spinsep", "werner", "--p", "2", "--n", "2"])
+    # runpy warns when the module it runs as a script is already imported.
+    monkeypatch.delitem(sys.modules, "spinsep.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("spinsep.cli", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"separability threshold: {1 / 3!r}\n"

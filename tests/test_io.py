@@ -323,6 +323,20 @@ class TestRefusedWithoutAFile:
             write_decomposition_file(path, from_terms(dec.dims, terms))
         assert not path.exists()
 
+    @pytest.mark.parametrize("where", ["weight", "factor entry"])
+    def test_refusal_names_what_is_not_finite(self, tmp_path, where):
+        dec = werner_separable_decomposition(2, 2)
+        weight, factors = dec.terms[0].weight, dec.terms[0].factors
+        if where == "weight":
+            weight = np.inf
+        else:
+            factors = (np.full((2, 2), np.nan), *factors[1:])
+        terms = (ProductTerm(weight, factors),) + dec.terms[1:]
+        path = tmp_path / "dec.json"
+        with pytest.raises(ValueError, match=f"a {where} is NaN or infinite"):
+            write_decomposition_file(path, from_terms(dec.dims, terms))
+        assert not path.exists()
+
     def test_nan_weight_in_the_last_term(self, tmp_path):
         dec = werner_separable_decomposition(2, 3)
         last = dec.terms[-1]

@@ -315,7 +315,7 @@ class TestInputChecks:
             (2, (-1.0, 0.0), 0.0, "amplitudes must be non-negative"),
             (3, (1.0, 0.0, 0.0), (0.0, 0.0), "need 3 phase differences, got shape (2,)"),
             (3, (1.0, 0.0, 0.0), (0.1, 0.2, 0.3), "phase differences must sum to 0 mod 2*pi"),
-            (3, (1.0, 0.0, 0.0), (math.nan, 0.0, 0.0), "phase differences must sum to 0 mod 2*pi"),
+            (3, (1.0, 0.0, 0.0), (math.nan, 0.0, 0.0), "phase differences must be finite"),
         ],
         ids=["amplitude-count", "negative-amplitude", "phase-count", "phase-sum", "phase-nan"],
     )
@@ -328,14 +328,25 @@ class TestInputChecks:
         [
             (2, (math.nan, 1.0), 0.0, "amplitudes must be non-negative"),
             (3, (1.0, math.nan, 0.0), (0.0, 0.0, 0.0), "amplitudes must be non-negative"),
-            (2, (1.0, 0.0), math.nan, "phase differences must sum to 0 mod 2*pi"),
-            (2, (1.0, 0.0), np.array(math.nan), "phase differences must sum to 0 mod 2*pi"),
+            (2, (1.0, 0.0), math.nan, "phase differences must be finite, got [nan, nan]"),
+            (2, (1.0, 0.0), np.array(math.nan), "phase differences must be finite, got [nan, nan]"),
+            (2, (1.0, 0.0), math.inf, "phase differences must be finite, got [inf, -inf]"),
+            (2, (1.0, 0.0), (math.inf, -math.inf), "phase differences must be finite"),
         ],
-        ids=["nan-amplitude-d2", "nan-amplitude-d3", "nan-scalar-phase", "nan-0-d-phase"],
+        ids=[
+            "nan-amplitude-d2",
+            "nan-amplitude-d3",
+            "nan-scalar-phase",
+            "nan-0-d-phase",
+            "inf-scalar-phase",
+            "inf-pair-phase",
+        ],
     )
     def test_non_finite_input_refused_before_the_density(self, d, amplitudes, theta, message):
         """NaN fails each amplitude comparison, and a scalar phase theta is
-        checked as the vector (theta, -theta), whose sum is NaN here."""
+        checked as the vector (theta, -theta).  Non-finite phases are refused
+        before their sum, where inf + -inf would warn (an error under the
+        suite's warning filters)."""
         with pytest.raises(ValueError, match=re.escape(message)):
             projection_from_diagonal(d, amplitudes, theta)
 
