@@ -11,8 +11,11 @@ the largest entrywise distance of the result from the target density, and
 the best wall time of ``--repeat`` calls to ``verify_decomposition``
 against it.  For a certificate witness it also records ``build_s``, the
 best wall time of ``--repeat`` builds, and ``build_peak_mb``, the
-tracemalloc peak of one more, both with verification off.  Run as a
-script, the BLAS runs on one thread unless the environment says otherwise.
+tracemalloc peak of one more, both with verification off, and the best
+wall times of ``--repeat`` checks of its target by ``check_density``
+(``check_s``) and by the eigvalsh-only ``reference_check_density`` of
+tests/reference_density.py (``check_eigvalsh_s``).  Run as a script, the
+BLAS runs on one thread unless the environment says otherwise.
 
 Usage: python scripts/bench_assemble.py --out BENCH.json [--cases werner-3-5,...]
 """
@@ -27,6 +30,7 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from unittest import mock  # noqa: E402
@@ -51,8 +55,11 @@ from spinsep import (  # noqa: E402
 )
 from spinsep import separability  # noqa: E402
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from reference_density import reference_check_density  # noqa: E402
+
 WERNER = {f"werner-{p}-{n}": (p, n) for p, n in [(2, 8), (3, 5), (7, 3), (2, 10)]}
-MIXED = {f"mixed-{d}^{b}": (d,) * b for d, b in [(2, 7), (3, 5), (4, 4)]}
+MIXED = {f"mixed-{d}^{b}": (d,) * b for d, b in [(2, 7), (3, 5), (4, 4), (2, 8), (3, 6)]}
 DISTINCT = {"distinct-2^7": (2000, 7)}
 NORM = 0.95
 
@@ -83,18 +90,21 @@ def traced_peak_mb(call) -> float:
 
 
 def mixed_case(dims: tuple[int, ...], seed: int, repeat: int):
-    """The witness, its target and the witness's build figures."""
+    """The witness, its target, and the build and density-check figures."""
     dims = DimVector(dims)
     rho0 = random_density(dims, np.random.default_rng(seed))
     lam = NORM / spin_l1_norm(to_spin(rho0))
     n = dims.size
-    rho = check_density(lam * rho0.matrix + (1 - lam) * np.eye(n) / n, dims)
+    m = lam * rho0.matrix + (1 - lam) * np.eye(n) / n
+    check_s, rho = best_time(repeat, lambda: check_density(m, dims))
+    check_eigvalsh_s, _ = best_time(repeat, lambda: reference_check_density(m, dims))
     # Verification would assemble the witness once more before timing starts.
     accept = mock.Mock(return_value=VerificationResult(True))
     with mock.patch.object(separability, "verify_decomposition", accept):
         build_s, report = best_time(repeat, lambda: sufficient_certificate(rho))
         peak = traced_peak_mb(lambda: sufficient_certificate(rho))
-    return report.witness, rho, {"build_s": build_s, "build_peak_mb": peak}
+    return report.witness, rho, {"build_s": build_s, "build_peak_mb": peak, "check_s": check_s,
+                                 "check_eigvalsh_s": check_eigvalsh_s}
 
 
 def distinct_case(terms: int, b: int, seed: int):
@@ -155,7 +165,8 @@ def main() -> None:
         else:
             dec, target = distinct_case(*DISTINCT[name], args.seed)
         cases[name] = case = {**measure(dec, target, args.repeat), **build}
-        built = f", build {case['build_s']:.4f} s, {case['build_peak_mb']:.1f} MB" if build else ""
+        built = (", build {build_s:.4f} s, {build_peak_mb:.1f} MB, check {check_s:.4f} s,"
+                 " eigvalsh {check_eigvalsh_s:.4f} s".format(**build) if build else "")
         print(
             f"{name}: {case['assemble_s']:.4f} s, {case['peak_mb']:.1f} MB,"
             f" verify {case['verify_s']:.4f} s{built}"

@@ -7,10 +7,16 @@ changes no result; it must survive.
 
 The script copies the repository to a temporary directory, checks that the
 unmutated copy passes, then applies one mutation at a time there and runs
-the tier-1 suite with -x.  It names every mutant that survives.  The
-working tree is never written.  tests/test_scripts.py checks that every old
-text still occurs exactly once in src/, so the list cannot drift; that
-check is left out of the mutant runs, since any mutation fails it.
+the tier-1 suite with -x, each run starting with no bytecode, pytest cache
+or hypothesis example database left by an earlier one.  A fixed
+--hypothesis-seed makes every run draw the same examples, so a mutant is
+killed by what it changes, not by a lucky draw, and a kill can be replayed
+(hypothesis also draws literals found in the source, which a mutant may
+change).  Each killed line ends with the first failing test; every
+survivor is named.  The working tree is never written.
+tests/test_scripts.py checks that every old text still occurs exactly once
+in src/, so the list cannot drift; that check is left out of the mutant
+runs, since any mutation fails it.
 
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
@@ -30,11 +36,12 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors",
+         "--continue-on-collection-errors", "--hypothesis-seed=0",
          "--deselect", "tests/test_scripts.py::test_mutation_old_text_occurs_once_in_src"]
-# Left out of the copy: history, caches, and the benchmark's working files and reports.
-SKIP = {".git", "__pycache__", ".hypothesis", ".pytest_cache", "perfbench/work",
-        "perfbench/results"}
+# State a run leaves behind, removed from the copy before each run.
+STATE = ("__pycache__", ".hypothesis", ".pytest_cache")
+# Left out of the copy: history, state, and the benchmark's working files and reports.
+SKIP = {".git", *STATE, "perfbench/work", "perfbench/results"}
 
 
 class Mutation(NamedTuple):
@@ -194,6 +201,10 @@ MUTATIONS = [
     Mutation("cli.py", "Path(emit).resolve() == Path(args.input).resolve()",
              "Path(emit) == Path(args.input)",
              "certify does not see sub/../A.json or an absolute path as its --input A.json"),
+    Mutation("cli.py", 'if emit == "":', "if False:",
+             "certify --emit-decomposition '' prints the verdict and writes nothing"),
+    Mutation("cli.py", 'if "" in (out, emit):', "if False:",
+             "werner --emit-decomposition '' prints only the threshold and exits 0"),
     Mutation("projections.py", "if not np.isfinite(theta).all():", "if False:",
              "an infinite phase pair warns inside the sum, and NaN is named by the sum rule"),
     Mutation("io.py", "if not np.isfinite(dec.weights).all():", "if False:",
@@ -234,13 +245,17 @@ def _ignore(directory: str, names: list[str]) -> set[str]:
     return {name for name in names if name in SKIP or (rel / name).as_posix() in SKIP}
 
 
-def _tier1(repo: Path) -> tuple[int, str]:
-    """Return code and summary line of tier-1 run in ``repo``."""
+def _tier1(repo: Path) -> tuple[int, str, str]:
+    """Return code, summary line and first failing test of a tier-1 run in ``repo``."""
+    for left in [p for name in STATE for p in repo.rglob(name)]:
+        shutil.rmtree(left)
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(TIER1, cwd=repo, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:]
+    failed = (line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR ")))
+    failed = next(failed, "")
+    return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:], failed
 
 
 def _show(i: int, m: Mutation) -> str:
@@ -262,7 +277,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
         repo = Path(tmp) / "repo"
         shutil.copytree(ROOT, repo, ignore=_ignore)
-        code, summary = _tier1(repo)
+        code, summary, _ = _tier1(repo)
         print(f"unmutated copy: {summary}", flush=True)
         if code != 0:
             return 2
@@ -276,13 +291,13 @@ def main() -> int:
             start = time.perf_counter()
             path.write_text(text.replace(m.old, m.new))
             try:
-                code, summary = _tier1(repo)
+                code, summary, failed = _tier1(repo)
             finally:
                 path.write_text(text)
             killed = code != 0
             verdict = "killed" if killed else "survived" if m.equivalent else "SURVIVED"
-            print(f"{verdict:8s} {time.perf_counter() - start:5.1f} s  {_show(i, m)}  -- {summary}",
-                  flush=True)
+            print(f"{verdict:8s} {time.perf_counter() - start:5.1f} s  {_show(i, m)}  -- {summary}"
+                  + (f"  {failed}" if killed else ""), flush=True)
             if killed == bool(m.equivalent):
                 wrong.append(i)
     for i in wrong:

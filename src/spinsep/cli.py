@@ -4,7 +4,8 @@ Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
 (dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
 werner --p, --n or --s out of range, werner --output and --emit-decomposition
-naming one file, certify --emit-decomposition naming its own --input, a --p
+naming one file, certify --emit-decomposition naming its own --input, an
+empty path given to werner --output or to either --emit-decomposition, a --p
 from 3317044064679887385961981 up that no Miller-Rabin base 2..41 shows
 composite, NaN or infinite output, a built decomposition failing its own
 verification, as under a --tol too tight for double rounding, certify checks
@@ -142,6 +143,8 @@ def _report_json(report) -> dict:
 
 def cmd_certify(args, tol: Tolerance) -> int:
     emit = args.emit_decomposition
+    if emit == "":
+        raise ValueError("--emit-decomposition is an empty path")
     if emit and Path(emit).resolve() == Path(args.input).resolve():
         raise ValueError(f"--emit-decomposition would overwrite --input: {emit}, {args.input}")
     matrix, dims = read_density_file(args.input)
@@ -204,6 +207,8 @@ def cmd_certify(args, tol: Tolerance) -> int:
 
 def cmd_werner(args, tol: Tolerance) -> int:
     p, n, s, out, emit = args.p, args.n, args.s, args.output, args.emit_decomposition
+    if "" in (out, emit):
+        raise ValueError(f"{'--output' if out == '' else '--emit-decomposition'} is an empty path")
     if out and emit and Path(out).resolve() == Path(emit).resolve():
         raise ValueError(f"--output and --emit-decomposition are the same file: {out}, {emit}")
     # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.

@@ -713,6 +713,32 @@ class TestWernerCommand:
         assert verify_decomposition(read_decomposition_file(dec_path), werner_density(calls[0]))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["werner", "--p", "3", "--n", "2", "--emit-decomposition", ""], "--emit-decomposition"),
+        (["werner", "--p", "3", "--n", "2", "--output", ""], "--output"),
+        (["werner", "--p", "3", "--n", "2", "--output", "", "--emit-decomposition", "D.json"],
+         "--output"),
+        (["werner", "--p", "3", "--n", "2", "--output", "R.json", "--emit-decomposition", ""],
+         "--emit-decomposition"),
+        (["certify", "--input", str(GOLDEN_DIR / "maximally_mixed_2x2.density.json"), "--all",
+          "--emit-decomposition", ""], "--emit-decomposition"),
+    ],
+    ids=["werner-emit", "werner-output", "werner-output-of-two", "werner-emit-of-two",
+         "certify-emit"],
+)
+def test_empty_output_path_exits_3(tmp_path, monkeypatch, capsys, argv, flag):
+    """An empty path names no file: refused before anything is printed
+    or written, not taken as "no file" or as the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} is an empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestPermute:
     def test_identity_preserves_numeric_content(self, tmp_path, capsys, rng):
         d = DimVector((2, 3))

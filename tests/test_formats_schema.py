@@ -1,0 +1,47 @@
+"""The goldens and the writers' output validate against docs/formats.schema.json."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from spinsep import (
+    DimVector,
+    random_density,
+    sufficient_certificate,
+    to_spin,
+    werner_separable_decomposition,
+)
+from spinsep.io import coefficients_document, write_decomposition_file, write_density_file
+
+from conftest import mixed_to_norm
+
+jsonschema = pytest.importorskip("jsonschema")
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+@pytest.fixture(scope="module")
+def validator():
+    schema = json.loads((DOCS / "formats.schema.json").read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (DOCS / "examples").glob("*.json")))
+def test_golden_file(validator, name):
+    validator.validate(json.loads((DOCS / "examples" / name).read_text()))
+
+
+def test_written_files_and_coefficients_document(validator, tmp_path, rng):
+    dims = DimVector((2, 3))
+    rho = random_density(dims, rng)
+    write_density_file(tmp_path / "rho.json", rho.matrix, dims)
+    witness = sufficient_certificate(mixed_to_norm(dims, 0.9, rng)).witness
+    write_decomposition_file(tmp_path / "witness.json", witness)
+    write_decomposition_file(tmp_path / "werner.json", werner_separable_decomposition(3, 2))
+    docs = [json.loads(p.read_text()) for p in sorted(tmp_path.iterdir())]
+    assert all(len(doc["terms"]) > 1 for doc in docs[1:])
+    for doc in [*docs, coefficients_document(to_spin(rho))]:
+        validator.validate(doc)
+    assert not validator.is_valid({**docs[0], "format_version": True})

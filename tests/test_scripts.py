@@ -109,7 +109,7 @@ def test_bench_assemble(monkeypatch, capsys, tmp_path):
     case = json.loads(out.read_text())["cases"]["werner-3-5"]
     assert case["dims"] == [3] * 5 and case["terms"] == 6564
     assert case["assemble_s"] > 0 and case["peak_mb"] > 0 and case["defect"] < 1e-12
-    assert "build_s" not in case and "build_peak_mb" not in case
+    assert not {"build_s", "build_peak_mb", "check_s", "check_eigvalsh_s"} & case.keys()
 
 
 def test_bench_assemble_times_the_witness_build(monkeypatch, capsys, tmp_path):
@@ -120,6 +120,7 @@ def test_bench_assemble_times_the_witness_build(monkeypatch, capsys, tmp_path):
     case = json.loads(out.read_text())["cases"]["mixed-3^5"]
     assert case["dims"] == [3] * 5 and case["verified"] is True
     assert case["build_s"] > 0 and case["build_peak_mb"] > case["peak_mb"] > 0
+    assert case["check_s"] > 0 and case["check_eigvalsh_s"] > 0
 
 
 @pytest.mark.parametrize(
@@ -167,31 +168,3 @@ def test_bench_assemble_times_verification(monkeypatch, capsys, tmp_path):
     case = json.loads(out.read_text())["cases"]["distinct-2^7"]
     assert case["verified"] is True and case["verify_s"] > 0
 
-
-def test_bench_psd(monkeypatch, capsys, tmp_path):
-    out = tmp_path / "bench.json"
-    argv = ["--out", str(out), "--sizes", "2^5", "--repeat", "1", "--rounds", "1"]
-    run_script("bench_psd", argv, monkeypatch)
-    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
-    doc = json.loads(out.read_text())
-    case = doc["cases"]["2^5"]
-    assert doc["threads"] == doc["rounds"] == 1 and case["dims"] == [2] * 5
-    assert case["screen_s"] > 0 and case["eigvalsh_s"] > 0
-    assert case["speedup"] == case["eigvalsh_s"] / case["screen_s"]
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["--sizes", "2^9"], "--sizes: unknown size '2^9'"),
-        (["--repeat", "0"], "--repeat must be at least 1"),
-        (["--rounds", "0"], "--rounds must be at least 1"),
-    ],
-)
-def test_bench_psd_bad_argument(monkeypatch, capsys, tmp_path, argv, named):
-    out = tmp_path / "bench.json"
-    with pytest.raises(SystemExit) as exc:
-        run_script("bench_psd", ["--out", str(out), *argv], monkeypatch)
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
@@ -17,6 +17,7 @@ from spinsep import (
     WernerSpec,
     check_density,
     necessary_check,
+    partial_transpose,
     peres_check,
     random_density,
     spin_l1_norm,
@@ -102,6 +103,26 @@ class TestPeresCheck:
         rho = random_density(DimVector((2, 2)), rng)
         with pytest.raises(ValueError):
             peres_check(rho, 3)
+
+    @given(
+        rho=st.builds(
+            lambda seed, dims, target: mixed_to_norm(dims, target, np.random.default_rng(seed)),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from([DimVector(d) for d in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]]),
+            st.floats(min_value=0.5, max_value=1.0),
+        )
+    )
+    @example(rho=werner_density(WernerSpec(2, 2, 1 / 3)))  # l1 = 1: the bound 0 is attained
+    @settings(max_examples=50, deadline=None)
+    def test_partial_transpose_eigenvalues_bounded_by_the_l1_norm(self, rho):
+        """Every partial transpose has lowest eigenvalue at least (1 - l1)/N,
+        with l1 the spin L1 norm: the partial transpose of each spin matrix
+        is unitary, so the non-identity terms shift no eigenvalue of I/N by
+        more than l1/N."""
+        l1 = spin_l1_norm(to_spin(rho))
+        for r in range(1, len(rho.dims) + 1):
+            lo = np.linalg.eigvalsh(partial_transpose(rho, r))[0]
+            assert lo >= (1 - l1) / rho.dims.size - 1e-12
 
 
 class TestSufficientCertificate:
