@@ -201,16 +201,18 @@ MUTATIONS = [
     Mutation("cli.py", "Path(emit).resolve() == Path(args.input).resolve()",
              "Path(emit) == Path(args.input)",
              "certify does not see sub/../A.json or an absolute path as its --input A.json"),
-    Mutation("cli.py", 'if emit == "":', "if False:",
-             "certify --emit-decomposition '' prints the verdict and writes nothing"),
-    Mutation("cli.py", 'if "" in (out, emit):', "if False:",
-             "werner --emit-decomposition '' prints only the threshold and exits 0"),
+    Mutation("cli.py", 'if getattr(args, flag[2:].replace("-", "_"), None) == "":', "if False:",
+             "an empty path is not refused: certify and werner ignore it and exit 0, "
+             "the rest work first, then fail on the directory \".\""),
     Mutation("projections.py", "if not np.isfinite(theta).all():", "if False:",
              "an infinite phase pair warns inside the sum, and NaN is named by the sum rule"),
-    Mutation("io.py", "if not np.isfinite(dec.weights).all():", "if False:",
+    Mutation("io.py", 'what = "factor entry" if finite[: len(dec.weights)].all() else "weight"',
+             'what = "factor entry"',
              "an infinite weight is reported as a non-finite factor entry"),
-    Mutation("io.py", "if not np.isfinite(values).all():", "if False:",
-             "a NaN factor entry is written as the bare token nan, which JSON lacks"),
+    Mutation("io.py", "if not (finite := np.isfinite(values)).all():", "if False:",
+             "a NaN weight or factor entry is written as the bare token nan, which JSON lacks"),
+    Mutation("cli.py", "_refuse_non_finite(args.input, matrix, out)", "pass",
+             "permute names a NaN entry by json's \"Out of range float values\", not by --input"),
     Mutation("decompositions.py",
              "if (w := self.weights).ndim != 1 or index.size != w.size * len(dims):", "if False:",
              "2-D weights are accepted, and a weight count off the index rows fails in reshape"),

@@ -5,12 +5,12 @@ file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
 (dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
 werner --p, --n or --s out of range, werner --output and --emit-decomposition
 naming one file, certify --emit-decomposition naming its own --input, an
-empty path given to werner --output or to either --emit-decomposition, a --p
-from 3317044064679887385961981 up that no Miller-Rabin base 2..41 shows
-composite, NaN or infinite output, a built decomposition failing its own
-verification, as under a --tol too tight for double rounding, certify checks
-that contradict each other, or a request too large to allocate), 4 invalid
-density (any certify input, or transform --strict, including a failed
+empty --output or --emit-decomposition path, refused by every command before
+any work, a --p from 3317044064679887385961981 up that no Miller-Rabin base
+2..41 shows composite, NaN or infinite output, a built decomposition failing
+its own verification, as under a --tol too tight for double rounding, certify
+checks that contradict each other, or a request too large to allocate), 4
+invalid density (any certify input, or transform --strict, including a failed
 eigenvalue solve).
 """
 
@@ -87,7 +87,14 @@ def _emit_document(doc: dict, path: str | None) -> None:
         print(f"wrote {path}")
 
 
-def cmd_basis(args, tol: Tolerance) -> int:
+def _refuse_non_finite(path: str, given: np.ndarray, out: np.ndarray) -> None:
+    if not np.isfinite(out).all():
+        finite = np.isfinite(given).all()
+        why = "the transform overflows a double" if finite else "an entry is NaN or infinite"
+        raise ValueError(f"--input {path}: {why}, and JSON cannot hold NaN or infinity")
+
+
+def cmd_basis(args, tol: Tolerance) -> None:
     if args.d is not None:
         dims = DimVector((args.d,))
     else:
@@ -108,10 +115,9 @@ def cmd_basis(args, tol: Tolerance) -> int:
         m = composite_spin(dims, decode(dims, j), decode(dims, k))
         matrices.append({"j": j, "k": k, "matrix": matrix_entries(m)})
     _emit_document(document(dims, "matrices", matrices), args.output)
-    return EXIT_OK
 
 
-def cmd_transform(args, tol: Tolerance) -> int:
+def cmd_transform(args, tol: Tolerance) -> None:
     if args.direction == "to-spin":
         given, dims = read_density_file(args.input)
         if args.strict:
@@ -122,12 +128,8 @@ def cmd_transform(args, tol: Tolerance) -> int:
         coeffs = read_coefficients_file(args.input)
         given, out = coeffs.table, from_spin(coeffs)
         doc = density_document(out, coeffs.dims)
-    if not np.isfinite(out).all():
-        finite = np.isfinite(given).all()
-        why = "the transform overflows a double" if finite else "an entry is NaN or infinite"
-        raise ValueError(f"--input {args.input}: {why}, and JSON cannot hold NaN or infinity")
+    _refuse_non_finite(args.input, given, out)
     _emit_document(doc, args.output)
-    return EXIT_OK
 
 
 # A witness reports as its kind, then its fields in dataclass order.
@@ -141,10 +143,8 @@ def _report_json(report) -> dict:
     return {"verdict": report.verdict, "witness": witness}
 
 
-def cmd_certify(args, tol: Tolerance) -> int:
+def cmd_certify(args, tol: Tolerance) -> None:
     emit = args.emit_decomposition
-    if emit == "":
-        raise ValueError("--emit-decomposition is an empty path")
     if emit and Path(emit).resolve() == Path(args.input).resolve():
         raise ValueError(f"--emit-decomposition would overwrite --input: {emit}, {args.input}")
     matrix, dims = read_density_file(args.input)
@@ -202,13 +202,10 @@ def cmd_certify(args, tol: Tolerance) -> int:
             print(f"wrote {emit}")
         else:
             print("no decomposition emitted (not certified separable)")
-    return EXIT_OK
 
 
-def cmd_werner(args, tol: Tolerance) -> int:
+def cmd_werner(args, tol: Tolerance) -> None:
     p, n, s, out, emit = args.p, args.n, args.s, args.output, args.emit_decomposition
-    if "" in (out, emit):
-        raise ValueError(f"{'--output' if out == '' else '--emit-decomposition'} is an empty path")
     if out and emit and Path(out).resolve() == Path(emit).resolve():
         raise ValueError(f"--output and --emit-decomposition are the same file: {out}, {emit}")
     # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.
@@ -222,7 +219,7 @@ def cmd_werner(args, tol: Tolerance) -> int:
             "(exact threshold unknown for composite dimension)"
         )
     if out is None and not emit:
-        return EXIT_OK
+        return
     if s is None:
         if not prime:
             raise ValueError("--s is required for composite dimensions")
@@ -244,15 +241,14 @@ def cmd_werner(args, tol: Tolerance) -> int:
             raise
     if dec is not None:
         print(f"wrote {emit} ({len(dec.weights)} terms, verified)")
-    return EXIT_OK
 
 
-def cmd_permute(args, tol: Tolerance) -> int:
+def cmd_permute(args, tol: Tolerance) -> None:
     matrix, dims = read_density_file(args.input)
     sigma = _parse_int_list(args.sigma, "--sigma")
     out = reorder_subsystems(matrix, dims, sigma)
+    _refuse_non_finite(args.input, matrix, out)
     _emit_document(density_document(out, permute_dims(dims, sigma)), args.output)
-    return EXIT_OK
 
 
 @functools.cache
@@ -281,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="convert between matrix and spin coefficients")
     p_tr.add_argument("--input", type=str, required=True)
-    p_tr.add_argument(
-        "--direction", choices=("to-spin", "from-spin"), default="to-spin"
-    )
+    p_tr.add_argument("--direction", choices=("to-spin", "from-spin"), default="to-spin")
     p_tr.add_argument("--output", type=str, default=None)
     p_tr.add_argument("--strict", action="store_true", help="validate the input density")
     p_tr.set_defaults(func=cmd_transform)
@@ -328,7 +322,12 @@ def _tolerance(value: float | None) -> Tolerance:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _tolerance(args.tol))
+        tol = _tolerance(args.tol)
+        # Refused before any work: "" would be taken as no file, or written as the directory ".".
+        for flag in ("--output", "--emit-decomposition"):
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise ValueError(f"{flag} is an empty path")
+        args.func(args, tol)
     except FileFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
@@ -341,6 +340,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -276,12 +276,11 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
     head = document_text(document(dec.dims, "terms", []))
     if not len(dec.weights):
         return iter((head,))
-    if not np.isfinite(dec.weights).all():
-        raise ValueError("a weight is NaN or infinite, which JSON cannot hold")
     entries = [f.ravel().view(float) for f in dec.factors]
     values = np.concatenate([dec.weights, *entries])
-    if not np.isfinite(values).all():
-        raise ValueError("a factor entry is NaN or infinite, which JSON cannot hold")
+    if not (finite := np.isfinite(values)).all():
+        what = "factor entry" if finite[: len(dec.weights)].all() else "weight"
+        raise ValueError(f"a {what} is NaN or infinite, which JSON cannot hold")
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     strings = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse]
     chunks = iter(np.split(strings, np.cumsum([len(v) for v in (dec.weights, *entries)])))

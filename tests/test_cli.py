@@ -584,6 +584,17 @@ class TestWernerCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_failed_output_write_removes_the_decomposition(self, tmp_path, capsys):
+        """The decomposition is written first; a density that cannot be
+        written takes it away again, so a failed run leaves no file."""
+        dec, out = tmp_path / "dec.json", tmp_path / "absent" / "w.json"
+        argv = ["werner", "--p", "2", "--n", "2", "--output", str(out)]
+        assert main(argv + ["--emit-decomposition", str(dec)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_above_threshold_decomposition_rejected(self, tmp_path):
         out = tmp_path / "dec.json"
         code = main(
@@ -724,13 +735,21 @@ class TestWernerCommand:
          "--emit-decomposition"),
         (["certify", "--input", str(GOLDEN_DIR / "maximally_mixed_2x2.density.json"), "--all",
           "--emit-decomposition", ""], "--emit-decomposition"),
+        (["basis", "--d", "2", "--output", ""], "--output"),
+        (["transform", "--input", str(GOLDEN_DIR / "maximally_mixed_2x2.density.json"),
+          "--output", ""], "--output"),
+        (["permute", "--input", str(GOLDEN_DIR / "maximally_mixed_2x2.density.json"),
+          "--sigma", "2,1", "--output", ""], "--output"),
+        (["transform", "--input", "missing.json", "--output", ""], "--output"),
     ],
     ids=["werner-emit", "werner-output", "werner-output-of-two", "werner-emit-of-two",
-         "certify-emit"],
+         "certify-emit", "basis-output", "transform-output", "permute-output",
+         "transform-output-of-missing-input"],
 )
 def test_empty_output_path_exits_3(tmp_path, monkeypatch, capsys, argv, flag):
     """An empty path names no file: refused before anything is printed
-    or written, not taken as "no file" or as the working directory."""
+    or written, or any input is read, not taken as "no file" or as the
+    working directory."""
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -765,6 +784,25 @@ class TestPermute:
         src = tmp_path / "rho.json"
         write_density_file(src, rho.matrix, rho.dims)
         assert main(["permute", "--input", str(src), "--sigma", "1,2,3"]) == 3
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_entry_exits_3(self, tmp_path, capsys, value, to_file):
+        """Named as transform names it, not by json's "Out of range float values"."""
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = value
+        src = tmp_path / "nonfinite.json"
+        # The library writers refuse NaN and infinity, so the text is written directly.
+        src.write_text(json.dumps(density_document(m, DimVector((2, 2)))))
+        out = tmp_path / "out.json"
+        argv = ["permute", "--input", str(src), "--sigma", "2,1"]
+        assert main(argv + (["--output", str(out)] if to_file else [])) == 3
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "",
+            f"error: --input {src}: an entry is NaN or infinite, "
+            "and JSON cannot hold NaN or infinity\n",
+        )
 
 
 class TestLibraryWriters:
