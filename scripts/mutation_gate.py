@@ -107,11 +107,12 @@ MUTATIONS = [
              "swap[:, 1:] = digit_table(DimVector((2,) * (b - 1)))[::-1]",
              "a tie between violations names another witness"),
     # File formats.
-    Mutation("io.py", "if not set(map(type, level)) <= {float, int}:",
-             "if not set(map(type, level)) <= {float, int, bool}:",
-             "true and false are read as numbers"),
-    Mutation("io.py", "if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {n}):",
-             "if not set(map(type, level)) <= {list}:",
+    Mutation("io.py",
+             "if not all(issubclass(t, (int, float)) and t is not bool "
+             "for t in set(map(type, level))):",
+             "if False:",
+             "numeric strings and numpy float32s are read as numbers"),
+    Mutation("io.py", "if not (lists and set(map(len, level)) <= {n}):", "if not lists:",
              "ragged or misshapen matrices escape as a bare ValueError"),
     Mutation("io.py", "except OverflowError:\n        return None",
              "except ZeroDivisionError:\n        return None",
@@ -190,17 +191,17 @@ MUTATIONS = [
     Mutation("werner.py", "1.0 - mu > WEIGHT_FLOOR", "1.0 - mu > 1e-9",
              "a residual of weight 2e-14 is dropped"),
     # Refusals of misfitting input, each flipped back to the form that let it through.
-    Mutation("cli.py", "if out and emit and Path(out).resolve() == Path(emit).resolve():",
+    Mutation("cli.py", "if same or out and emit and Path(out).resolve() == Path(emit).resolve():",
              "if False:",
              "werner --output A --emit-decomposition A writes the density over the decomposition"),
     Mutation("cli.py", "Path(out).resolve() == Path(emit).resolve()", "Path(out) == Path(emit)",
              "sub/../A.json and an absolute path are not seen as the file A.json"),
-    Mutation("cli.py", "if emit and Path(emit).resolve() == Path(args.input).resolve():",
+    Mutation("cli.py", "if emit and Path(emit).exists() and Path(emit).samefile(args.input):",
              "if False:",
              "certify --emit-decomposition A --input A writes the witness over the density"),
-    Mutation("cli.py", "Path(emit).resolve() == Path(args.input).resolve()",
-             "Path(emit) == Path(args.input)",
-             "certify does not see sub/../A.json or an absolute path as its --input A.json"),
+    Mutation("cli.py", "Path(emit).samefile(args.input)", "Path(emit) == Path(args.input)",
+             "certify does not see sub/../A.json, an absolute path or a hard link as its "
+             "--input A.json"),
     Mutation("cli.py", 'if getattr(args, flag[2:].replace("-", "_"), None) == "":', "if False:",
              "an empty path is not refused: certify and werner ignore it and exit 0, "
              "the rest work first, then fail on the directory \".\""),
@@ -220,6 +221,16 @@ MUTATIONS = [
              "a NaN amplitude is refused only by the sum rule, under its message"),
     Mutation("werner.py", "if not s >= 0.0:", "if s < 0.0:",
              "a NaN s is reported as above the threshold"),
+    # The stacked converter takes what the walk takes, and the walk names the fault.
+    Mutation("io.py", "issubclass(t, (int, float)) and t is not bool",
+             "issubclass(t, (int, float))", "true and false are read as numbers"),
+    Mutation("io.py", "lists = all(issubclass(t, list) for t", "lists = all(t is list for t",
+             "a list subclass, which the walk takes, leaves its slot without a stack"),
+    Mutation("io.py", "_check_entries(m, d, what.format(t=t, a=a))", "pass",
+             "a malformed matrix reaches the caller as no stack, a TypeError"),
+    Mutation("cli.py", "if same or out and emit", "if out and emit",
+             "werner --output C --emit-decomposition D, a hard link to C, writes the density "
+             "over the decomposition"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",

@@ -4,7 +4,8 @@ Subcommands wrap the library constructors and certificates around the JSON
 file formats.  Exit codes: 0 success, 2 parse/format error, 3 semantic error
 (dims, primality, permutation, a --tol outside 2^-52 ~ 2.2204e-16 to 1e-2,
 werner --p, --n or --s out of range, werner --output and --emit-decomposition
-naming one file, certify --emit-decomposition naming its own --input, an
+naming one file, certify --emit-decomposition naming its own --input (either
+refusal holds for any spelling of a file and for its hard links), an
 empty --output or --emit-decomposition path, refused by every command before
 any work, a --p from 3317044064679887385961981 up that no Miller-Rabin base
 2..41 shows composite, NaN or infinite output, a built decomposition failing
@@ -145,7 +146,7 @@ def _report_json(report) -> dict:
 
 def cmd_certify(args, tol: Tolerance) -> None:
     emit = args.emit_decomposition
-    if emit and Path(emit).resolve() == Path(args.input).resolve():
+    if emit and Path(emit).exists() and Path(emit).samefile(args.input):
         raise ValueError(f"--emit-decomposition would overwrite --input: {emit}, {args.input}")
     matrix, dims = read_density_file(args.input)
     if len(dims) < 2:
@@ -206,7 +207,8 @@ def cmd_certify(args, tol: Tolerance) -> None:
 
 def cmd_werner(args, tol: Tolerance) -> None:
     p, n, s, out, emit = args.p, args.n, args.s, args.output, args.emit_decomposition
-    if out and emit and Path(out).resolve() == Path(emit).resolve():
+    same = out and emit and Path(out).exists() and Path(emit).exists() and Path(out).samefile(emit)
+    if same or out and emit and Path(out).resolve() == Path(emit).resolve():
         raise ValueError(f"--output and --emit-decomposition are the same file: {out}, {emit}")
     # Checks d >= 2, n >= 2 and s in [0, 1] before anything is printed.
     WernerSpec(p, n, 0.0 if s is None else s)

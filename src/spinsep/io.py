@@ -11,6 +11,8 @@ is written ``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``),
 so its whole text never exists.  Every reader parses with the cyclic garbage
 collector paused (see ``_read``); a decomposition read also converts each
 distinct number text once per file (see ``_Floats``), from the same bytes.
+Matrices have one converter, a slot of them at a time (see ``_parse_stacks``);
+a walk entry by entry only names the first malformed one.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ def matrix_entries(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _parse_entries(rows, n: int, what: str) -> np.ndarray:
-    """One n x n matrix, entry by entry; FileFormatError naming ``what`` and
-    the first malformed entry.  Runs only when ``_stack`` refuses a slot."""
+def _check_entries(rows, n: int, what: str) -> None:
+    """FileFormatError naming ``what`` and the first malformed entry of one
+    raw n x n matrix, walked entry by entry; nothing if ``_stack`` takes it."""
     if not isinstance(rows, list) or len(rows) != n:
         raise FileFormatError(f"{what}: expected {n} rows")
-    out = np.empty((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(f"{what}: row {i} must have {n} entries")
@@ -58,25 +59,23 @@ def _parse_entries(rows, n: int, what: str) -> np.ndarray:
             ):
                 raise FileFormatError(f"{what}: entry ({i},{j}) must be a [real, imaginary] pair")
             try:
-                out[i, j] = complex(entry[0], entry[1])
+                complex(entry[0], entry[1])
             except OverflowError:
                 raise FileFormatError(f"{what}: entry ({i},{j}) does not fit a double") from None
-    return out
 
 
 def _stack(mats, d: int) -> np.ndarray | None:
     """The (T, d, d) complex stack of T raw d x d matrices, or None if one
-    is malformed or holds an integer too large for a double.
-
-    Each nesting level is checked in one pass over exact types and lengths:
-    np.array would silently turn bools and numeric strings into numbers.
-    """
+    is malformed or holds an integer too large for a double.  Each level is
+    checked in one pass over its types and lengths, as ``_check_entries``
+    checks it: np.array would silently turn bools and strings into numbers."""
     level = mats
     for n in (d, d, 2):
-        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {n}):
+        lists = all(issubclass(t, list) for t in set(map(type, level)))
+        if not (lists and set(map(len, level)) <= {n}):
             return None
         level = list(chain.from_iterable(level))
-    if not set(map(type, level)) <= {float, int}:
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, level))):
         return None
     try:
         return np.array(level, dtype=float).view(complex).reshape(len(mats), d, d)
@@ -85,23 +84,19 @@ def _stack(mats, d: int) -> np.ndarray | None:
 
 
 def _parse_stacks(slots, dims, what: str) -> list[np.ndarray]:
-    """Per slot a, the (T, d_a, d_a) complex stack of its T raw matrices.
-
-    If ``_stack`` refuses a slot, every slot is parsed entry by entry in
-    document order, term by term, so the FileFormatError names the first
-    malformed matrix as ``what.format(t=term, a=slot)``.
-    """
+    """Per slot a, the (T, d_a, d_a) complex stack of its T raw matrices
+    from ``_stack``, the one converter.  If it refuses a slot, every matrix
+    is walked in document order, term by term, only to raise the
+    FileFormatError naming the first malformed one as ``what.format(t=term, a=slot)``."""
     stacks = [_stack(mats, d) for mats, d in zip(slots, dims)]
     if any(s is None for s in stacks):
-        parsed = [
-            [_parse_entries(m, d, what.format(t=t, a=a)) for a, (m, d) in enumerate(zip(ms, dims))]
-            for t, ms in enumerate(zip(*slots))
-        ]
-        stacks = [np.array(col).reshape(-1, d, d) for col, d in zip(zip(*parsed), dims)]
+        for t, ms in enumerate(zip(*slots)):
+            for a, (m, d) in enumerate(zip(ms, dims)):
+                _check_entries(m, d, what.format(t=t, a=a))
     return stacks
 
 
-def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
+def _parse_header(doc, expected_key: str) -> DimVector:
     if not isinstance(doc, dict):
         raise FileFormatError("document must be a key/value tree")
     version = doc.get("format_version")
@@ -116,8 +111,7 @@ def _parse_header(doc, expected_key: str) -> tuple[DimVector, int]:
         raise FileFormatError("dims must be a non-empty list of integers")
     if expected_key not in doc:
         raise FileFormatError(f"missing {expected_key!r} key")
-    dims = DimVector(dims_raw)
-    return dims, dims.size
+    return DimVector(dims_raw)
 
 
 def document(dims, key: str, value) -> dict:
@@ -132,8 +126,8 @@ def density_document(matrix: np.ndarray, dims: DimVector) -> dict:
 def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
     """The N x N matrix under ``key`` and the dims; ValueError if the row
     count is not the dims product N."""
-    dims, n = _parse_header(doc, key)
-    rows = doc[key]
+    dims = _parse_header(doc, key)
+    rows, n = doc[key], dims.size
     if isinstance(rows, list) and len(rows) != n:
         raise ValueError(f"dims product {n} does not match {what} dimension {len(rows)}")
     return _parse_stacks([[rows]], [n], key)[0][0], dims
@@ -181,7 +175,7 @@ def parse_decomposition_document(doc) -> SeparableDecomposition:
     """The decomposition in columns: each slot's factors are converted as
     one stack, and each slot keeps its distinct factors (by bytes) in the
     order of first use."""
-    dims, _ = _parse_header(doc, "terms")
+    dims = _parse_header(doc, "terms")
     raw_terms, b = doc["terms"], len(dims)
     if not isinstance(raw_terms, list):
         raise FileFormatError("terms must be a list")

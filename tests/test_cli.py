@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import runpy
 import sys
 import time
@@ -469,19 +470,24 @@ class TestCertify:
         assert not out.exists()
         assert "no decomposition emitted" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("spelling", ["A.json", "./A.json", "sub/../A.json", "absolute"])
+    @pytest.mark.parametrize(
+        "spelling", ["A.json", "./A.json", "sub/../A.json", "absolute", "hard-link"]
+    )
     def test_decomposition_over_its_own_input_exits_3(
         self, tmp_path, monkeypatch, capsys, spelling
     ):
-        """A certified witness written over the input would destroy the
-        density: refused before anything is printed, the input keeps its bytes."""
+        """A certified witness written over the input, under any spelling or
+        through a hard link, would destroy the density: refused before
+        anything is printed, the input keeps its bytes."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         target = tmp_path / "A.json"
         w = werner_density(WernerSpec(2, 2, 1 / 3))
         write_density_file(target, w.matrix, w.dims)
         before = target.read_bytes()
-        emit = str(target) if spelling == "absolute" else spelling
+        emit = {"absolute": str(target), "hard-link": "B.json"}.get(spelling, spelling)
+        if spelling == "hard-link":
+            os.link("A.json", emit)
         assert main(["certify", "--input", "A.json", "--all", "--emit-decomposition", emit]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -489,6 +495,18 @@ class TestCertify:
             f"error: --emit-decomposition would overwrite --input: {emit}, A.json\n"
         )
         assert target.read_bytes() == before
+
+    def test_missing_input_beside_an_existing_decomposition_path(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The same-file check leaves a missing input to the read's own error."""
+        monkeypatch.chdir(tmp_path)
+        Path("E.json").write_text("kept\n")
+        assert main(["certify", "--input", "nope.json", "--emit-decomposition", "E.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: 'nope.json'\n"
+        assert Path("E.json").read_text() == "kept\n"
 
 
 def exact_trace_density(dims: DimVector) -> np.ndarray:
@@ -685,18 +703,22 @@ class TestWernerCommand:
         assert main(["werner", "--p", str(PRIME_LIMIT), "--n", "10000000"]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot tell if {PRIME_LIMIT} is prime")
 
-    @pytest.mark.parametrize("spelling", ["A.json", "./A.json", "sub/../A.json", "absolute"])
+    @pytest.mark.parametrize(
+        "spelling", ["A.json", "./A.json", "sub/../A.json", "absolute", "hard-link"]
+    )
     def test_output_and_decomposition_on_one_file_exit_3(
         self, tmp_path, monkeypatch, capsys, spelling
     ):
-        """Both files written to one path would leave the density where the
-        decomposition is reported: refused before anything is printed or
-        written, and a file already there keeps its bytes."""
+        """Both files written to one path, or to two hard links of one file,
+        would leave the density where the decomposition is reported: refused
+        before anything is printed or written, and the file keeps its bytes."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         target = tmp_path / "A.json"
         target.write_text("kept\n")
-        emit = str(target) if spelling == "absolute" else spelling
+        emit = {"absolute": str(target), "hard-link": "B.json"}.get(spelling, spelling)
+        if spelling == "hard-link":
+            os.link("A.json", emit)
         argv = ["werner", "--p", "2", "--n", "2", "--output", "A.json"]
         assert main(argv + ["--emit-decomposition", emit]) == 3
         captured = capsys.readouterr()
@@ -705,6 +727,23 @@ class TestWernerCommand:
             f"error: --output and --emit-decomposition are the same file: A.json, {emit}\n"
         )
         assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("spelling", ["sub/../A.json", "absolute"])
+    def test_output_and_decomposition_on_one_new_file_exit_3(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        """Before either file exists, their resolved spellings are compared."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        emit = str(tmp_path / "A.json") if spelling == "absolute" else spelling
+        argv = ["werner", "--p", "2", "--n", "2", "--output", "A.json"]
+        assert main(argv + ["--emit-decomposition", emit]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --output and --emit-decomposition are the same file: A.json, {emit}\n"
+        )
+        assert not (tmp_path / "A.json").exists()
 
     def test_density_built_once(self, tmp_path, monkeypatch):
         import spinsep.cli

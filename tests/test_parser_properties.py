@@ -24,6 +24,7 @@ from spinsep import (
     werner_separable_decomposition,
     werner_threshold,
 )
+import spinsep.io
 from spinsep.cli import main
 from spinsep.io import (
     FileFormatError,
@@ -151,10 +152,21 @@ def candidates(doc, kind):
         return [(p, n) for p, n in nodes if p == ("dims",) and isinstance(n, list) and n]
     if kind == "factor-count":
         return [(p, n) for p, n in nodes if p[-1:] == ("factors",) and isinstance(n, list) and n]
+    if kind == "numpy-number":
+        return [(p, n) for p, n in nodes if is_number(n)]
+    if kind == "list-subclass":
+        return [(p, n) for p, n in nodes if depth_in_matrix(p) in (0, 1, 2) and isinstance(n, list)]
     raise AssertionError(kind)
 
 
 MUTATIONS = ["drop-key", "retype", "bool-or-string", "ragged", "huge", "dims", "factor-count"]
+# Only a document built in Python holds these: json.dumps cannot write
+# np.float32 or np.int64, so the JSON-text fuzz tests leave them out.
+IN_PYTHON = ["numpy-number", "list-subclass"]
+
+
+class Listed(list):
+    """A list subclass, which every reader takes as the list it is."""
 
 
 @st.composite
@@ -187,6 +199,12 @@ def mutated(draw, doc, kind):
         return doc
     if kind == "huge":
         return replace(doc, path, draw(st.sampled_from([10**400, -(10**400)])))
+    if kind == "list-subclass":
+        return replace(doc, path, Listed(node))
+    if kind == "numpy-number":
+        # np.float64 subclasses float; np.float32 and np.int64 are not numbers here.
+        same = np.float64(node) if isinstance(node, float) else np.float64(0.5)
+        return replace(doc, path, draw(st.sampled_from([same, np.float32(0.5), np.int64(1)])))
     if kind == "dims":
         sizes = [i for i, d in enumerate(node) if is_number(d)]
         if sizes and draw(st.booleans()):
@@ -237,9 +255,12 @@ def test_valid_documents_match_the_reference(doc):
 @settings(max_examples=300, deadline=None)
 def test_mutated_documents_match_the_reference(data, doc):
     """One to three mutations, so a document may be malformed in several
-    places: the same one is named, with the same message and type."""
+    places: the same one is named, with the same message and type.  The
+    in-Python kinds pin that the stacked path refuses a slot exactly when
+    the walk raises: a refused slot that the walk passes has no stack."""
     parse, reference, _ = KINDS[kind_of(doc)]
-    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+    kinds = st.lists(st.sampled_from(MUTATIONS + IN_PYTHON), min_size=1, max_size=3)
+    for kind in data.draw(kinds):
         doc = data.draw(mutated(doc, kind))
     assert outcome(parse, doc) == outcome(reference, doc)
 
@@ -361,10 +382,15 @@ def test_terms_must_be_a_list(terms):
             parse(doc)
 
 
-def test_numpy_floats_parse_entry_by_entry():
-    """A document built in Python may hold numpy floats: the stacked path
-    refuses their type, and the per-entry path reads them as the floats
-    they are."""
+def test_numpy_floats_parse_as_one_stack(monkeypatch):
+    """A document built in Python may hold numpy float64s, a float subclass:
+    the stacked path reads them as the floats they are, to the bytes of the
+    Python-float twin, and the walk that names a malformed entry never runs."""
+
+    def walk_entries(*args):
+        raise AssertionError("the per-entry walk ran")
+
+    monkeypatch.setattr(spinsep.io, "_check_entries", walk_entries)
     dec = werner_separable_decomposition(2, 3, 0.1)
     doc = reference_document(dec)
     as_numpy = json.loads(json.dumps(doc), parse_float=np.float64)
