@@ -13,7 +13,8 @@ or hypothesis example database left by an earlier one.  A fixed
 killed by what it changes, not by a lucky draw, and a kill can be replayed
 (hypothesis also draws literals found in the source, which a mutant may
 change).  Each killed line ends with the first failing test; every
-survivor is named.  The working tree is never written.
+survivor is named.  The working tree is never written, and a SIGTERM
+removes the copy and stops the running suite.
 tests/test_scripts.py checks that every old text still occurs exactly once
 in src/, so the list cannot drift; that check is left out of the mutant
 runs, since any mutation fails it.
@@ -27,6 +28,7 @@ occurs exactly once.  A full run takes about fifteen minutes on two cores.
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -231,6 +233,23 @@ MUTATIONS = [
     Mutation("cli.py", "if same or out and emit", "if out and emit",
              "werner --output C --emit-decomposition D, a hard link to C, writes the density "
              "over the decomposition"),
+    # Phases are integer exponents, each evaluated once by eta; integer
+    # parameters are taken whole, never truncated.
+    Mutation("spin.py", "exponent %= d", "pass",
+             "eta takes the angle of the unreduced exponent, and a quarter turn past d "
+             "indexes outside the table"),
+    Mutation("spin.py", "return eta(2 * d, exponent)", "return eta(d, exponent)",
+             "alpha is eta, a whole step where the even-d correction needs half of one"),
+    Mutation("spin.py", "_check_dim(d)\n    return eta(2 * d, exponent)",
+             "return eta(2 * d, exponent)", "alpha(1) is evaluated as eta(2, 1)"),
+    Mutation("composite.py", "dims = tuple(operator.index(d) for d in dims)",
+             "dims = tuple(int(d) for d in dims)", "DimVector((2.7, 3)) is (2, 3)"),
+    Mutation("projections.py", 'object.__setattr__(self, "r", operator.index(self.r))',
+             'object.__setattr__(self, "r", int(self.r))',
+             "ProjectionSpec(3, (1, 0), 1.5) names P_u(1)"),
+    Mutation("projections.py", "r_vec = [operator.index(r) for r in r_vec]",
+             "r_vec = [int(r) for r in r_vec]",
+             "a cyclic family given offsets [0.9, 0] is built at offset 0"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",
@@ -271,6 +290,12 @@ def _tier1(repo: Path) -> tuple[int, str, str]:
     return proc.returncode, lines[-1] if lines else proc.stderr.strip()[-200:], failed
 
 
+def _stop(signum, frame):
+    """Turn SIGTERM into SystemExit, so the copy is removed and the running
+    tier-1 child is killed on the way out, as on any other exception."""
+    raise SystemExit(128 + signum)
+
+
 def _show(i: int, m: Mutation) -> str:
     tag = " (equivalent)" if m.equivalent else ""
     return f"[{i:2d}] {m.file}: {m.reason}{tag}"
@@ -287,6 +312,7 @@ def main() -> int:
             if m.equivalent:
                 print(f"     equivalent: {m.equivalent}")
         return 0
+    signal.signal(signal.SIGTERM, _stop)
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
         repo = Path(tmp) / "repo"
         shutil.copytree(ROOT, repo, ignore=_ignore)

@@ -55,7 +55,6 @@ from .separability import (
     sufficient_certificate,
 )
 from .spin import (
-    RootOfUnity,
     SpinLabel,
     adjusted_basis,
     alpha,

@@ -17,6 +17,7 @@ carrying a matrix written on the swapped dims back to (2, 3).
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +31,7 @@ class DimVector(tuple):
     __slots__ = ()
 
     def __new__(cls, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
         if len(dims) < 1:
             raise ValueError("need at least one subsystem")
         if any(d < 2 for d in dims):

@@ -12,6 +12,7 @@ is odd; otherwise gamma = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ import numpy as np
 from .composite import DimVector, digit_table, kron_all
 from .decompositions import SeparableDecomposition
 from .linalg import DensityMatrix, check_density
-from .spin import RootOfUnity, SpinLabel, fourier_matrix, spin_matrix, spin_power
+from .spin import SpinLabel, alpha, eta, fourier_matrix, spin_matrix, spin_power
 from .transform import SpinCoefficients, spin_table
 
 
@@ -55,16 +56,16 @@ class ProjectionSpec:
                 f"gcd(d, j, k) must be 1 (any non-zero index when d is prime)"
             )
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "r", operator.index(self.r))
         object.__setattr__(self, "alpha_applied", self.d % 2 == 0 and (u.j * u.k) % 2 == 1)
 
 
 def _generator_power(spec: ProjectionSpec, m: int) -> np.ndarray:
     """(gamma eta^r S_u)^m as an explicit matrix, phases from reduced exponents."""
     power, label = spin_power(spec.d, spec.u, m)
-    phase = RootOfUnity(spec.d, spec.r * m + power.exponent).value()
+    phase = eta(spec.d, spec.r * m + power)
     if spec.alpha_applied:
-        phase *= RootOfUnity(spec.d, m, half_step=True).value()
+        phase *= alpha(spec.d, m)
     return phase * spin_matrix(spec.d, *label)
 
 
@@ -86,7 +87,7 @@ def expand_spin_power(spec: ProjectionSpec, t: int) -> list[tuple[complex, int]]
     if t < 0:
         raise ValueError(f"power must be non-negative, got {t}")
     d = spec.d
-    return [(RootOfUnity(d, (-m * t) % d).value(), m + spec.r) for m in range(d)]
+    return [(eta(d, -m * t), m + spec.r) for m in range(d)]
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def cyclic_family_decomposition(d: int, n: int, u_vec, r_vec) -> SeparableDecomp
     order of (l_1, ..., l_{n-1}); the first term has every l_i = 0.
     """
     u_vec = [SpinLabel(*u) for u in u_vec]
-    r_vec = [int(r) for r in r_vec]
+    r_vec = [operator.index(r) for r in r_vec]
     if len(u_vec) != n or len(r_vec) != n:
         raise ValueError("u_vec and r_vec must each have n entries")
     # Entry l of slot i is P_{u_i}(r_i + l); term rows are the offset vectors.

@@ -29,7 +29,7 @@ from .linalg import (
     partial_transpose,
 )
 from .projections import ProjectionSpec, expand_spin_power, subgroup_projection
-from .spin import RootOfUnity, SpinLabel, spin_power
+from .spin import SpinLabel, alpha, eta, spin_power
 from .transform import spin_l1_norm, to_spin
 
 SEPARABLE = "separable-certified"
@@ -141,17 +141,17 @@ def _reduced_generator(d: int, j: int, k: int) -> tuple[SpinLabel, int, complex]
     """Rewrite S_{j,k} as beta * (gamma S_u)^t with a valid generator u.
 
     For (j,k) = (0,0) the generator is (0,1) with t = 0.  Otherwise
-    u = (j/g, k/g) with g = gcd(j,k), t = g, and beta = gamma^(-g) over
-    the phase of ``spin_power(d, u, g)``, where gamma is the half-step
-    correction of u when required.
+    u = (j/g, k/g) with g = gcd(j,k), t = g, and beta = gamma^(-g) eta^(-e)
+    with e the exponent that ``spin_power(d, u, g)`` returns, where gamma is
+    the half-step correction of u when required.
     """
     if (j, k) == (0, 0):
         return SpinLabel(0, 1), 0, 1.0 + 0.0j
     g = math.gcd(j, k)
     u = SpinLabel(j // g, k // g)
-    beta = RootOfUnity(d, -spin_power(d, u, g)[0].exponent).value()
+    beta = eta(d, -spin_power(d, u, g)[0])
     if ProjectionSpec(d, u).alpha_applied:
-        beta *= RootOfUnity(d, -g, half_step=True).value()
+        beta *= alpha(d, -g)
     return u, g, beta
 
 

@@ -9,7 +9,6 @@ matrices whose algebra is governed by integer phase arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,46 +19,27 @@ import numpy as np
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """An integer power of eta = exp(2*pi*i/d).
-
-    With ``half_step`` set the lattice is refined to powers of
-    alpha = exp(pi*i/d), the extra phase needed by even-d projections.
-    The exponent is stored reduced modulo the period (d, or 2d with the
-    half-step flag) and the complex value comes from a single cos/sin
-    evaluation, never from repeated multiplication.
-    """
-
-    d: int
-    exponent: int
-    half_step: bool = False
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"root of unity needs d >= 2, got {self.d}")
-        object.__setattr__(self, "exponent", self.exponent % self.period)
-
-    @property
-    def period(self) -> int:
-        return 2 * self.d if self.half_step else self.d
-
-    def value(self) -> complex:
-        quad, rem = divmod(4 * self.exponent, self.period)
-        if rem == 0:
-            return _QUARTER_TURNS[quad % 4]
-        angle = 2.0 * math.pi * self.exponent / self.period
-        return complex(math.cos(angle), math.sin(angle))
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
 
 
 def eta(d: int, exponent: int = 1) -> complex:
-    """exp(2*pi*i*exponent/d) as a complex number."""
-    return RootOfUnity(d, exponent).value()
+    """exp(2*pi*i*exponent/d): one cos/sin of the exponent reduced modulo d,
+    exact at quarter turns, never a product of repeated multiplications."""
+    _check_dim(d)
+    exponent %= d
+    quad, rem = divmod(4 * exponent, d)
+    if rem == 0:
+        return _QUARTER_TURNS[quad]
+    angle = 2.0 * math.pi * exponent / d
+    return complex(math.cos(angle), math.sin(angle))
 
 
 def alpha(d: int, exponent: int = 1) -> complex:
-    """exp(pi*i*exponent/d), the half-step phase for even d."""
-    return RootOfUnity(d, exponent, half_step=True).value()
+    """exp(pi*i*exponent/d) = eta(2d, exponent), the half-step phase for even d."""
+    _check_dim(d)
+    return eta(2 * d, exponent)
 
 
 class SpinLabel(NamedTuple):
@@ -67,11 +47,6 @@ class SpinLabel(NamedTuple):
 
     j: int
     k: int
-
-
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
 
 
 def _check_label(d: int, j: int, k: int) -> None:
@@ -121,22 +96,22 @@ def spin_matrix(d: int, j: int, k: int) -> np.ndarray:
     return np.roll(np.diag(fourier_table(d)[j]), k, axis=1)
 
 
-def spin_power(d: int, label: SpinLabel, m: int) -> tuple[RootOfUnity, SpinLabel]:
+def spin_power(d: int, label: SpinLabel, m: int) -> tuple[int, SpinLabel]:
     """Reduce the m-th matrix power of a spin matrix to phase * spin matrix.
 
-    S_{j,k}^m = eta^(j*k*m*(m-1)/2) S_{mj mod d, mk mod d}, which is
-    (1, S_{0,0}) at m = 0.
+    S_{j,k}^m = eta^(j*k*m*(m-1)/2) S_{mj mod d, mk mod d}.  Returns the
+    eta exponent, reduced modulo d, beside the label: (0, (0, 0)) at m = 0.
     """
     j, k = label
     _check_label(d, j, k)
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
     exponent = (j * k * (m * (m - 1) // 2)) % d
-    return RootOfUnity(d, exponent), SpinLabel((m * j) % d, (m * k) % d)
+    return exponent, SpinLabel((m * j) % d, (m * k) % d)
 
 
-def spin_dagger(d: int, label: SpinLabel) -> tuple[RootOfUnity, SpinLabel]:
-    """Conjugate transpose as phase * spin matrix: S_{j,k}^dag = eta^(jk) S_{d-j,d-k}."""
+def spin_dagger(d: int, label: SpinLabel) -> tuple[int, SpinLabel]:
+    """S_{j,k}^dag = eta^(jk) S_{d-j,d-k}, as the eta exponent jk mod d and the label."""
     j, k = label
     _check_label(d, j, k)
-    return RootOfUnity(d, (j * k) % d), SpinLabel((d - j) % d, (d - k) % d)
+    return (j * k) % d, SpinLabel((d - j) % d, (d - k) % d)

@@ -16,6 +16,7 @@ from spinsep import (
     composite_spin,
     decode,
     encode,
+    eta,
     spin_dagger,
     to_spin,
 )
@@ -77,7 +78,7 @@ def conjugate_label(dims: DimVector, j: int, k: int) -> tuple[int, int, complex]
     cj, ck = [], []
     for d, ji, ki in zip(dims, jd, kd):
         ph, lab = spin_dagger(d, SpinLabel(ji, ki))
-        phase *= ph.value()
+        phase *= eta(d, ph)
         cj.append(lab.j)
         ck.append(lab.k)
     return encode(dims, cj), encode(dims, ck), phase

@@ -22,8 +22,9 @@ from spinsep import (
     NecessaryViolation,
     ProductTerm,
     ProjectionSpec,
-    RootOfUnity,
     SpinLabel,
+    alpha,
+    eta,
     spin_l1_norm,
     subgroup_projection,
     to_spin,
@@ -83,9 +84,9 @@ def reference_reduced_generator(d, j, k):
         return SpinLabel(0, 1), 0, 1.0 + 0.0j
     g = math.gcd(j, k)
     u = SpinLabel(j // g, k // g)
-    beta = RootOfUnity(d, (-(u.j * u.k) * (g * (g - 1) // 2)) % d).value()
+    beta = eta(d, (-(u.j * u.k) * (g * (g - 1) // 2)) % d)
     if d % 2 == 0 and (u.j * u.k) % 2 == 1:
-        beta *= RootOfUnity(d, -g, half_step=True).value()
+        beta *= alpha(d, -g)
     return u, g, beta
 
 

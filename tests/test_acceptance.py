@@ -104,7 +104,7 @@ def test_criterion_01_spin_algebra():
             # power formula against repeated multiplication
             for m in range(2 * d + 1):
                 phase, label = spin_power(d, SpinLabel(*u), m)
-                reduced = phase.value() * mats[label]
+                reduced = eta(d, phase) * mats[label]
                 assert np.abs(reduced - np.linalg.matrix_power(su, m)).max() < 1e-9
         # commutator identity
         for (j, k), (r, s) in itertools.product(all_labels(d), repeat=2):

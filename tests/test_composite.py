@@ -37,10 +37,19 @@ class TestDimVector:
             ((), "need at least one subsystem"),
             ((1,), r"every dimension must be at least 2, got \(1,\)"),
             ((2, 1), r"every dimension must be at least 2, got \(2, 1\)"),
-            (("a",), "invalid literal for int"),
         ]:
             with pytest.raises(ValueError, match=message):
                 DimVector(dims)
+
+    @pytest.mark.parametrize("dims", [(2.7, 3), (3, 2.0), ("a",), (np.float64(2.0),)])
+    def test_refuses_entries_that_are_not_integers(self, dims):
+        # A float was truncated: (2.7, 3) became (2, 3).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            DimVector(dims)
+
+    def test_takes_numpy_integers(self):
+        d = DimVector((np.int64(2), np.uint8(3)))
+        assert d == (2, 3) and all(type(x) is int for x in d)
 
     def test_iteration(self):
         d = DimVector((2, 3, 4))

@@ -23,11 +23,12 @@ KEPT = [
     "spin_matrix",
     "werner_spin_coeffs",
 ]
-# (module, name): moved to tests/reference_identities.py, or deleted (tensor).
+# (module, name): moved to tests/reference_identities.py, or deleted (tensor, RootOfUnity).
 GONE = [
     ("composite", "multi_add"),
     ("linalg", "tensor"),
     ("linalg", "trace_inner"),
+    ("spin", "RootOfUnity"),
     ("transform", "conjugate_label"),
     ("transform", "l2_identity_check"),
     ("transform", "spin_table_by_trace"),

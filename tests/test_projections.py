@@ -298,6 +298,26 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="power must be non-negative, got -1"):
             expand_spin_power(ProjectionSpec(3, SpinLabel(1, 0)), -1)
 
+    @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0)], ids=["1.5", "1.0", "float64"])
+    def test_spec_offset_must_be_an_integer(self, r):
+        # A float offset was truncated: r = 1.5 gave P_u(1).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ProjectionSpec(3, SpinLabel(1, 0), r)
+
+    @pytest.mark.parametrize("r_vec", [[0.9, 0], [0, 1.0]])
+    def test_family_offsets_must_be_integers(self, r_vec):
+        # A float offset was truncated: [0.9, 0] built the family at offset 0.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            cyclic_family_decomposition(3, 2, [SpinLabel(1, 0), SpinLabel(1, 0)], r_vec)
+
+    def test_numpy_integer_offsets_are_taken(self):
+        spec = ProjectionSpec(3, SpinLabel(1, 0), np.int64(4))
+        assert spec.r == 4 and type(spec.r) is int
+        dec = cyclic_family_decomposition(3, 2, [SpinLabel(1, 0)] * 2, np.array([1, 2]))
+        plain = cyclic_family_decomposition(3, 2, [SpinLabel(1, 0)] * 2, [1, 2])
+        assert np.array_equal(dec.index, plain.index)
+        assert all(np.array_equal(f, g) for f, g in zip(dec.factors, plain.factors))
+
     def test_one_spec_per_subsystem(self):
         with pytest.raises(ValueError, match="1 projection specs for 2 subsystems"):
             ProductProjectionSpec(DimVector((2, 2)), (ProjectionSpec(2, SpinLabel(1, 0)),))

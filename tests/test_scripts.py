@@ -1,9 +1,12 @@
 """Smoke tests: each script in scripts/ runs end to end on tiny arguments."""
 
+import contextlib
 import importlib.util
 import inspect
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -53,6 +56,55 @@ def test_mutation_gate_lists_its_mutants(monkeypatch, capsys):
     assert len(run) >= 20
     assert sum(line.startswith("[") for line in lines) == len(MUTATIONS)
     assert sum(line.strip().startswith("equivalent: ") for line in lines) == len(MUTATIONS) - len(run)
+
+
+# The gate in its own process, with a one-file ROOT and, in place of the
+# unmutated tier-1 run, a child that writes its pid and waits.
+GATE_UNDER_SIGTERM = """
+import subprocess, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import mutation_gate as gate
+gate.ROOT, pid_file = Path(sys.argv[2]), sys.argv[3]
+WAIT = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(60)"
+def tier1(repo):
+    subprocess.run([sys.executable, "-c", WAIT, pid_file])
+    return 0, "", ""
+gate._tier1 = tier1
+sys.argv = sys.argv[:1]
+sys.exit(gate.main())
+"""
+
+
+def test_mutation_gate_removes_its_copy_on_sigterm(tmp_path):
+    """A SIGTERM during the unmutated run stops the suite's child and removes
+    the copy; the gate exits 128 + SIGTERM.  No tier-1 run is started."""
+    root, tmp, pid_file = tmp_path / "root", tmp_path / "tmp", tmp_path / "child.pid"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "a.py").write_text("")
+    tmp.mkdir()
+    argv = [sys.executable, "-c", GATE_UNDER_SIGTERM, str(SCRIPTS), str(root), str(pid_file)]
+    gate = subprocess.Popen(argv, env=dict(os.environ, TMPDIR=str(tmp)))
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert gate.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        assert [p.name[:14] for p in tmp.iterdir()] == ["mutation-gate-"]
+        gate.send_signal(signal.SIGTERM)
+        assert gate.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(tmp.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        child = None
+    finally:
+        gate.kill()
+        gate.wait()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 def test_uncovered_lines_over_one_test_class():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spinsep import (
     DimVector,
-    RootOfUnity,
     SpinLabel,
     adjusted_basis,
     alpha,
@@ -29,16 +28,21 @@ def all_labels(d):
     return [(j, k) for j in range(d) for k in range(d)]
 
 
-class TestRootOfUnity:
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestEtaAlpha:
     def test_unit_modulus(self):
         for d in range(2, 9):
             for e in range(2 * d):
-                assert abs(abs(RootOfUnity(d, e).value()) - 1.0) < 1e-12
+                assert abs(abs(eta(d, e)) - 1.0) < 1e-12
 
     def test_exponent_reduced(self):
-        assert RootOfUnity(3, 7).exponent == 1
-        assert RootOfUnity(3, -1).exponent == 2
-        assert RootOfUnity(4, 9, half_step=True).exponent == 1
+        assert eta(3, 7) == eta(3, 1)
+        assert eta(3, -1) == eta(3, 2)
+        assert eta(4, 9) == 1.0j
+        assert alpha(4, 9) == alpha(4, 1)
 
     def test_quarter_turns_exact(self):
         # d = 2 and d = 4 powers must be bit-exact Pauli phases
@@ -48,13 +52,20 @@ class TestRootOfUnity:
         assert eta(4, 3) == -1.0j
         assert alpha(2, 1) == 1.0j
 
-    def test_half_step(self):
+    def test_alpha_values(self):
         assert abs(alpha(3) - np.exp(1j * np.pi / 3)) < 1e-15
         assert abs(alpha(4) - np.exp(1j * np.pi / 4)) < 1e-15
 
+    def test_alpha_is_eta_of_twice_the_dimension(self):
+        for d in range(2, 13):
+            for e in range(-50, 51):
+                assert bits(alpha(d, e)) == bits(eta(2 * d, e))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
-            RootOfUnity(1, 0)
+            eta(1, 0)
+        with pytest.raises(ValueError):
+            alpha(1)
 
 
 class TestFourierMatrix:
@@ -187,21 +198,21 @@ class TestSpinPower:
             s = spin_matrix(d, j, k)
             for m in range(0, 2 * d + 1):
                 phase, label = spin_power(d, SpinLabel(j, k), m)
-                reduced = phase.value() * spin_matrix(d, *label)
+                reduced = eta(d, phase) * spin_matrix(d, *label)
                 assert np.abs(reduced - np.linalg.matrix_power(s, m)).max() < 1e-9
 
     def test_full_cycle_d3(self):
         phase, label = spin_power(3, SpinLabel(1, 1), 3)
-        assert phase.value() == 1.0 and label == (0, 0)
+        assert eta(3, phase) == 1.0 and label == (0, 0)
 
     def test_d2_odd_index_square(self):
         phase, label = spin_power(2, SpinLabel(1, 1), 2)
-        assert phase.value() == -1.0 and label == (0, 0)
+        assert eta(2, phase) == -1.0 and label == (0, 0)
 
     def test_power_one_is_identity_map(self):
         for d in range(2, 6):
             phase, label = spin_power(d, SpinLabel(1, d - 1), 1)
-            assert phase.value() == 1.0 and label == (1, d - 1)
+            assert eta(d, phase) == 1.0 and label == (1, d - 1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -218,24 +229,24 @@ class TestSpinPower:
         j, k = j % d, k % d
         phase, label = spin_power(d, SpinLabel(j, k), m)
         direct = np.linalg.matrix_power(spin_matrix(d, j, k), m)
-        assert np.abs(phase.value() * spin_matrix(d, *label) - direct).max() < 1e-9
+        assert np.abs(eta(d, phase) * spin_matrix(d, *label) - direct).max() < 1e-9
 
 
 class TestSpinDagger:
     def test_d3_example(self):
         phase, label = spin_dagger(3, SpinLabel(1, 1))
-        assert abs(phase.value() - eta(3)) < 1e-15
+        assert abs(eta(3, phase) - eta(3)) < 1e-15
         assert label == (2, 2)
 
     def test_sigma_x_hermitian(self):
         phase, label = spin_dagger(2, SpinLabel(0, 1))
-        assert phase.value() == 1.0 and label == (0, 1)
+        assert eta(2, phase) == 1.0 and label == (0, 1)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_matches_conjugate_transpose(self, d):
         for j, k in all_labels(d):
             phase, label = spin_dagger(d, SpinLabel(j, k))
-            built = phase.value() * spin_matrix(d, *label)
+            built = eta(d, phase) * spin_matrix(d, *label)
             assert np.abs(built - spin_matrix(d, j, k).conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -248,4 +259,4 @@ class TestSpinDagger:
             pw_phase, pw_label = spin_power(d, SpinLabel(j, k), d - 1)
             assert dag_label == pw_label
             sign = -1.0 if (d % 2 == 0 and (j * k) % 2 == 1) else 1.0
-            assert abs(dag_phase.value() - sign * pw_phase.value()) < 1e-12
+            assert abs(eta(d, dag_phase) - sign * eta(d, pw_phase)) < 1e-12
