@@ -22,7 +22,7 @@ runs, since any mutation fails it.
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
 1 otherwise, 2 if the unmutated copy fails tier-1 or an old text no longer
-occurs exactly once.  A full run takes about fifteen minutes on two cores.
+occurs exactly once.  A full run takes about 25 minutes on two cores.
 """
 
 import argparse
@@ -235,7 +235,8 @@ MUTATIONS = [
              "over the decomposition"),
     # Phases are integer exponents, each evaluated once by eta; integer
     # parameters are taken whole, never truncated.
-    Mutation("spin.py", "exponent %= d", "pass",
+    Mutation("spin.py", "exponent = operator.index(exponent) % d",
+             "exponent = operator.index(exponent)",
              "eta takes the angle of the unreduced exponent, and a quarter turn past d "
              "indexes outside the table"),
     Mutation("spin.py", "return eta(2 * d, exponent)", "return eta(d, exponent)",
@@ -250,6 +251,28 @@ MUTATIONS = [
     Mutation("projections.py", "r_vec = [operator.index(r) for r in r_vec]",
              "r_vec = [int(r) for r in r_vec]",
              "a cyclic family given offsets [0.9, 0] is built at offset 0"),
+    Mutation("spin.py", "exponent = operator.index(exponent) % d", "exponent = exponent % d",
+             "eta(4, 0.5) is exp(i pi/4)"),
+    Mutation("spin.py", "if operator.index(m) < 0:", "if m < 0:",
+             "spin_power(3, (1, 1), 2.0) is (1.0, SpinLabel(2.0, 2.0))"),
+    Mutation("composite.py", "digits = tuple(map(operator.index, digits))",
+             "digits = tuple(digits)", "encode((2, 3), (1.5, 0)) is 4.5"),
+    Mutation("composite.py", "if not (0 <= operator.index(index) < dims.size):",
+             "if not (0 <= index < dims.size):",
+             "decode((2, 3), 2.5) fails inside numpy, not on the integer check"),
+    Mutation("composite.py", "sigma = tuple(map(operator.index, sigma))",
+             "sigma = tuple(map(int, sigma))", "permute_dims((2, 3), (2.7, 1)) is (3, 2)"),
+    Mutation("werner.py", "if operator.index(self.d) < 2:", "if self.d < 2:",
+             "WernerSpec(2.0, 2, 0.5) is built and fails only at .dims"),
+    Mutation("werner.py", "if operator.index(self.n) < 2:", "if self.n < 2:",
+             "WernerSpec(3, 2.5, 0.5) is built and fails only at .dims"),
+    Mutation("werner.py", "n = operator.index(n)\n    if n < 42:", "if n < 42:",
+             "is_prime(7.0) is True, and a numpy integer above 41 has no bit_length"),
+    Mutation("werner.py", "p, n = operator.index(p), operator.index(n)",
+             "p, n = operator.index(p), n", "werner_threshold(3, 2.5) is 0.1614"),
+    Mutation("werner.py", "p, n = operator.index(p), operator.index(n)",
+             "p, n = p, operator.index(n)",
+             "werner_threshold of a numpy integer p fails on bit_length in werner_bound"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",

@@ -1,10 +1,10 @@
 """Multipartite index arithmetic and composite spin bases.
 
-Flat indices use the big-endian mixed-radix convention: for dims
-(d1, ..., db) the tuple (j1, ..., jb) encodes to
+Flat indices are numpy's C order, the one rule for them throughout: for
+dims (d1, ..., db) the tuple (j1, ..., jb) is
+``numpy.ravel_multi_index((j1, ..., jb), dims)`` =
 j1*(d2*...*db) + j2*(d3*...*db) + ... + jb, so the first factor is the
-most significant digit.  This keeps ``numpy.kron`` and the flat encoding
-consistent throughout.
+most significant digit, as in ``numpy.kron``.
 
 Permutations are image lists (sigma(1), ..., sigma(b)) applied to
 subsystem slots.  Worked example on dims (2, 3) with sigma = (2, 1):
@@ -44,33 +44,22 @@ class DimVector(tuple):
         return math.prod(self)
 
 
-def strides(dims: DimVector) -> tuple[int, ...]:
-    """Place value of each digit under the big-endian encoding."""
-    return tuple(math.prod(dims[i + 1 :]) for i in range(len(dims)))
-
-
 def encode(dims: DimVector, digits) -> int:
     """Flat index of a digit tuple."""
-    digits = tuple(digits)
+    digits = tuple(map(operator.index, digits))
     if len(digits) != len(dims):
         raise ValueError(f"expected {len(dims)} digits, got {len(digits)}")
-    flat = 0
     for d, x in zip(dims, digits):
         if not (0 <= x < d):
             raise ValueError(f"digit {x} out of range for dimension {d}")
-        flat = flat * d + x
-    return flat
+    return int(np.ravel_multi_index(digits, dims))
 
 
 def decode(dims: DimVector, index: int) -> tuple[int, ...]:
     """Digit tuple of a flat index."""
-    if not (0 <= index < dims.size):
+    if not (0 <= operator.index(index) < dims.size):
         raise ValueError(f"index {index} out of range for size {dims.size}")
-    out = []
-    for d in reversed(dims):
-        index, rem = divmod(index, d)
-        out.append(rem)
-    return tuple(reversed(out))
+    return tuple(map(int, np.unravel_index(index, dims)))
 
 
 @lru_cache(maxsize=None)
@@ -84,12 +73,8 @@ def digit_table(dims: DimVector) -> np.ndarray:
 @lru_cache(maxsize=None)
 def flat_add_table(dims: DimVector) -> np.ndarray:
     """table[r, m] = flat index of decode(r) (+) decode(m), componentwise mod."""
-    digits = digit_table(dims)
-    n = dims.size
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, (d, s) in enumerate(zip(dims, strides(dims))):
-        col = digits[:, i]
-        table += ((col[:, None] + col[None, :]) % d) * s
+    digits = digit_table(dims).T
+    table = np.ravel_multi_index(digits[:, :, None] + digits[:, None, :], dims, mode="wrap")
     table.setflags(write=False)
     return table
 
@@ -111,7 +96,7 @@ def composite_spin(dims: DimVector, j_digits, k_digits) -> np.ndarray:
 
 
 def _check_sigma(dims: DimVector, sigma) -> tuple[int, ...]:
-    sigma = tuple(int(s) for s in sigma)
+    sigma = tuple(map(operator.index, sigma))
     b = len(dims)
     if sorted(sigma) != list(range(1, b + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{b}, got {sigma}")

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .composite import DimVector, digit_table, strides
+from .composite import DimVector, digit_table
 from .decompositions import (
     SeparableDecomposition,
     VerificationError,
@@ -80,14 +80,15 @@ def _necessary_table(dims: DimVector) -> tuple:
     """Flat pair indices jf, kf and redistributions uf, vf of ``necessary_check``, read-only."""
     b = len(dims)
     digits = digit_table(dims)
-    stride = np.asarray(strides(dims), dtype=np.int64)
     differ = (digits[:, None, :] != digits[None, :, :]).all(axis=2)
     jf, kf = np.nonzero(np.triu(differ, 1))
-    jd, kd = digits[jf][:, None, :], digits[kf][:, None, :]
+    # Digits slot first, as ravel_multi_index takes them: (b, pair, redistribution).
+    jd, kd = digits[jf].T[:, :, None], digits[kf].T[:, :, None]
     # swap[r, a]: redistribution r takes digit a of u from k; digit 0 stays with j.
     swap = np.zeros((2 ** (b - 1), b), dtype=bool)
     swap[:, 1:] = digit_table(DimVector((2,) * (b - 1)))
-    tables = jf, kf, np.where(swap, kd, jd) @ stride, np.where(swap, jd, kd) @ stride
+    u, v = np.where(swap.T[:, None], kd, jd), np.where(swap.T[:, None], jd, kd)
+    tables = jf, kf, np.ravel_multi_index(u, dims), np.ravel_multi_index(v, dims)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -209,7 +210,7 @@ def sufficient_certificate(
         return CertificateReport(INCONCLUSIVE, l1_norm=norm)
 
     # neg[f] is the flat index of the componentwise negation of f's digits.
-    neg = ((-digit_table(dims)) % np.asarray(dims)) @ np.asarray(strides(dims))
+    neg = np.ravel_multi_index(-digit_table(dims).T, dims, mode="wrap")
     # mult is 2, 1 or 0 as the partner label comes later, is the label or comes first.
     mult = 1 + np.sign(np.add.outer(neg * n, neg) - np.arange(n * n).reshape(n, n))
     mult[0, 0] = 0

@@ -9,6 +9,7 @@ matrices whose algebra is governed by integer phase arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ def eta(d: int, exponent: int = 1) -> complex:
     """exp(2*pi*i*exponent/d): one cos/sin of the exponent reduced modulo d,
     exact at quarter turns, never a product of repeated multiplications."""
     _check_dim(d)
-    exponent %= d
+    exponent = operator.index(exponent) % d
     quad, rem = divmod(4 * exponent, d)
     if rem == 0:
         return _QUARTER_TURNS[quad]
@@ -104,7 +105,7 @@ def spin_power(d: int, label: SpinLabel, m: int) -> tuple[int, SpinLabel]:
     """
     j, k = label
     _check_label(d, j, k)
-    if m < 0:
+    if operator.index(m) < 0:
         raise ValueError(f"power must be non-negative, got {m}")
     exponent = (j * k * (m * (m - 1) // 2)) % d
     return exponent, SpinLabel((m * j) % d, (m * k) % d)

@@ -5,6 +5,7 @@ the explicit decomposition attaining it."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,9 @@ class WernerSpec:
     s: float
 
     def __post_init__(self):
-        if self.d < 2:
+        if operator.index(self.d) < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
-        if self.n < 2:
+        if operator.index(self.n) < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not (0.0 <= self.s <= 1.0):
             raise ValueError(f"mixing parameter must lie in [0, 1], got {self.s}")
@@ -52,6 +53,7 @@ PRIME_LIMIT = 3317044064679887385961981  # psi_13 (Sorenson and Webster)
 def is_prime(n: int) -> bool:
     """Miller-Rabin on PRIME_BASES, exact below PRIME_LIMIT.  At or above it a
     base that witnesses compositeness still decides; otherwise ValueError."""
+    n = operator.index(n)
     if n < 42:
         return n in PRIME_BASES
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r d with d odd
@@ -120,6 +122,7 @@ def werner_bound(p: int, n: int) -> float:
 
 def werner_threshold(p: int, n: int) -> float:
     """Exact full-separability threshold 1/(1 + p^(n-1)) for prime p."""
+    p, n = operator.index(p), operator.index(n)
     _require_prime(p)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

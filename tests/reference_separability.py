@@ -29,10 +29,15 @@ from spinsep import (
     subgroup_projection,
     to_spin,
 )
-from spinsep.composite import digit_table, strides
+from spinsep.composite import digit_table
 from spinsep.separability import NORM_SLACK, WEIGHT_FLOOR
 
 from reference_terms import from_terms
+
+
+def place_values(dims):
+    """Big-endian place value of each digit: the last digit counts 1."""
+    return [math.prod(dims[a + 1 :]) for a in range(len(dims))]
 
 
 def reference_necessary(rho, tol):
@@ -42,7 +47,7 @@ def reference_necessary(rho, tol):
     m = rho.matrix
     n = dims.size
     digits = digit_table(dims)
-    stride = np.asarray(strides(dims), dtype=np.int64)
+    place = place_values(dims)
     diag = np.clip(np.real(np.diagonal(m)), 0.0, None)
     worst = None
     for jf in range(n):
@@ -61,8 +66,8 @@ def reference_necessary(rho, tol):
                     else:
                         ud.append(kd[a])
                         vd.append(jd[a])
-                uf = int(np.dot(ud, stride))
-                vf = int(np.dot(vd, stride))
+                uf = int(np.dot(ud, place))
+                vf = int(np.dot(vd, place))
                 magnitude = abs(m[uf, vf])
                 excess = magnitude - bound
                 if excess > tol.abs_eps and (
@@ -106,7 +111,7 @@ def reference_certificate(rho):
         return None
     table = coeffs.table
     digits = digit_table(dims)
-    neg = (((-digits) % np.asarray(dims)) @ np.asarray(strides(dims))).tolist()
+    neg = (((-digits) % np.asarray(dims)) @ place_values(dims)).tolist()
     digit_rows = digits.tolist()
     merged = {}
     raw = 0

@@ -19,7 +19,7 @@ from spinsep import (
     spin_matrix,
     spin_table,
 )
-from spinsep.composite import flat_add_table, strides
+from spinsep.composite import flat_add_table
 
 from conftest import random_matrix
 from reference_identities import multi_add
@@ -70,8 +70,9 @@ class TestEncodeDecode:
         assert encode(DimVector((2, 3)), (0, 0)) == 0
         assert encode(DimVector((2, 2, 2)), (1, 0, 1)) == 5
 
-    def test_strides(self):
-        assert strides(DimVector((2, 3, 2))) == (6, 2, 1)
+    def test_place_values(self):
+        units = np.eye(3, dtype=int)
+        assert [encode(DimVector((2, 3, 2)), unit) for unit in units] == [6, 2, 1]
 
     @pytest.mark.parametrize("dims", DIM_CHOICES)
     def test_bijection(self, dims):
@@ -99,6 +100,26 @@ class TestEncodeDecode:
             encode(dv, (2, 0))
         with pytest.raises(ValueError):
             decode(dv, 6)
+
+    @pytest.mark.parametrize("digits", [(1.5, 0), (1, 2.0), (1, np.float64(2.0))])
+    def test_refuses_digits_that_are_not_integers(self, digits):
+        # A float was taken as is: encode((2, 3), (1.5, 0)) gave 4.5.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            encode(DimVector((2, 3)), digits)
+
+    @pytest.mark.parametrize("index", [2.5, 5.0, np.float64(5.0)])
+    def test_refuses_an_index_that_is_not_an_integer(self, index):
+        # A float was taken as is: decode((2, 3), 2.5) gave (0.0, 2.5).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            decode(DimVector((2, 3)), index)
+
+    def test_takes_numpy_integers(self):
+        dv = DimVector((2, 3))
+        flat = encode(dv, (np.int64(1), np.uint8(2)))
+        assert flat == 5 and type(flat) is int
+        for index in (np.int64(5), np.uint64(5), np.int8(5)):
+            digits = decode(dv, index)
+            assert digits == (1, 2) and all(type(x) is int for x in digits)
 
     @pytest.mark.parametrize("digits", [(1,), (1, 0, 0)])
     def test_digit_count_must_match(self, digits):
@@ -211,6 +232,17 @@ class TestPermutations:
             permutation_matrix(dv, (1, 1))
         with pytest.raises(ValueError):
             permutation_matrix(dv, (1, 2, 3))
+
+    @pytest.mark.parametrize("sigma", [(2.7, 1), (2.0, 1), (np.float64(2.0), 1)])
+    def test_refuses_sigma_entries_that_are_not_integers(self, sigma):
+        # A float was truncated: sigma (2.7, 1) swapped (2, 3) to (3, 2).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            permute_dims(DimVector((2, 3)), sigma)
+
+    def test_takes_numpy_integer_sigma(self):
+        dv = DimVector((2, 3))
+        assert permute_dims(dv, np.array([2, 1])) == (3, 2)
+        assert np.array_equal(permutation_matrix(dv, (np.int8(2), 1)), permutation_matrix(dv, (2, 1)))
 
 
 class TestConjugation:

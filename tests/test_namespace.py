@@ -23,9 +23,11 @@ KEPT = [
     "spin_matrix",
     "werner_spin_coeffs",
 ]
-# (module, name): moved to tests/reference_identities.py, or deleted (tensor, RootOfUnity).
+# (module, name): moved to tests/reference_identities.py, or deleted (tensor,
+# RootOfUnity, strides: flat indices are numpy's C order).
 GONE = [
     ("composite", "multi_add"),
+    ("composite", "strides"),
     ("linalg", "tensor"),
     ("linalg", "trace_inner"),
     ("spin", "RootOfUnity"),

@@ -298,6 +298,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="power must be non-negative, got -1"):
             expand_spin_power(ProjectionSpec(3, SpinLabel(1, 0)), -1)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, np.float64(2.0)], ids=["0.5", "1.0", "float64"])
+    def test_power_must_be_an_integer(self, t):
+        # A float power failed inside eta, on a float index into its quarter-turn table.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            expand_spin_power(ProjectionSpec(3, SpinLabel(1, 0)), t)
+
+    def test_numpy_integer_power_is_taken(self):
+        spec = ProjectionSpec(3, SpinLabel(1, 0))
+        assert expand_spin_power(spec, np.int64(2)) == expand_spin_power(spec, 2)
+
     @pytest.mark.parametrize("r", [1.5, 1.0, np.float64(1.0)], ids=["1.5", "1.0", "float64"])
     def test_spec_offset_must_be_an_integer(self, r):
         # A float offset was truncated: r = 1.5 gave P_u(1).

@@ -61,6 +61,21 @@ class TestEtaAlpha:
             for e in range(-50, 51):
                 assert bits(alpha(d, e)) == bits(eta(2 * d, e))
 
+    @pytest.mark.parametrize(
+        "root, d, exponent",
+        [(eta, 4, 0.5), (eta, 3, 1.0), (alpha, 4, 0.5), (alpha, 3, np.float64(1.0))],
+    )
+    def test_refuses_exponents_that_are_not_integers(self, root, d, exponent):
+        # A float was taken as an angle: eta(4, 0.5) gave exp(i pi/4).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            root(d, exponent)
+
+    def test_takes_numpy_integers(self):
+        for d in range(2, 9):
+            for e in range(-d, 2 * d):
+                assert bits(eta(d, np.int64(e))) == bits(eta(d, e))
+                assert bits(alpha(d, np.int16(e))) == bits(alpha(d, e))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             eta(1, 0)
@@ -217,6 +232,16 @@ class TestSpinPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             spin_power(3, SpinLabel(1, 1), -1)
+
+    @pytest.mark.parametrize("m", [2.0, 1.5, np.float64(2.0)])
+    def test_refuses_powers_that_are_not_integers(self, m):
+        # A float was taken as is: m = 2.0 gave (1.0, SpinLabel(2.0, 2.0)).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            spin_power(3, SpinLabel(1, 1), m)
+
+    def test_takes_numpy_integers(self):
+        for m in (np.int64(2), np.uint8(2)):
+            assert spin_power(3, SpinLabel(1, 1), m) == (1, SpinLabel(2, 2))
 
     @given(
         d=st.integers(min_value=2, max_value=6),

@@ -62,6 +62,17 @@ class TestWernerDensity:
         with pytest.raises(ValueError):
             WernerSpec(1, 2, 0.5)
 
+    @pytest.mark.parametrize("d, n", [(3, 2.5), (2, 2.0), (2.0, 2), (np.float64(3.0), 2)])
+    def test_spec_refuses_d_and_n_that_are_not_integers(self, d, n):
+        # A float was kept, and WernerSpec(3, 2.5, 0.5) failed only at .dims.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            WernerSpec(d, n, 0.5)
+
+    def test_spec_takes_numpy_integers(self):
+        w = werner_density(WernerSpec(np.int64(3), np.uint8(2), 0.2))
+        assert w.dims == (3, 3)
+        assert np.array_equal(w.matrix, werner_density(WernerSpec(3, 2, 0.2)).matrix)
+
 
 class TestIndSet:
     def test_small_examples(self):
@@ -134,6 +145,15 @@ class TestThreshold:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             werner_threshold(4, 2)
+
+    @pytest.mark.parametrize("p, n", [(3, 2.5), (3, 2.0), (3, np.float64(2.0)), (3.0, 2)])
+    def test_refuses_p_and_n_that_are_not_integers(self, p, n):
+        # A float n was taken as is: werner_threshold(3, 2.5) gave 0.1614.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            werner_threshold(p, n)
+
+    def test_takes_numpy_integers(self):
+        assert werner_threshold(np.int64(3), np.uint8(3)) == werner_threshold(3, 3) == 1 / 10
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_needs_two_subsystems(self, n):
@@ -261,6 +281,15 @@ class TestIsPrime:
     @pytest.mark.parametrize("n", [10**9 + 7, 2**31 - 1, 2**61 - 1])
     def test_primes_below_the_limit(self, n):
         assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [7.0, 2.0, np.float64(7.0), 43.0])
+    def test_refuses_non_integers(self, n):
+        # A float was looked up as is: is_prime(7.0) was True.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            is_prime(n)
+
+    def test_takes_numpy_integers(self):
+        assert [is_prime(np.int64(n)) for n in (7, 42, 43, 2047)] == [True, False, True, False]
 
     def test_limit_is_psi13(self):
         with pytest.raises(ValueError, match=f"exact only below {PRIME_LIMIT}$"):
