@@ -22,7 +22,7 @@ runs, since any mutation fails it.
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
 1 otherwise, 2 if the unmutated copy fails tier-1 or an old text no longer
-occurs exactly once.  A full run takes about 25 minutes on two cores.
+occurs exactly once.  A full run takes about 24 minutes on two cores.
 """
 
 import argparse
@@ -268,11 +268,30 @@ MUTATIONS = [
              "WernerSpec(3, 2.5, 0.5) is built and fails only at .dims"),
     Mutation("werner.py", "n = operator.index(n)\n    if n < 42:", "if n < 42:",
              "is_prime(7.0) is True, and a numpy integer above 41 has no bit_length"),
-    Mutation("werner.py", "p, n = operator.index(p), operator.index(n)",
-             "p, n = operator.index(p), n", "werner_threshold(3, 2.5) is 0.1614"),
-    Mutation("werner.py", "p, n = operator.index(p), operator.index(n)",
-             "p, n = p, operator.index(n)",
-             "werner_threshold of a numpy integer p fails on bit_length in werner_bound"),
+    # Equal slots share one read-only stack, screened and rendered once.
+    Mutation("decompositions.py", "shared.setdefault((stack.shape, stack.tobytes()), stack)",
+             "shared.setdefault(stack.shape, stack)",
+             "slots whose stacks differ only in content share the first one's stack"),
+    Mutation("decompositions.py", "stack.flags.writeable = False", "pass",
+             "a write into one slot's stack changes every slot that shares it"),
+    Mutation("decompositions.py", "stacks, rejected = {id(slot): slot for slot in dec.factors}, []",
+             "stacks, rejected = {id(slot): dec.factors[0] for slot in dec.factors}, []",
+             "every slot takes slot 0's screen, so a bad entry of another stack verifies"),
+    Mutation("io.py", 'pieces[:, 1:-1:2] = b",\\n        "',
+             'pieces[:, 1:-1:2] = b\',\\n      "factors": [\\n        \'',
+             "every slot opens with slot 0's \"factors\" key, so the file is not JSON"),
+    Mutation("io.py", 'step = min(CHUNK_TERMS, max(1, CHUNK_BYTES // len(b"".join(pieces[0]))))',
+             "step = CHUNK_TERMS",
+             "a W(5,3) file is joined in 1.8 MB chunks, which spill a core's cache"),
+    Mutation("spin.py", "if operator.index(d) < 2:", "if d < 2:",
+             "eta(3.0, 1) is exp(2 pi i/3)"),
+    Mutation("spin.py", "0 <= operator.index(j) < d and 0 <= operator.index(k) < d",
+             "0 <= j < d and 0 <= k < d",
+             "spin_dagger(3, SpinLabel(1.5, 1)) is (1.5, SpinLabel(1.5, 2))"),
+    Mutation("werner.py", "n, p = operator.index(n), p if", "n, p = n, p if",
+             "werner_bound(3, 2.5) and werner_threshold(3, 2.5) are 0.1614"),
+    Mutation("werner.py", "p if isinstance(p, int) else operator.index(p)", "p",
+             "werner_bound and werner_threshold of a numpy integer p fail on bit_length"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",

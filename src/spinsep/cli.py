@@ -36,7 +36,7 @@ from .io import (
     read_coefficients_file,
     read_density_file,
     write_decomposition_file,
-    write_text_file,
+    write_file,
 )
 from .linalg import DEFAULT_TOLERANCE, InvalidDensityError, Tolerance, check_density
 from .separability import (
@@ -84,7 +84,7 @@ def _emit_document(doc: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        write_text_file(path, [text])
+        write_file(path, [text.encode()])
         print(f"wrote {path}")
 
 

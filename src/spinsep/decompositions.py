@@ -11,8 +11,9 @@ factors across thousands of terms, so a decomposition is held by columns:
 
 Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
 factors)``, the only constructor, which refuses a misshapen factor or column
-and an index entry outside its slot's stack.  Verification screens each
-slot's stack at once, and checks one at a time only the factors it rejects.
+and an index entry outside its slot's stack.  Equal slots (by shape and
+bytes) share one read-only stack.  Verification screens each distinct
+stack at once, and checks one at a time only the factors it rejects.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class SeparableDecomposition:
 
     def __init__(self, dims: DimVector, weights, index, factors):
         """From the columns; each slot keeps the entries that some term uses, in
-        their order, as one (K_a, d_a, d_a) complex stack.  ValueError if dims fails
-        DimVector's checks, a column has not len(dims) slots, a non-empty index has no
-        integer dtype, weights are not 1-D with one per index row, an entry of slot a
-        is outside 0..K_a - 1, or a factor is not d_a x d_a, by shape for a stack."""
+        their order, as one read-only (K_a, d_a, d_a) complex stack, shared by equal
+        slots.  ValueError if dims fails DimVector's checks, a column has not len(dims)
+        slots, a non-empty index has no integer dtype, weights are not 1-D with one per
+        index row, an entry of slot a is outside 0..K_a - 1, or a factor is not d_a x
+        d_a, by shape for a stack."""
         self.dims = dims = DimVector(dims)
         self.weights, index = np.asarray(weights, dtype=float), np.asarray(index)
         for name, n in (("index", np.shape(index)[-1]), ("factors", len(factors))):
@@ -67,7 +69,7 @@ class SeparableDecomposition:
         if index.size and index.dtype.kind not in "iu":
             raise ValueError(f"slot 0: index entries are {index.dtype}, not integers")
         index = index.reshape(len(self.weights), len(dims))
-        self.index, self.factors = index.astype(np.intp, order="C"), ()
+        self.index, self.factors, shared = index.astype(np.intp, order="C"), (), {}
         # Each slot's range is read from the given column: no copy, no wrap.
         for a, (d, given, f) in enumerate(zip(dims, index.T, factors)):
             stacked = isinstance(f, np.ndarray) and f.ndim == 3
@@ -78,7 +80,9 @@ class SeparableDecomposition:
                     raise ValueError(f"slot {a}: index entry {v} is outside 0..{len(f) - 1}")
             used = np.bincount(self.index[:, a], minlength=len(f)) > 0
             self.index[:, a] = (np.cumsum(used) - 1)[self.index[:, a]]
-            self.factors += (np.asarray(f, dtype=complex).reshape(-1, d, d)[used],)
+            stack = np.asarray(f, dtype=complex).reshape(-1, d, d)[used]
+            stack.flags.writeable = False
+            self.factors += (shared.setdefault((stack.shape, stack.tobytes()), stack),)
 
     @cached_property
     def terms(self) -> tuple[ProductTerm, ...]:
@@ -174,8 +178,8 @@ def verify_decomposition(
     Weights finite, non-negative and summing to one, every factor a valid
     local density, and the reassembled mixture matching the target
     entrywise within the reconstruction tolerance.  One ``density_screen``
-    per slot checks its (K_a, d_a, d_a) stack; ``check_density`` names the
-    first it fails, by (first term, slot, entry).  Every comparison fails on NaN.
+    per distinct (K_a, d_a, d_a) stack checks all its slots; ``check_density``
+    names the first it fails, by (first term, slot, entry).  Every comparison fails on NaN.
     """
     if dec.dims != target.dims:
         raise ValueError(f"dims mismatch: {dec.dims} vs {target.dims}")
@@ -186,23 +190,24 @@ def verify_decomposition(
         if not math.isfinite(weight):
             return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
         return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
-    lows, rejected = [], []
+    stacks, rejected = {id(slot): slot for slot in dec.factors}, []
+    screens = {key: density_screen(slot, tol) for key, slot in stacks.items()}
     for a, slot in enumerate(dec.factors):
-        ok, _, _, lo = density_screen(slot, tol)
+        ok = screens[id(slot)][0]
         if not ok.all():
             at = np.unique(dec.index[:, a], return_index=True)[1]
             rejected += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
-        lows.append(lo)
     for i, a, k in sorted(rejected):
         try:
             check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
         except InvalidDensityError as err:
             return VerificationResult(False, f"term {i}, factor {a}: {err}")
-        lows[a][k] = density_screen(dec.factors[a][k][None], tol)[3][0]
+        screens[id(dec.factors[a])][3][k] = density_screen(dec.factors[a][k][None], tol)[3][0]
     total = math.fsum(w.tolist())
     if not (abs(total - 1.0) <= tol.abs_eps):
         return VerificationResult(False, f"weights sum to {total:.17g}, expected 1")
     defect = float(np.abs(dec.assemble() - target.matrix).max())
     if not (defect <= tol.reconstruction_eps):
         return VerificationResult(False, f"reconstruction defect {defect:.3e}")
-    return VerificationResult(True, min_factor_eigenvalue=float(min(lo.min() for lo in lows)))
+    lows = [screen[3].min() for screen in screens.values()]
+    return VerificationResult(True, min_factor_eigenvalue=float(min(lows)))

@@ -4,13 +4,14 @@ and separable decompositions.
 Every complex entry is serialised as a [real, imaginary] pair of decimal
 numbers; Python's shortest-repr float writing makes parse -> serialize ->
 parse the identity on the numeric content.  Every file is exactly
-``json.dumps(document, indent=2)`` and a newline, so its bytes are
-reproducible.  A decomposition file renders each distinct float once, to
-the same bytes, as per term its weight, slot blocks and one separator, and
-is written ``CHUNK_TERMS`` terms at a time (see ``decomposition_chunks``),
-so its whole text never exists.  Every reader parses with the cyclic garbage
-collector paused (see ``_read``); a decomposition read also converts each
-distinct number text once per file (see ``_Floats``), from the same bytes.
+``json.dumps(document, indent=2)`` and a newline, as ASCII bytes, so its
+bytes are reproducible.  A decomposition file renders each distinct float and
+each distinct stack's blocks once (equal slots share one), as per term its
+weight, slot blocks and one separator, written a chunk of terms at a time
+(see ``decomposition_chunks``), so its whole text never exists.  Every reader
+parses with the cyclic garbage collector paused (see ``_read``); a decomposition
+read also converts each distinct number text once per file (see ``_Floats``),
+from the same bytes.
 Matrices have one converter, a slot of them at a time (see ``_parse_stacks``);
 a walk entry by entry only names the first malformed one.
 """
@@ -31,8 +32,9 @@ from .decompositions import SeparableDecomposition
 from .transform import SpinCoefficients
 
 FORMAT_VERSION = 1
-# Terms per write of a decomposition file (about 0.45 MB of a 2^5 witness).
-CHUNK_TERMS = 256
+# Decomposition files are written in whole terms, at most CHUNK_TERMS and about
+# CHUNK_BYTES at a time: a chunk and the pieces joined into it stay in cache.
+CHUNK_TERMS, CHUNK_BYTES = 256, 1 << 19
 
 
 class FileFormatError(ValueError):
@@ -148,7 +150,7 @@ def parse_coefficients_document(doc) -> SpinCoefficients:
 
 def decomposition_document(dec: SeparableDecomposition) -> dict:
     """The document ``write_decomposition_file`` writes for ``dec``, read back."""
-    return json.loads("".join(decomposition_chunks(dec)))
+    return json.loads(b"".join(decomposition_chunks(dec)))
 
 
 def _term_weight(raw, i: int, b: int) -> float:
@@ -233,15 +235,15 @@ def document_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def write_text_file(path, chunks: Iterable[str]) -> None:
-    """Write the rendered ``chunks`` in order, then a newline.
+def write_file(path, chunks: Iterable[bytes]) -> None:
+    """Write the rendered ``chunks`` of ASCII in order, then a newline.
 
     Callers check every value before calling, so a ValueError on NaN or
     infinity leaves no file behind.
     """
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with Path(path).open("wb") as fh:
         fh.writelines(chunks)
-        fh.write("\n")
+        fh.write(b"\n")
 
 
 @cache
@@ -251,49 +253,54 @@ def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
     placeholders = np.full((*shape, 2), "{}").tolist()
     text = json.dumps(placeholders, indent=2).replace("\n", "\n        ").replace('"', "")
     template = np.empty(2 * text.count("{}") + 1, dtype=object)
-    template[::2] = text.split("{}")
+    template[::2] = text.encode().split(b"{}")
     return template
 
 
-def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[str]:
-    """``document_text`` of ``dec``'s terms document in consecutive pieces.
+def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[bytes]:
+    """``document_text`` of ``dec``'s terms document in consecutive ASCII pieces.
 
     Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
     apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
-    writes.  Each slot's factors fill a tiled d_a x d_a template with their
-    entries' strings.  A (T, b + 2) array holds per term its weight, one
-    block per slot (slot 0's open "factors") and a separator into the next
-    term, or the document's tail; the header and first opener are the first
-    chunk, then each chunk joins ``CHUNK_TERMS`` rows.  ValueError on NaN or
-    infinity, which JSON lacks, raised by this call, before any chunk.
+    writes.  Each distinct stack's factors fill a tiled d_a x d_a template
+    with their entries' strings, once for the slots that share it.  A (T,
+    2b + 2) array holds per term its weight, per slot an opener (slot 0's
+    opens "factors") and block, and a separator into the next term or the
+    document's tail; the header and first opener are the first chunk, then
+    each chunk joins as many rows as the first fits in ``CHUNK_BYTES``, at
+    most ``CHUNK_TERMS``.  ValueError on NaN or infinity, which JSON lacks,
+    raised by this call, before any chunk.
     """
-    head = document_text(document(dec.dims, "terms", []))
+    head = document_text(document(dec.dims, "terms", [])).encode()
     if not len(dec.weights):
         return iter((head,))
-    entries = [f.ravel().view(float) for f in dec.factors]
+    stacks = {id(f): f for f in dec.factors}
+    entries = [f.ravel().view(float) for f in stacks.values()]
     values = np.concatenate([dec.weights, *entries])
     if not (finite := np.isfinite(values)).all():
         what = "factor entry" if finite[: len(dec.weights)].all() else "weight"
         raise ValueError(f"a {what} is NaN or infinite, which JSON cannot hold")
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    strings = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)[inverse]
+    text = " ".join(map(float.__repr__, bits.view(float).tolist())).encode().split()
+    strings = np.array(text, dtype=object)[inverse]
     chunks = iter(np.split(strings, np.cumsum([len(v) for v in (dec.weights, *entries)])))
-    opener = '    {\n      "weight": '
-    pieces = np.empty((len(dec.weights), len(dec.dims) + 2), dtype=object)
+    opener = b'    {\n      "weight": '
+    pieces = np.empty((len(dec.weights), 2 * len(dec.dims) + 2), dtype=object)
     pieces[:, 0] = next(chunks)
-    for a, slot in enumerate(dec.factors):
+    pieces[:, 1:-1:2] = b",\n        "
+    pieces[:, 1] = b',\n      "factors": [\n        '
+    blocks = {}
+    for key, slot in stacks.items():
         rows = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1))
         rows[:, 1::2] = next(chunks).reshape(len(slot), -1)
-        # Each block carries the text between it and the piece before.
-        rows[:, 0] = (",\n        " if a else ',\n      "factors": [\n        ') + rows[0, 0]
-        blocks = np.array(list(map("".join, rows.tolist())), dtype=object)
-        pieces[:, 1 + a] = blocks[dec.index[:, a]]
-    pieces[:, -1] = "\n      ]\n    },\n" + opener
-    pieces[-1, -1] = "\n      ]\n    }\n  ]\n}"
-    starts = range(0, len(pieces), CHUNK_TERMS)
+        blocks[key] = np.array(list(map(b"".join, rows.tolist())), dtype=object)
+    pieces[:, 2:-1:2] = np.transpose([blocks[id(f)][k] for f, k in zip(dec.factors, dec.index.T)])
+    pieces[:, -1] = b"\n      ]\n    },\n" + opener
+    pieces[-1, -1] = b"\n      ]\n    }\n  ]\n}"
+    step = min(CHUNK_TERMS, max(1, CHUNK_BYTES // len(b"".join(pieces[0]))))
     return chain(
-        (head.removesuffix("[]\n}") + "[\n" + opener,),
-        ("".join(pieces[i : i + CHUNK_TERMS].ravel().tolist()) for i in starts),
+        (head.removesuffix(b"[]\n}") + b"[\n" + opener,),
+        (b"".join(pieces[i : i + step].ravel().tolist()) for i in range(0, len(pieces), step)),
     )
 
 
@@ -302,7 +309,7 @@ def read_density_file(path) -> tuple[np.ndarray, DimVector]:
 
 
 def write_density_file(path, matrix: np.ndarray, dims: DimVector) -> None:
-    write_text_file(path, [document_text(density_document(matrix, dims))])
+    write_file(path, [document_text(density_document(matrix, dims)).encode()])
 
 
 def read_coefficients_file(path) -> SpinCoefficients:
@@ -314,4 +321,4 @@ def read_decomposition_file(path) -> SeparableDecomposition:
 
 
 def write_decomposition_file(path, dec: SeparableDecomposition) -> None:
-    write_text_file(path, decomposition_chunks(dec))
+    write_file(path, decomposition_chunks(dec))

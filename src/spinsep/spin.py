@@ -21,7 +21,7 @@ _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def _check_dim(d: int) -> None:
-    if d < 2:
+    if operator.index(d) < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
 
@@ -52,7 +52,7 @@ class SpinLabel(NamedTuple):
 
 def _check_label(d: int, j: int, k: int) -> None:
     _check_dim(d)
-    if not (0 <= j < d and 0 <= k < d):
+    if not (0 <= operator.index(j) < d and 0 <= operator.index(k) < d):
         raise ValueError(f"label ({j},{k}) out of range for d={d}")
 
 

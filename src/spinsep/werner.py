@@ -109,7 +109,9 @@ def werner_spin_coeffs(spec: WernerSpec) -> SpinCoefficients:
 def werner_bound(p: int, n: int) -> float:
     """1/(1 + p^(n-1)): the threshold for prime p, a necessary-condition
     bound otherwise.  ValueError when p^(n-1) overflows a double; the lower
-    bound 2^((p.bit_length() - 1)(n - 1)) finds most cases before the power."""
+    bound 2^((p.bit_length() - 1)(n - 1)) finds most cases before the power.
+    TypeError if p or n is not an integer; numpy integers are converted, an int p used as is."""
+    n, p = operator.index(n), p if isinstance(p, int) else operator.index(p)
     try:
         if (p.bit_length() - 1) * (n - 1) >= 1024:
             raise OverflowError
@@ -122,11 +124,11 @@ def werner_bound(p: int, n: int) -> float:
 
 def werner_threshold(p: int, n: int) -> float:
     """Exact full-separability threshold 1/(1 + p^(n-1)) for prime p."""
-    p, n = operator.index(p), operator.index(n)
     _require_prime(p)
+    bound = werner_bound(p, n)  # first, so a float n is refused by its type
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return werner_bound(p, n)
+    return bound
 
 
 def werner_separable_decomposition(
@@ -167,5 +169,5 @@ def werner_separable_decomposition(
     weights = [mu / (p * (1 + p ** (n - 1)))] * p + [block] * len(blocks) + [1.0 - mu] * residual
     diagonal = np.repeat(np.arange(p)[:, None], n, axis=1)
     index = np.vstack([diagonal, blocks, np.full((residual, n), len(specs))])
-    factors = [subgroup_projection(sp) for sp in specs] + [np.eye(p, dtype=complex) / p] * residual
+    factors = np.array([subgroup_projection(sp) for sp in specs] + [np.eye(p) / p] * residual)
     return SeparableDecomposition(dims, weights, index, [factors] * n)

@@ -319,6 +319,49 @@ def test_decomposition_document_is_the_reference_document(build):
     assert document_text(decomposition_document(dec)) == document_text(reference_document(dec))
 
 
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_equal_slots_are_one_read_only_stack(build):
+    """Two slots hold the same object exactly when their stacks have the
+    same shape and bytes, and no stack can be written in place."""
+    dec = build()
+    for a, first in enumerate(dec.factors):
+        assert not first.flags.writeable
+        for second in dec.factors[a + 1 :]:
+            equal = (first.shape, first.tobytes()) == (second.shape, second.tobytes())
+            assert (first is second) == equal
+
+
+class TestEqualSlotsShareOneStack:
+    def test_werner_slots_share_one_stack(self):
+        dec = werner_separable_decomposition(3, 3)
+        assert dec.factors[0] is dec.factors[1] is dec.factors[2]
+        with pytest.raises(ValueError, match="read-only"):
+            dec.factors[0][0, 0, 0] = 1.0
+        assert verify_decomposition(dec, DensityMatrix(reference_assemble(dec), dec.dims))
+
+    def test_content_equal_slots_given_apart_share_one_stack(self):
+        half = np.eye(2) / 2
+        dec = SeparableDecomposition((2, 2), [1.0], [[0, 0]], [[half], [np.array(half)]])
+        assert dec.factors[0] is dec.factors[1]
+
+    def test_signed_zeros_keep_two_stacks(self):
+        plus = np.diag([1.0, 0.0]).astype(complex)
+        minus = plus.copy()
+        minus[0, 1] = -0.0
+        dec = SeparableDecomposition((2, 2), [1.0], [[0, 0]], [[plus], [minus]])
+        assert dec.factors[0] is not dec.factors[1]
+        assert [slot.tobytes() for slot in dec.factors] == [plus.tobytes(), minus.tobytes()]
+
+    def test_same_bytes_in_another_shape_keep_two_stacks(self):
+        """Four 2 x 2 factors and one 4 x 4 factor with the same 16 entries."""
+        flat = np.arange(16, dtype=complex)
+        index = [[k, 0] for k in range(4)]
+        factors = [flat.reshape(4, 2, 2), flat.reshape(1, 4, 4)]
+        dec = SeparableDecomposition((2, 4), [0.25] * 4, index, factors)
+        assert dec.factors[0].tobytes() == dec.factors[1].tobytes()
+        assert [slot.shape for slot in dec.factors] == [(4, 2, 2), (1, 4, 4)]
+
+
 def traced(call):
     """call() and the tracemalloc peak of what it allocates, in bytes."""
     tracemalloc.start()

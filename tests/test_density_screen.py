@@ -245,6 +245,44 @@ class TestScreenedEigenvalues:
         assert verify_decomposition(dec, rho) == expected
 
 
+class TestSharedStack:
+    """Equal slots share one stack, which is screened once for all of them."""
+
+    good = [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)]
+    bad = np.diag([1.5, -0.5]).astype(complex)
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_bad_entry_named_at_its_first_use(self, first):
+        """Every slot uses the stack [good, good, bad]; slot ``first`` uses
+        the bad entry at term 1 and the others only at term 2."""
+        rows = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+        rows[1, first], rows[2, first] = 2, 1
+        dims = DimVector((2, 2, 2))
+        dec = SeparableDecomposition(dims, [0.5, 0.25, 0.25], rows, [self.good + [self.bad]] * 3)
+        assert dec.factors[0] is dec.factors[1] is dec.factors[2]
+        target = DensityMatrix(reference_assemble(dec), dims)
+        result = verify_decomposition(dec, target, TOL)
+        assert result.failure == reference_verify(dec, target, TOL).failure
+        assert result.failure.startswith(f"term 1, factor {first}: negative eigenvalue")
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (2, 4), (5, 2)])
+    def test_min_factor_eigenvalue_is_each_slots_screen(self, p, n):
+        s = 0.5 / (1 + p ** (n - 1))
+        dec = werner_separable_decomposition(p, n, s)
+        result = verify_decomposition(dec, werner_density(WernerSpec(p, n, s)))
+        lows = [density_screen(slot, TOL)[3].min() for slot in dec.factors]
+        assert result.ok and result.min_factor_eigenvalue == min(lows)
+
+    def test_one_screen_for_the_largest_werner_case(self, monkeypatch):
+        """W(5,3): the three slots share one 31-entry stack, solved in one call."""
+        dec = werner_separable_decomposition(5, 3, 0.5 / 26)
+        target = werner_density(WernerSpec(5, 3, 0.5 / 26))
+        solves, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(len(m)) or real(m))
+        assert verify_decomposition(dec, target)
+        assert solves == [len(dec.factors[0])] == [31]
+
+
 def test_verify_memory_stays_bounded():
     """300 7-qubit terms, each with its own factors.  The peak stays under
     16 copies of the 128 x 128 complex target (4.2 MB); about 2.1 MB,

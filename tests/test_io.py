@@ -1,6 +1,7 @@
 """The decomposition writer, which renders each distinct float once (by
-its bits, so -0.0 and 0.0 apart), fills each slot's factor blocks from
-those strings and writes CHUNK_TERMS terms at a time, against the one-pass
+its bits, so -0.0 and 0.0 apart), fills each distinct stack's factor
+blocks from those strings once for every slot that shares the stack, and
+writes ASCII bytes a chunk of whole terms at a time, against the one-pass
 indented encoder it replaces: the same bytes on certificate witnesses,
 Werner decompositions, parsed files, CLI output and random mixtures, files
 that read back bit-equal, no file on NaN, infinity, a misshapen factor or
@@ -103,6 +104,20 @@ def test_chunk_seams_bytes(chunk, tmp_path, monkeypatch):
     dec = werner_separable_decomposition(5, 3)
     assert len(dec.weights) == 630
     monkeypatch.setattr("spinsep.io.CHUNK_TERMS", chunk)
+    monkeypatch.setattr("spinsep.io.CHUNK_BYTES", 1 << 40)
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 14, 1 << 19])
+def test_chunks_hold_about_chunk_bytes(budget, tmp_path, monkeypatch):
+    """A W(5,3) term is 6 to 7.5 kB, so CHUNK_TERMS of them would be 1.8 MB:
+    a chunk holds as many whole terms as the first fits in the byte budget,
+    at least one."""
+    dec = werner_separable_decomposition(5, 3)
+    monkeypatch.setattr("spinsep.io.CHUNK_BYTES", budget)
+    sizes = [len(chunk) for chunk in spinsep.io.decomposition_chunks(dec)][1:]
+    assert max(sizes) <= 1.25 * max(budget, 7500)
+    assert len(sizes) == 630 if budget == 1 else len(sizes) < 630
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
 
 
@@ -221,6 +236,36 @@ def test_one_encoder_call_per_factor_shape(tmp_path, rng, monkeypatch):
     monkeypatch.setattr("spinsep.io.json.dumps", counting)
     assert written_bytes(dec, tmp_path / "dec.json") == expected
     assert len(calls) <= len(shapes) + 1
+
+
+PURE = np.diag([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build, stacks",
+    [
+        (lambda: werner_separable_decomposition(5, 3), 1),
+        (lambda: werner_separable_decomposition(2, 6, 0.01), 1),
+        (lambda: from_terms(DimVector((2, 2)), [ProductTerm(1.0, (np.eye(2) / 2, PURE))]), 2),
+    ],
+    ids=["werner-5-3", "werner-2-6", "two-stacks"],
+)
+def test_each_distinct_stack_rendered_once(build, stacks, tmp_path, monkeypatch):
+    """Slots sharing one stack share its rendered blocks; each slot still
+    opens its own block, so the bytes are the reference's."""
+    dec = build()
+    assert len({id(slot) for slot in dec.factors}) == stacks
+    calls, template = [], spinsep.io._factor_template
+    monkeypatch.setattr(spinsep.io, "_factor_template", lambda s: calls.append(s) or template(s))
+    assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
+    assert len(calls) == stacks
+
+
+def test_chunks_are_ascii_bytes(rng):
+    dec = sufficient_certificate(mixed_to_norm(DimVector((2, 3)), 0.7, rng)).witness
+    chunks = list(spinsep.io.decomposition_chunks(dec))
+    assert all(type(chunk) is bytes and chunk.isascii() for chunk in chunks)
+    assert b"".join(chunks) + b"\n" == reference_bytes(dec)
 
 
 def test_decomposition_read_back_from_a_file(tmp_path, rng):

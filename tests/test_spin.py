@@ -76,6 +76,19 @@ class TestEtaAlpha:
                 assert bits(eta(d, np.int64(e))) == bits(eta(d, e))
                 assert bits(alpha(d, np.int16(e))) == bits(alpha(d, e))
 
+    @pytest.mark.parametrize(
+        "root, d", [(eta, 3.0), (eta, np.float64(4.0)), (alpha, 3.0), (alpha, 2.5)]
+    )
+    def test_refuses_dimensions_that_are_not_integers(self, root, d):
+        # A float dimension was taken as is: eta(3.0, 1) gave exp(2 pi i/3).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            root(d, 1)
+
+    def test_takes_numpy_integer_dimensions(self):
+        for d in range(2, 9):
+            assert bits(eta(np.int64(d), 1)) == bits(eta(d, 1))
+            assert bits(alpha(np.uint8(d), 3)) == bits(alpha(d, 3))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             eta(1, 0)
@@ -243,6 +256,18 @@ class TestSpinPower:
         for m in (np.int64(2), np.uint8(2)):
             assert spin_power(3, SpinLabel(1, 1), m) == (1, SpinLabel(2, 2))
 
+    @pytest.mark.parametrize(
+        "d, label", [(3, (1.0, 1)), (3, (1, 1.5)), (3.0, (1, 1)), (3, (np.float64(1.0), 1))]
+    )
+    def test_refuses_labels_and_dimensions_that_are_not_integers(self, d, label):
+        # A float label was taken as is: (3, (1.0, 1), 2) gave (1.0, SpinLabel(2.0, 2)).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            spin_power(d, SpinLabel(*label), 2)
+
+    def test_takes_numpy_integer_labels_and_dimensions(self):
+        label = SpinLabel(np.int64(1), np.uint8(1))
+        assert spin_power(np.int16(3), label, 2) == (1, SpinLabel(2, 2))
+
     @given(
         d=st.integers(min_value=2, max_value=6),
         j=st.integers(min_value=0, max_value=5),
@@ -258,6 +283,18 @@ class TestSpinPower:
 
 
 class TestSpinDagger:
+    @pytest.mark.parametrize(
+        "d, label", [(3, (1.5, 1)), (3, (1, 2.0)), (3.0, (1, 1)), (3, (1, np.float64(1.0)))]
+    )
+    def test_refuses_labels_and_dimensions_that_are_not_integers(self, d, label):
+        # A float label was taken as is: (3, (1.5, 1)) gave (1.5, SpinLabel(1.5, 2)).
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            spin_dagger(d, SpinLabel(*label))
+
+    def test_takes_numpy_integer_labels_and_dimensions(self):
+        label = SpinLabel(np.int64(1), np.uint8(1))
+        assert spin_dagger(np.int16(3), label) == (1, SpinLabel(2, 2))
+
     def test_d3_example(self):
         phase, label = spin_dagger(3, SpinLabel(1, 1))
         assert abs(eta(3, phase) - eta(3)) < 1e-15

@@ -146,7 +146,9 @@ class TestThreshold:
         with pytest.raises(ValueError):
             werner_threshold(4, 2)
 
-    @pytest.mark.parametrize("p, n", [(3, 2.5), (3, 2.0), (3, np.float64(2.0)), (3.0, 2)])
+    @pytest.mark.parametrize(
+        "p, n", [(3, 2.5), (3, 2.0), (3, np.float64(2.0)), (3.0, 2), (3, 1.5), (2.0, 1)]
+    )
     def test_refuses_p_and_n_that_are_not_integers(self, p, n):
         # A float n was taken as is: werner_threshold(3, 2.5) gave 0.1614.
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -259,6 +261,21 @@ def test_overflowing_bound_found_before_the_power():
     # Below the bit-length guard the power is formed exactly, as before.
     with pytest.raises(AssertionError):
         werner_bound(_NoPower(3), 600)
+
+
+class TestBound:
+    @pytest.mark.parametrize("p, n", [(3, 2.5), (3, np.float64(2.0)), (3.0, 2), (np.float64(5), 2)])
+    def test_refuses_p_and_n_that_are_not_integers(self, p, n):
+        # A float n was taken as is: werner_bound(3, 2.5) gave 0.1614.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            werner_bound(p, n)
+
+    def test_takes_numpy_integers(self):
+        # A numpy p failed with AttributeError: no bit_length.
+        assert werner_bound(np.int64(3), np.uint8(3)) == werner_bound(3, 3) == 1 / 10
+        assert werner_bound(np.int64(4), np.int32(2)) == 1 / 5
+        with pytest.raises(ValueError, match="overflows a double"):
+            werner_bound(np.int64(3), np.int64(10_000_000))
 
 
 def trial_division(n):
