@@ -178,8 +178,8 @@ def verify_decomposition(
     Weights finite, non-negative and summing to one, every factor a valid
     local density, and the reassembled mixture matching the target
     entrywise within the reconstruction tolerance.  One ``density_screen``
-    per distinct (K_a, d_a, d_a) stack checks all its slots; ``check_density``
-    names the first it fails, by (first term, slot, entry).  Every comparison fails on NaN.
+    per distinct (K_a, d_a, d_a) stack checks all its slots, ``check_density`` once each
+    entry it rejects, named by (first term, slot, entry).  Every comparison fails on NaN.
     """
     if dec.dims != target.dims:
         raise ValueError(f"dims mismatch: {dec.dims} vs {target.dims}")
@@ -190,14 +190,15 @@ def verify_decomposition(
         if not math.isfinite(weight):
             return VerificationResult(False, f"term {i}: non-finite weight {weight!r}")
         return VerificationResult(False, f"term {i}: negative weight {weight:.3e}")
-    stacks, rejected = {id(slot): slot for slot in dec.factors}, []
+    stacks, rejected = {id(slot): slot for slot in dec.factors}, {}
     screens = {key: density_screen(slot, tol) for key, slot in stacks.items()}
     for a, slot in enumerate(dec.factors):
         ok = screens[id(slot)][0]
         if not ok.all():
             at = np.unique(dec.index[:, a], return_index=True)[1]
-            rejected += [(int(at[k]), a, int(k)) for k in np.flatnonzero(~ok)]
-    for i, a, k in sorted(rejected):
+            for k in np.flatnonzero(~ok):  # an entry of a shared stack is checked once
+                rejected.setdefault((id(slot), k), []).append((int(at[k]), a, int(k)))
+    for i, a, k in sorted(min(uses) for uses in rejected.values()):
         try:
             check_density(dec.factors[a][k], DimVector((dec.dims[a],)), tol)
         except InvalidDensityError as err:

@@ -8,10 +8,10 @@ parse the identity on the numeric content.  Every file is exactly
 bytes are reproducible.  A decomposition file renders each distinct float and
 each distinct stack's blocks once (equal slots share one), as per term its
 weight, slot blocks and one separator, written a chunk of terms at a time
-(see ``decomposition_chunks``), so its whole text never exists.  Every reader
-parses with the cyclic garbage collector paused (see ``_read``); a decomposition
-read also converts each distinct number text once per file (see ``_Floats``),
-from the same bytes.
+(see ``decomposition_chunks``), so its whole text never exists.  A file as
+written is read by its distinct factor blocks, kept if it re-renders to its
+bytes (see ``_read_canonical``); any other is parsed with the cyclic collector
+paused (see ``_read``), each distinct number text converted once (``_Floats``).
 Matrices have one converter, a slot of them at a time (see ``_parse_stacks``);
 a walk entry by entry only names the first malformed one.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -316,7 +317,43 @@ def read_coefficients_file(path) -> SpinCoefficients:
     return _read(path, parse_coefficients_document)
 
 
+def _read_canonical(raw: bytes) -> SeparableDecomposition:
+    """``raw`` read by its distinct factor blocks, if the writer renders it.
+
+    Each slot numbers its distinct block texts by first sight and parses them in
+    one ``json.loads``; the result is kept only if it re-renders to ``raw`` byte
+    for byte, else ValueError or another error.  Kept, it is the JSON path's bit
+    for bit: the writer renders every float by ``float.__repr__``, which ``float``
+    reads back to the same double, so blocks are equal texts exactly when their
+    entries are equal bits, and the JSON path also numbers entries by first use.
+    """
+    start, *_, end = _factor_template((1, 1))  # a block's first and last text, for any d
+    dims = json.loads(raw[: raw.index(b"[\n    {")] + b"[]}")["dims"]
+    seen, index, weights, at = [{} for _ in dims], [], [], 0
+    while (stop := raw.find(end, at)) >= 0:  # a lead (slot 0's holds the weight), then a block
+        lead, slot = raw.index(start, at, stop), seen[len(index) % len(dims)]
+        if slot is seen[0]:
+            weights.append(float(raw[at:lead].split()[-3][:-1]))
+        index.append(slot.setdefault(raw[lead + len(start) : stop], len(slot)))
+        at = stop + len(end)
+    floats = _Floats().__getitem__
+    mats = [json.loads(b"[[[[" + b"]]],[[[".join(s) + b"]]]]", parse_float=floats) for s in seen]
+    index = np.reshape(index, (-1, len(dims)))
+    dec = SeparableDecomposition(dims, weights, index, list(map(_stack, mats, dims)))
+    at = 0
+    for chunk in chain(decomposition_chunks(dec), [b"\n"]):
+        if not raw.startswith(chunk, at):
+            raise ValueError("not the file the writer renders")
+        at += len(chunk)
+    if at != len(raw):
+        raise ValueError("not the file the writer renders")
+    return dec
+
+
 def read_decomposition_file(path) -> SeparableDecomposition:
+    with suppress(Exception):  # any other file: the JSON path reads it or names its fault
+        if Path(path).is_file():  # not a pipe, whose bytes can be read only once
+            return _read_canonical(Path(path).read_bytes())
     return _read(path, parse_decomposition_document, _Floats().__getitem__)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +132,15 @@ def werner_threshold(p: int, n: int) -> float:
     return bound
 
 
+@lru_cache(maxsize=None)
+def _werner_factors(p: int) -> np.ndarray:
+    specs = [ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for j in range(p)]
+    specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p)]
+    factors = np.array([subgroup_projection(sp) for sp in specs] + [np.eye(p) / p])
+    factors.flags.writeable = False
+    return factors
+
+
 def werner_separable_decomposition(
     p: int, n: int, s: float | None = None
 ) -> SeparableDecomposition:
@@ -159,15 +169,12 @@ def werner_separable_decomposition(
     r = np.zeros_like(rows)
     if p == 2:
         r[:, 0] = rows.sum(axis=1) // 2 % 2
-    # Every slot is offered the same entries, and keeps those in use: the
-    # diagonal projections, P_{(j, 1)}(o) at p + j*p + o for o < p, and the residual.
-    specs = [ProjectionSpec(p, SpinLabel(1, 0), (-j) % p) for j in range(p)]
-    specs += [ProjectionSpec(p, SpinLabel(j, 1), o) for j in range(p) for o in range(p)]
+    # Every slot is offered one read-only table per p and keeps the entries in use:
+    # the diagonal projections, P_{(j, 1)}(o) at p + j*p + o for o < p, and I/p.
     blocks = (p + rows[:, None] * p + (r[:, None] + rows[None]) % p).reshape(-1, n)
     residual = int(1.0 - mu > WEIGHT_FLOOR)
     block = mu / (1 + p ** (n - 1)) * (1.0 / p ** (n - 1))
     weights = [mu / (p * (1 + p ** (n - 1)))] * p + [block] * len(blocks) + [1.0 - mu] * residual
     diagonal = np.repeat(np.arange(p)[:, None], n, axis=1)
-    index = np.vstack([diagonal, blocks, np.full((residual, n), len(specs))])
-    factors = np.array([subgroup_projection(sp) for sp in specs] + [np.eye(p) / p] * residual)
-    return SeparableDecomposition(dims, weights, index, [factors] * n)
+    index = np.vstack([diagonal, blocks, np.full((residual, n), p + p * p)])
+    return SeparableDecomposition(dims, weights, index, [_werner_factors(p)] * n)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinsep.decompositions
 from spinsep import (
     DensityMatrix,
     DimVector,
@@ -272,6 +273,27 @@ class TestSharedStack:
         result = verify_decomposition(dec, werner_density(WernerSpec(p, n, s)))
         lows = [density_screen(slot, TOL)[3].min() for slot in dec.factors]
         assert result.ok and result.min_factor_eigenvalue == min(lows)
+
+    def test_a_rejected_entry_is_checked_once(self, monkeypatch):
+        """A failed batch solve rejects all 13 entries of the one stack that
+        both slots of W(3,2) at s = 0.1 share: each is checked once, not once
+        per slot, with the same verdict and minimum."""
+        dec = werner_separable_decomposition(3, 2, 0.1)
+        target = werner_density(WernerSpec(3, 2, 0.1))
+        expected, real, checks = verify_decomposition(dec, target), np.linalg.eigvalsh, []
+
+        def eigvalsh(m):
+            if m.ndim == 3 and len(m) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(
+            spinsep.decompositions, "check_density", lambda *a: checks.append(1) or check_density(*a)
+        )
+        assert dec.factors[0] is dec.factors[1] and len(dec.factors[0]) == 13
+        assert verify_decomposition(dec, target) == expected
+        assert len(checks) == 13
 
     def test_one_screen_for_the_largest_werner_case(self, monkeypatch):
         """W(5,3): the three slots share one 31-entry stack, solved in one call."""

@@ -12,12 +12,15 @@ decoder does; density and coefficient reads keep that decoder."""
 
 import gc
 import json
+import os
 import re
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinsep import (
@@ -278,18 +281,21 @@ def test_decomposition_read_back_from_a_file(tmp_path, rng):
     assert_same_table(parsed)
 
 
-# Also from a small pool, so values, signed zeros included, repeat across
-# weights, slots and entries.
+# Also from a small pool, so values, signed zeros and the least subnormal
+# included, repeat across weights, slots and entries.
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 0.5, 1e-07]
+    [0.0, -0.0, 0.5, 1e-07, 5e-324]
 )
 
 
 @st.composite
 def decompositions(draw):
     """Small mixtures of arbitrary finite matrices, drawn from a per-slot
-    pool so objects and contents repeat, some as fresh copies."""
+    pool so objects and contents repeat, some as fresh copies; when tied,
+    slots of one dimension hold equal factors in every term, so they share
+    a stack."""
     dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    tied = draw(st.booleans())
     pools = [
         [
             np.array(draw(st.lists(finite, min_size=2 * d * d, max_size=2 * d * d)))
@@ -305,6 +311,8 @@ def decompositions(draw):
         for pool in pools:
             f = pool[draw(st.integers(0, len(pool) - 1))]
             factors.append(np.array(f) if draw(st.booleans()) else f)
+        if tied:
+            factors = [factors[dims.index(d)] for d in dims]
         terms.append(ProductTerm(draw(finite), tuple(factors)))
     return from_terms(DimVector(tuple(dims)), tuple(terms))
 
@@ -509,9 +517,27 @@ def test_number_forms_read_as_the_stock_decoder_reads_them(text, tmp_path):
     assert [f.tobytes() for f in got.factors] == [f.tobytes() for f in expected.factors]
 
 
-def test_the_float_table_is_used_where_it_pays(tmp_path, monkeypatch):
-    """One conversion per distinct number text of a Werner (3,3) file; the
-    density and coefficient readers never touch the table."""
+def json_read(path):
+    """The reader's JSON path, which takes every file that the canonical path declines."""
+    io = spinsep.io
+    return io._read(path, io.parse_decomposition_document, io._Floats().__getitem__)
+
+
+def assert_bit_equal(got, expected):
+    """Equal weights, index and stacks, bit for bit, and the same slots sharing a stack."""
+    assert got.weights.tobytes() == expected.weights.tobytes()
+    assert got.index.dtype == expected.index.dtype
+    assert got.index.tobytes() == expected.index.tobytes()
+    assert [f.shape for f in got.factors] == [f.shape for f in expected.factors]
+    assert [f.tobytes() for f in got.factors] == [f.tobytes() for f in expected.factors]
+    for dec in (got, expected):
+        assert all(not f.flags.writeable for f in dec.factors)
+    sharing = [[g is f for g in got.factors] for f in got.factors]
+    assert sharing == [[g is f for g in expected.factors] for f in expected.factors]
+
+
+def count_conversions(monkeypatch) -> list:
+    """The number texts that ``_Floats`` converts from now on, in order."""
     missing, misses = spinsep.io._Floats.__missing__, []
 
     def count(table, text):
@@ -519,12 +545,22 @@ def test_the_float_table_is_used_where_it_pays(tmp_path, monkeypatch):
         return missing(table, text)
 
     monkeypatch.setattr(spinsep.io._Floats, "__missing__", count)
-    path = tmp_path / "dec.json"
-    write_decomposition_file(path, werner_separable_decomposition(3, 3))
+    return misses
+
+
+def test_the_float_table_is_used_where_it_pays(tmp_path, monkeypatch):
+    """On the JSON path, one conversion per distinct number text of a
+    compact copy of a Werner (3,3) file; the density and coefficient
+    readers never touch the table."""
+    misses = count_conversions(monkeypatch)
+    written, path = tmp_path / "written.json", tmp_path / "dec.json"
+    write_decomposition_file(written, werner_separable_decomposition(3, 3))
     texts = set()
-    json.loads(path.read_text(), parse_float=lambda t: texts.add(t) or float(t))
-    read_decomposition_file(path)
+    doc = json.loads(written.read_text(), parse_float=lambda t: texts.add(t) or float(t))
+    path.write_text(json.dumps(doc))
+    got = read_decomposition_file(path)
     assert len(misses) == len(set(misses)) == len(texts) > 1
+    assert_bit_equal(got, read_decomposition_file(written))
     misses.clear()
     for key, (read, _, doc) in reader_cases().items():
         if key != "terms":
@@ -532,6 +568,165 @@ def test_the_float_table_is_used_where_it_pays(tmp_path, monkeypatch):
             path.write_text(json.dumps(doc))
             read(path)
     assert misses == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: werner_separable_decomposition(3, 3),
+        lambda: werner_separable_decomposition(5, 3, 0.001),
+        lambda: sufficient_certificate(
+            mixed_to_norm(DimVector((2, 2, 3)), 0.8, np.random.default_rng(7))
+        ).witness,
+    ],
+    ids=["werner-3-3", "werner-5-3-below", "certificate-2x2x3"],
+)
+def test_a_written_file_is_read_by_its_distinct_blocks(build, tmp_path, monkeypatch):
+    """The canonical path takes a written file, never the JSON tree: the
+    header and then each slot are one json.loads, a slot's holding each of
+    its distinct blocks once, and only the numbers in those blocks are
+    converted through the float table."""
+    path = tmp_path / "dec.json"
+    write_decomposition_file(path, build())
+    expected = json_read(path)
+    loads, parsed = json.loads, []
+
+    def spy(text, **kwargs):
+        parsed.append(value := loads(text, **kwargs))
+        return value
+
+    def refuse(doc):
+        raise AssertionError("a written file reached the JSON path")
+
+    misses = count_conversions(monkeypatch)
+    monkeypatch.setattr(spinsep.io, "parse_decomposition_document", refuse)
+    monkeypatch.setattr(spinsep.io.json, "loads", spy)
+    got = read_decomposition_file(path)
+    monkeypatch.undo()
+    assert_bit_equal(got, expected)
+    assert parsed[0] == spinsep.io.document(got.dims, "terms", [])
+    assert [len(mats) for mats in parsed[1:]] == [len(f) for f in got.factors]
+    assert sum(map(len, got.factors)) < got.index.size
+    blocks = [json.dumps(spinsep.io.matrix_entries(m)) for f in got.factors for m in f]
+    texts = set(re.findall(r"[-0-9.e+]+", " ".join(blocks)))
+    assert len(misses) == len(set(misses)) == len(texts)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_read_once(tmp_path):
+    """A named pipe gives its bytes to one read only: a document that is not
+    as the writer renders it still reaches the JSON path whole."""
+    fifo, copy = tmp_path / "dec.fifo", tmp_path / "dec.json"
+    os.mkfifo(fifo)
+    copy.write_text(json.dumps(reference_document(werner_separable_decomposition(2, 2))))
+    got = []
+    threading.Thread(target=fifo.write_bytes, args=(copy.read_bytes(),), daemon=True).start()
+    reader = threading.Thread(target=lambda: got.append(read_decomposition_file(fifo)), daemon=True)
+    reader.start()
+    reader.join(10)
+    assert not reader.is_alive()
+    assert_bit_equal(got[0], json_read(copy))
+
+
+def test_goldens_are_read_by_the_canonical_path():
+    for path in sorted(Path(__file__).parents[1].glob("docs/examples/*.decomposition.json")):
+        assert_bit_equal(spinsep.io._read_canonical(path.read_bytes()), json_read(path))
+
+
+@given(dec=decompositions())
+@settings(max_examples=100, deadline=None)
+@example(dec=SeparableDecomposition(DimVector((2,)), [], np.zeros((0, 1), dtype=int), [[]]))
+@example(
+    dec=SeparableDecomposition(
+        DimVector((2, 2)),
+        [5e-324, -0.0, 0.0],
+        [[0, 0], [1, 1], [2, 1]],
+        [np.array([[[-0.0, 5e-324]] * 2, [[0.0, 5e-324]] * 2, [[0.0, -5e-324]] * 2])] * 2,
+    )
+)
+def test_the_canonical_path_reads_as_the_json_path(dec, tmp_path_factory):
+    """Bit for bit, signed zeros, subnormals and shared stacks included; a
+    file with no term is left to the JSON path."""
+    path = tmp_path_factory.mktemp("canonical") / "dec.json"
+    write_decomposition_file(path, dec)
+    expected = json_read(path)
+    if not len(dec.weights):
+        with pytest.raises(ValueError):
+            spinsep.io._read_canonical(path.read_bytes())
+    else:
+        assert_bit_equal(spinsep.io._read_canonical(path.read_bytes()), expected)
+    assert_bit_equal(read_decomposition_file(path), expected)
+
+
+def _respell(raw: bytes, old: bytes, new: bytes) -> bytes:
+    assert old in raw
+    return raw.replace(old, new, 1)
+
+
+def _first_weight(respell):
+    """An edit that replaces the first weight's text ``w`` with ``respell(w)``."""
+
+    def edit(raw: bytes) -> bytes:
+        w = re.search(rb'"weight": ([^,]+),', raw)
+        return raw[: w.start(1)] + respell(w.group(1)) + raw[w.end(1) :]
+
+    return edit
+
+
+def _redump(raw: bytes, **kwargs) -> bytes:
+    return json.dumps(json.loads(raw), **kwargs).encode()
+
+
+def _reorder(raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    terms = [{"factors": t["factors"], "weight": t["weight"]} for t in doc["terms"]]
+    return json.dumps({"terms": terms, "dims": doc["dims"], "format_version": 1}, indent=2).encode()
+
+
+# Edits of a written W(3,2) file, s = 0.1: each file is read as the JSON
+# path reads it, or refused with its exception and message.  The two digit
+# edits leave a file as the writer renders it, which the canonical path reads.
+BYTE_EDITS = {
+    "weight digit": lambda raw: _respell(raw, b'"weight": 0.0', b'"weight": 0.1'),
+    "entry digit": lambda raw: _respell(raw, b"1.0,\n", b"2.0,\n"),
+    "crlf line ends": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "trailing space": lambda raw: _respell(raw, b",\n", b", \n"),
+    "trailing space at the end": lambda raw: raw + b" ",
+    "no final newline": lambda raw: raw[:-1],
+    "data after the final newline": lambda raw: raw + b"x",
+    "extra key": lambda raw: _respell(raw, b'{\n      "weight"', b'{\n      "x": 1,\n      "weight"'),
+    "extra top-level key": lambda raw: _respell(raw, b'  "dims"', b'  "x": 1,\n  "dims"'),
+    "compact re-dump": _redump,
+    "reordered keys": _reorder,
+    "nan weight": _first_weight(lambda w: b"NaN"),
+    # The same double at the written length, which float reads and json refuses.
+    "weight without its leading zero": _first_weight(lambda w: w[1:] + b"0"),
+    "weight with a plus sign": _first_weight(lambda w: b"+" + w[1:]),
+    "string entry": lambda raw: _respell(raw, b"1.0,\n", b'"1",\n'),
+    "empty file": lambda raw: b"",
+}
+
+
+@pytest.mark.parametrize("name", BYTE_EDITS)
+def test_byte_edits_read_as_the_json_path_reads_them(name, tmp_path):
+    path = tmp_path / "dec.json"
+    write_decomposition_file(path, werner_separable_decomposition(3, 2, 0.1))
+    path.write_bytes(raw := BYTE_EDITS[name](path.read_bytes()))
+    try:
+        spinsep.io._read_canonical(raw)
+    except Exception:
+        assert not name.endswith("digit")
+    else:
+        assert name.endswith("digit")
+    try:
+        expected = json_read(path)
+    except Exception as err:
+        with pytest.raises(type(err)) as info:
+            read_decomposition_file(path)
+        assert str(info.value) == str(err)
+        assert info.type is type(err)
+    else:
+        assert_bit_equal(read_decomposition_file(path), expected)
 
 
 def reader_cases():

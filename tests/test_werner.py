@@ -18,6 +18,7 @@ from spinsep import (
     werner_threshold,
 )
 
+import spinsep.werner
 from spinsep.werner import PRIME_LIMIT, is_prime, werner_bound
 
 from conftest import residual_flags
@@ -312,3 +313,18 @@ class TestIsPrime:
         with pytest.raises(ValueError, match=f"exact only below {PRIME_LIMIT}$"):
             is_prime(PRIME_LIMIT)
         assert not is_prime(PRIME_LIMIT + 1)
+
+
+def test_factor_table_is_built_once_per_p(monkeypatch):
+    """Every build for one p takes its entries from one read-only table, so
+    no projection is looked up or specified again."""
+    first = werner_separable_decomposition(3, 2)
+    table = spinsep.werner._werner_factors(3)
+    for name in ("ProjectionSpec", "subgroup_projection"):
+        monkeypatch.setattr(spinsep.werner, name, None)
+    dec = werner_separable_decomposition(3, 3, 0.01)
+    assert spinsep.werner._werner_factors(3) is table and not table.flags.writeable
+    assert table.shape == (3 + 9 + 1, 3, 3)
+    assert np.array_equal(table[-1], np.eye(3) / 3)
+    assert first.factors[0].tobytes() == table[:-1].tobytes()
+    assert dec.factors[0].tobytes() == table.tobytes()
