@@ -22,7 +22,7 @@ runs, since any mutation fails it.
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
 1 otherwise, 2 if the unmutated copy fails tier-1 or an old text no longer
-occurs exactly once.  A full run took 21 and 27 minutes in two runs on two cores.
+occurs exactly once.  A full run of 101 mutants took 29 minutes on two cores.
 """
 
 import argparse
@@ -309,6 +309,22 @@ MUTATIONS = [
     Mutation("io.py", "if Path(path).is_file():", "if True:",
              "a named pipe is read by the canonical path first, and the JSON path then waits "
              "for bytes that are gone"),
+    # The canonical path finds blocks and weights by bracket rank.
+    Mutation("io.py", "for i in range(head, len(raw), CHUNK_BYTES))",
+             "for i in range(0, len(raw), CHUNK_BYTES))",
+             "the header's dims brackets are counted, so no rank fits and every written file "
+             "is read through its JSON tree"),
+    Mutation("io.py", """rows[:, 0] - len(b',\\n      "factors": ')""",
+             """rows[:, 0] - 1 - len(b',\\n      "factors": ')""",
+             "each weight text is cut one byte early, so no written file re-renders and every "
+             "one is read through its JSON tree"),
+    Mutation("io.py", "np.flatnonzero((c == 91) | (c == 93)) + i for",
+             "np.flatnonzero((c == 91) | (c == 93)) for",
+             "bracket offsets are counted from the slice, not the file, so blocks are cut at the "
+             "wrong bytes"),
+    Mutation("io.py", "((i, codes[i : i + CHUNK_BYTES]) for i in range(head, len(raw), CHUNK_BYTES))",
+             "((i, codes[i:]) for i in [head])",
+             "the whole file is masked at once: a Werner (5,3) read peaks above the JSON path"),
     Mutation("decompositions.py", "sorted(min(uses) for uses in rejected.values())",
              "sorted(uses[-1] for uses in rejected.values())",
              "a bad entry of a shared stack is named at the last slot's first use"),

@@ -9,9 +9,9 @@ bytes are reproducible.  A decomposition file renders each distinct float and
 each distinct stack's blocks once (equal slots share one), as per term its
 weight, slot blocks and one separator, written a chunk of terms at a time
 (see ``decomposition_chunks``), so its whole text never exists.  A file as
-written is read by its distinct factor blocks, kept if it re-renders to its
-bytes (see ``_read_canonical``); any other is parsed with the cyclic collector
-paused (see ``_read``), each distinct number text converted once (``_Floats``).
+written is read by its distinct factor blocks, found by bracket rank, kept if
+it re-renders to its bytes (``_read_canonical``); any other is parsed with the
+cyclic collector paused (``_read``), each distinct number text converted once (``_Floats``).
 Matrices have one converter, a slot of them at a time (see ``_parse_stacks``);
 a walk entry by entry only names the first malformed one.
 """
@@ -248,6 +248,12 @@ def write_file(path, chunks: Iterable[bytes]) -> None:
 
 
 @cache
+def _no_terms(dims: DimVector) -> bytes:
+    """``document_text`` of the terms document on ``dims`` with no term, rendered once."""
+    return document_text(document(dims, "terms", [])).encode()
+
+
+@cache
 def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
     """A ``shape`` factor as it sits in a decomposition document, 8 spaces
     deep: its literal text at the even places, a free odd place per float."""
@@ -272,7 +278,7 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[bytes]:
     most ``CHUNK_TERMS``.  ValueError on NaN or infinity, which JSON lacks,
     raised by this call, before any chunk.
     """
-    head = document_text(document(dec.dims, "terms", [])).encode()
+    head = _no_terms(dec.dims)
     if not len(dec.weights):
         return iter((head,))
     stacks = {id(f): f for f in dec.factors}
@@ -283,17 +289,16 @@ def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[bytes]:
         raise ValueError(f"a {what} is NaN or infinite, which JSON cannot hold")
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = " ".join(map(float.__repr__, bits.view(float).tolist())).encode().split()
-    strings = np.array(text, dtype=object)[inverse]
-    chunks = iter(np.split(strings, np.cumsum([len(v) for v in (dec.weights, *entries)])))
+    strings, at = np.array(text, dtype=object)[inverse], len(dec.weights)
     opener = b'    {\n      "weight": '
     pieces = np.empty((len(dec.weights), 2 * len(dec.dims) + 2), dtype=object)
-    pieces[:, 0] = next(chunks)
+    pieces[:, 0] = strings[:at]
     pieces[:, 1:-1:2] = b",\n        "
     pieces[:, 1] = b',\n      "factors": [\n        '
     blocks = {}
     for key, slot in stacks.items():
-        rows = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1))
-        rows[:, 1::2] = next(chunks).reshape(len(slot), -1)
+        rows, n = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1)), 2 * slot.size
+        rows[:, 1::2], at = strings[at : at + n].reshape(len(slot), -1), at + n
         blocks[key] = np.array(list(map(b"".join, rows.tolist())), dtype=object)
     pieces[:, 2:-1:2] = np.transpose([blocks[id(f)][k] for f, k in zip(dec.factors, dec.index.T)])
     pieces[:, -1] = b"\n      ]\n    },\n" + opener
@@ -320,26 +325,31 @@ def read_coefficients_file(path) -> SpinCoefficients:
 def _read_canonical(raw: bytes) -> SeparableDecomposition:
     """``raw`` read by its distinct factor blocks, if the writer renders it.
 
-    Each slot numbers its distinct block texts by first sight and parses them in
-    one ``json.loads``; the result is kept only if it re-renders to ``raw`` byte
-    for byte, else ValueError or another error.  Kept, it is the JSON path's bit
-    for bit: the writer renders every float by ``float.__repr__``, which ``float``
-    reads back to the same double, so blocks are equal texts exactly when their
-    entries are equal bits, and the JSON path also numbers entries by first use.
+    After the header the writer puts ``[`` and ``]`` only as structure, a pair per
+    list: so, counted from the "terms" ``[``, a term's "factors" brackets, the ends of
+    its d-level blocks (2(1 + d + d^2) brackets each) and so its weight sit at fixed
+    ranks.  Each slot numbers its distinct block texts by first sight and parses them
+    in one ``json.loads``; the result is kept only if it re-renders to ``raw`` byte for
+    byte, else ValueError or another error.  Kept, it is the JSON path's bit for bit:
+    the writer renders every float by ``float.__repr__``, which ``float`` reads back to
+    the same double, so blocks are equal texts exactly when their entries are equal
+    bits, and the JSON path also numbers entries by first use.
     """
-    start, *_, end = _factor_template((1, 1))  # a block's first and last text, for any d
-    dims = json.loads(raw[: raw.index(b"[\n    {")] + b"[]}")["dims"]
-    seen, index, weights, at = [{} for _ in dims], [], [], 0
-    while (stop := raw.find(end, at)) >= 0:  # a lead (slot 0's holds the weight), then a block
-        lead, slot = raw.index(start, at, stop), seen[len(index) % len(dims)]
-        if slot is seen[0]:
-            weights.append(float(raw[at:lead].split()[-3][:-1]))
-        index.append(slot.setdefault(raw[lead + len(start) : stop], len(slot)))
-        at = stop + len(end)
-    floats = _Floats().__getitem__
-    mats = [json.loads(b"[[[[" + b"]]],[[[".join(s) + b"]]]]", parse_float=floats) for s in seen]
-    index = np.reshape(index, (-1, len(dims)))
-    dec = SeparableDecomposition(dims, weights, index, list(map(_stack, mats, dims)))
+    dims = json.loads(raw[: (head := raw.index(b"[\n    {"))] + b"[]}")["dims"]
+    codes, ends = np.frombuffer(raw, np.uint8), np.cumsum([0] + [2 * (1 + d + d * d) for d in dims])
+    slices = ((i, codes[i : i + CHUNK_BYTES]) for i in range(head, len(raw), CHUNK_BYTES))
+    brackets = np.concatenate([np.flatnonzero((c == 91) | (c == 93)) + i for i, c in slices])
+    rows = brackets[1:-1].reshape(-1, ends[-1] + 2)  # per term: "factors" [, its blocks, ]
+    cut = lambda starts, stops: map(raw.__getitem__, map(slice, starts.tolist(), stops.tolist()))
+    lead = brackets[: -2 : ends[-1] + 2] + len(b']\n    },\n    {\n      "weight": ')
+    lead[0] -= len(b"\n    },")  # the first weight follows the "terms" [
+    weights = list(map(float, cut(lead, rows[:, 0] - len(b',\n      "factors": '))))
+    floats, index, mats = _Floats().__getitem__, [], []
+    for first, last in zip(ends[:-1] + 1, ends[1:]):
+        texts, number = cut(rows[:, first], rows[:, last] + 1), {}  # text -> its first-seen rank
+        index.append(list(map(number.setdefault, texts, iter(number.__len__, -1))))
+        mats.append(json.loads(b"[" + b",".join(number) + b"]", parse_float=floats))
+    dec = SeparableDecomposition(dims, weights, np.transpose(index), list(map(_stack, mats, dims)))
     at = 0
     for chunk in chain(decomposition_chunks(dec), [b"\n"]):
         if not raw.startswith(chunk, at):

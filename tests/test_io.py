@@ -633,6 +633,23 @@ def test_goldens_are_read_by_the_canonical_path():
         assert_bit_equal(spinsep.io._read_canonical(path.read_bytes()), json_read(path))
 
 
+def test_reader_memory_stays_below_the_json_path(tmp_path):
+    """The bracket scan masks one CHUNK_BYTES slice at a time and never holds a
+    slot's whole column of block texts: reading a written Werner (5,3) file
+    (4.5 MB) peaks no higher than parsing its JSON tree does."""
+    path, peaks = tmp_path / "dec.json", []
+    write_decomposition_file(path, werner_separable_decomposition(5, 3))
+    for read in (read_decomposition_file, json_read):
+        read(path)  # the per-shape templates are built outside the measurement
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 @given(dec=decompositions())
 @settings(max_examples=100, deadline=None)
 @example(dec=SeparableDecomposition(DimVector((2,)), [], np.zeros((0, 1), dtype=int), [[]]))
@@ -677,15 +694,25 @@ def _redump(raw: bytes, **kwargs) -> bytes:
     return json.dumps(json.loads(raw), **kwargs).encode()
 
 
+def _swap_first_blocks(raw: bytes) -> bytes:
+    """Term 0's two factor blocks in each other's place."""
+    start = raw.index(b'"factors": [\n') + len(b'"factors": [\n')
+    stop = raw.index(b"\n      ]", start)
+    first, second = raw[start:stop].split(b",\n        [")
+    return raw[:start] + b"        [" + second + b",\n" + first + raw[stop:]
+
+
 def _reorder(raw: bytes) -> bytes:
     doc = json.loads(raw)
     terms = [{"factors": t["factors"], "weight": t["weight"]} for t in doc["terms"]]
     return json.dumps({"terms": terms, "dims": doc["dims"], "format_version": 1}, indent=2).encode()
 
 
-# Edits of a written W(3,2) file, s = 0.1: each file is read as the JSON
-# path reads it, or refused with its exception and message.  The two digit
-# edits leave a file as the writer renders it, which the canonical path reads.
+# Edits of a written W(3,2) file, s = 0.1, or of the file BYTE_EDIT_FILES
+# names: each file is read as the JSON path reads it, or refused with its
+# exception and message.  The two digit edits leave a file as the writer
+# renders it, which the canonical path reads.  Brackets in a string or an
+# extra key move every bracket rank after them.
 BYTE_EDITS = {
     "weight digit": lambda raw: _respell(raw, b'"weight": 0.0', b'"weight": 0.1'),
     "entry digit": lambda raw: _respell(raw, b"1.0,\n", b"2.0,\n"),
@@ -704,13 +731,33 @@ BYTE_EDITS = {
     "weight with a plus sign": _first_weight(lambda w: b"+" + w[1:]),
     "string entry": lambda raw: _respell(raw, b"1.0,\n", b'"1",\n'),
     "empty file": lambda raw: b"",
+    "extra term key holding ]] in a string": lambda raw: _respell(
+        raw, b'{\n      "weight"', b'{\n      "x": "]]",\n      "weight"'
+    ),
+    "extra term key holding [[]]": lambda raw: _respell(
+        raw, b'{\n      "weight"', b'{\n      "x": [[]],\n      "weight"'
+    ),
+    # As many brackets as a W(3,2) term holds: the count fits whole terms.
+    "extra term key holding a term's brackets": lambda raw: _respell(
+        raw, b'{\n      "weight"', b'{\n      "x": "%s",\n      "weight"' % (b"]" * 54)
+    ),
+    "extra top-level key holding brackets": lambda raw: _respell(
+        raw, b"\n  ]\n}", b'\n  ],\n  "x": [[1], "]"]\n}'
+    ),
+    "2x3 blocks of term 0 swapped": _swap_first_blocks,
+}
+BYTE_EDIT_FILES = {
+    "2x3 blocks of term 0 swapped": lambda: sufficient_certificate(
+        mixed_to_norm(DimVector((2, 3)), 0.8, np.random.default_rng(3))
+    ).witness,
 }
 
 
 @pytest.mark.parametrize("name", BYTE_EDITS)
 def test_byte_edits_read_as_the_json_path_reads_them(name, tmp_path):
     path = tmp_path / "dec.json"
-    write_decomposition_file(path, werner_separable_decomposition(3, 2, 0.1))
+    build = BYTE_EDIT_FILES.get(name, lambda: werner_separable_decomposition(3, 2, 0.1))
+    write_decomposition_file(path, build())
     path.write_bytes(raw := BYTE_EDITS[name](path.read_bytes()))
     try:
         spinsep.io._read_canonical(raw)
