@@ -22,7 +22,7 @@ runs, since any mutation fails it.
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
 1 otherwise, 2 if the unmutated copy fails tier-1 or an old text no longer
-occurs exactly once.  A full run of 101 mutants took 29 minutes on two cores.
+occurs exactly once.  A full run of 110 mutants took 30 minutes on two cores.
 """
 
 import argparse
@@ -310,21 +310,48 @@ MUTATIONS = [
              "a named pipe is read by the canonical path first, and the JSON path then waits "
              "for bytes that are gone"),
     # The canonical path finds blocks and weights by bracket rank.
-    Mutation("io.py", "for i in range(head, len(raw), CHUNK_BYTES))",
-             "for i in range(0, len(raw), CHUNK_BYTES))",
+    Mutation("io.py", "for i in range(head, len(raw), CHUNK_BYTES):",
+             "for i in range(0, len(raw), CHUNK_BYTES):",
              "the header's dims brackets are counted, so no rank fits and every written file "
              "is read through its JSON tree"),
     Mutation("io.py", """rows[:, 0] - len(b',\\n      "factors": ')""",
              """rows[:, 0] - 1 - len(b',\\n      "factors": ')""",
              "each weight text is cut one byte early, so no written file re-renders and every "
              "one is read through its JSON tree"),
-    Mutation("io.py", "np.flatnonzero((c == 91) | (c == 93)) + i for",
-             "np.flatnonzero((c == 91) | (c == 93)) for",
+    Mutation("io.py", "brackets.append(at + i)", "brackets.append(at)",
              "bracket offsets are counted from the slice, not the file, so blocks are cut at the "
              "wrong bytes"),
-    Mutation("io.py", "((i, codes[i : i + CHUNK_BYTES]) for i in range(head, len(raw), CHUNK_BYTES))",
-             "((i, codes[i:]) for i in [head])",
-             "the whole file is masked at once: a Werner (5,3) read peaks above the JSON path"),
+    Mutation("io.py", "c = codes[i : i + CHUNK_BYTES]", "c = codes[i:]",
+             "each slice's mask runs to the end of the file, so a written file over CHUNK_BYTES "
+             "holds more brackets than the bound and is read through its JSON tree"),
+    Mutation("io.py", "if len(at := np.flatnonzero((c == 91) | (c == 93))) > most:",
+             "if len(at := np.flatnonzero((c == 91) | (c == 93))) > len(c):",
+             "no slice is refused: a header and 2 MB of [ list every bracket, 34 MB"),
+    Mutation("io.py", "* (CHUNK_BYTES // len(dense) + 2), []",
+             "* (CHUNK_BYTES // len(dense) // 2), []",
+             "the bound is half a written file's density, so the densest written files are "
+             "refused by the canonical path"),
+    # The contractions hand np.dot tensordot's operands.
+    Mutation("transform.py", "np.dot(f, x.reshape(d, -1))", "np.dot(f, x.reshape(-1, d).T)",
+             "the transform contracts a factor matrix with the wrong axis of the table"),
+    Mutation("transform.py", ".transpose(2, 1, 0, 3)", ".transpose(2, 0, 1, 3)",
+             "from b = 3 the factors before the one applied are put back out of order"),
+    Mutation("separability.py", "phased = np.dot(phased.reshape(len(phases), -1).T, phases)",
+             "phased = np.dot(phased.reshape(-1, len(phases)), phases)",
+             "the certificate contracts a slot's phases with the grid's last axis, not its first"),
+    Mutation("separability.py", "modulus = np.dot(modulus.reshape(len(phases), -1).T, phases != 0)",
+             "modulus = np.dot((phases != 0).T, modulus.reshape(len(phases), -1))",
+             "the moduli's contraction swaps its operands, so the slot's content axis comes "
+             "first, not last"),
+    Mutation("separability.py", "reshape([len(p) for _, p in tables])",
+             "reshape([len(p) for _, p in tables[::-1]])",
+             "the merged grid takes its slots' content counts in reverse order"),
+    Mutation("decompositions.py", "np.dot(block.reshape(-1, len(tables[a])), tables[a])",
+             "np.dot(block.reshape(len(tables[a]), -1).T, tables[a])",
+             "assemble contracts a slot's stack with the wrong axis of the block"),
+    Mutation("decompositions.py", "value = np.dot(heads.T, value)",
+             "value = np.dot(value.T, heads)",
+             "the meeting product swaps its operands, so the head factors land after the rest"),
     Mutation("decompositions.py", "sorted(min(uses) for uses in rejected.values())",
              "sorted(uses[-1] for uses in rejected.values())",
              "a bad entry of a shared stack is named at the last slot's first use"),

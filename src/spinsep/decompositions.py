@@ -98,11 +98,11 @@ class SeparableDecomposition:
         a; a run at depth b has its summed weights as value.  For a = b - 1
         down to h, the values of a run's sub-runs, which differ in slot a,
         go to a zero (runs, value size, K_a) block at (run, :, slot-a entry),
-        and one tensordot with slot a's stack as a (K_a, d_a^2) table appends
+        whose product, as K_a columns, with slot a's (K_a, d_a^2) stack appends
         its axes.  A depth with fewer sub-runs than runs * K_a / d_a^2
         instead multiplies each sub-run's value by its own factor and sums
-        per run.  One tensordot meets the values at depth h with each run's
-        product of its first h factors.  h minimises the entries held at
+        per run.  One matrix product meets the values at depth h with each
+        run's product of its first h factors.  h minimises the entries held at
         once, counted from the runs: it is 0 unless the runs stay many
         toward depth 0, as when terms do not share factors.
         """
@@ -135,7 +135,7 @@ class SeparableDecomposition:
                 block = np.zeros((runs, value.shape[1], len(tables[a])), value.dtype)
                 block[np.cumsum(outer) - 1, :, idx[starts, a]] = value
                 del value  # each stage's input goes before the next allocation
-                value = np.tensordot(block, tables[a], axes=(2, 0))
+                value = np.dot(block.reshape(-1, len(tables[a])), tables[a])
                 del block
             else:
                 value = value[:, :, None] * tables[a][idx[starts, a], None, :]
@@ -148,7 +148,7 @@ class SeparableDecomposition:
             heads = (heads[:, :, None] * tables[a][rows[:, a], None, :]).reshape(len(rows), -1)
         # Axes (i_0, j_0, ..., i_{h-1}, j_{h-1}, i_{b-1}, j_{b-1}, ..., i_h, j_h)
         slots = [*range(h), *range(b - 1, h - 1, -1)]
-        value = np.tensordot(heads, value, axes=(0, 0))
+        value = np.dot(heads.T, value)
         value = value.reshape([dims[a] for a in slots for _ in range(2)])
         at = 2 * np.argsort(slots)
         return value.transpose([*at, *(at + 1)]).reshape(n, n)

@@ -337,8 +337,14 @@ def _read_canonical(raw: bytes) -> SeparableDecomposition:
     """
     dims = json.loads(raw[: (head := raw.index(b"[\n    {"))] + b"[]}")["dims"]
     codes, ends = np.frombuffer(raw, np.uint8), np.cumsum([0] + [2 * (1 + d + d * d) for d in dims])
-    slices = ((i, codes[i : i + CHUNK_BYTES]) for i in range(head, len(raw), CHUNK_BYTES))
-    brackets = np.concatenate([np.flatnonzero((c == 91) | (c == 93)) + i for i, c in slices])
+    dense = b"0.0".join(_factor_template((1, 1))[::2])  # the most brackets a byte a file holds
+    most, brackets = 2 * dense.count(b"[") * (CHUNK_BYTES // len(dense) + 2), []
+    for i in range(head, len(raw), CHUNK_BYTES):
+        c = codes[i : i + CHUNK_BYTES]
+        if len(at := np.flatnonzero((c == 91) | (c == 93))) > most:
+            raise ValueError("more brackets than a written file holds")
+        brackets.append(at + i)
+    brackets = np.concatenate(brackets)
     rows = brackets[1:-1].reshape(-1, ends[-1] + 2)  # per term: "factors" [, its blocks, ]
     cut = lambda starts, stops: map(raw.__getitem__, map(slice, starts.tolist(), stops.tolist()))
     lead = brackets[: -2 : ends[-1] + 2] + len(b']\n    },\n    {\n      "weight": ')

@@ -221,9 +221,9 @@ def sufficient_certificate(
     tables = [_label_table(d) for d in dims]
     phased, modulus = s, np.abs(s)
     for phases, _ in tables:
-        phased = np.tensordot(phased, phases, axes=(0, 0))
-        modulus = np.tensordot(modulus, phases != 0, axes=(0, 0))
-    merged = np.pad((modulus + phased.real) / n, (0, 1))
+        phased = np.dot(phased.reshape(len(phases), -1).T, phases)
+        modulus = np.dot(modulus.reshape(len(phases), -1).T, phases != 0)
+    merged = np.pad(((modulus + phased.real) / n).reshape([len(p) for _, p in tables]), (0, 1))
     merged[(-1,) * b] = 1.0 - norm if 1.0 - norm > WEIGHT_FLOOR else 0.0
     index = np.argwhere(merged >= WEIGHT_FLOOR)
     parts = merged[tuple(index.T)]

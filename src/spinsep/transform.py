@@ -32,11 +32,11 @@ class SpinCoefficients:
 
 def _apply_factored(mats, table: np.ndarray, dims: DimVector) -> np.ndarray:
     """Apply (x)_i mats[i] to the row index of an (N, M) table, factor by factor."""
-    n = dims.size
-    x = table.reshape(dims + (-1,))
-    for axis, f in enumerate(mats):
-        x = np.moveaxis(np.tensordot(f, x, axes=(1, axis)), 0, axis)
-    return x.reshape(n, -1)
+    x, left = table[None], 1  # axes: the factor last applied, the earlier ones, the rest
+    for d, f in zip(dims, mats):
+        x, left = x.reshape(len(x), left, d, -1).transpose(2, 1, 0, 3), left * len(x)
+        x = np.dot(f, x.reshape(d, -1))
+    return x.reshape(len(x), left, -1).transpose(1, 0, 2).reshape(dims.size, -1)
 
 
 # Entries near the float range overflow to inf and nan, which the writers
@@ -45,8 +45,7 @@ def _apply_factored(mats, table: np.ndarray, dims: DimVector) -> np.ndarray:
 def spin_table(matrix: np.ndarray, dims: DimVector) -> SpinCoefficients:
     """Spin coefficients of an arbitrary matrix (no density validation)."""
     a = as_square(matrix, dims)[np.arange(dims.size)[:, None], flat_add_table(dims)]
-    mats = [fourier_table(d).conj() for d in dims]
-    return SpinCoefficients(dims, _apply_factored(mats, a, dims))
+    return SpinCoefficients(dims, _apply_factored([fourier_table(d).conj() for d in dims], a, dims))
 
 
 def to_spin(rho: DensityMatrix) -> SpinCoefficients:
@@ -59,8 +58,7 @@ def from_spin(coeffs: SpinCoefficients) -> np.ndarray:
     """Reassemble the matrix (1/N) sum s[j,k] S_{j,k} from its table."""
     dims = coeffs.dims
     n = dims.size
-    mats = [fourier_table(d) for d in dims]
-    a = _apply_factored(mats, coeffs.table, dims) / n
+    a = _apply_factored(map(fourier_table, dims), coeffs.table, dims) / n
     add = flat_add_table(dims)
     out = np.zeros((n, n), dtype=complex)
     out[np.arange(n)[:, None], add] = a

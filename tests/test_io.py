@@ -650,6 +650,41 @@ def test_reader_memory_stays_below_the_json_path(tmp_path):
     assert peaks[0] <= peaks[1]
 
 
+def test_a_bracket_dense_file_is_refused_before_its_brackets_are_listed(tmp_path):
+    """A valid header and 2 MB of ``[``: the canonical path refuses the first
+    slice that holds more brackets than a written file can, so the read holds
+    one slice's offsets, not 16 bytes for every bracket of the file, and the
+    JSON path names the fault."""
+    path = tmp_path / "dense.json"
+    head = spinsep.io._no_terms(DimVector((2, 2))).removesuffix(b"[]\n}") + b"[\n    {"
+    path.write_bytes(head + b"[" * 2_000_000)
+    with pytest.raises(ValueError, match="more brackets than a written file holds"):
+        spinsep.io._read_canonical(path.read_bytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as err:
+            read_decomposition_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert str(err.value) == (
+        f"{path}: Expecting property name enclosed in double quotes: line 8 column 6 (char 73)"
+    )
+
+
+def test_the_densest_written_file_is_read_by_its_blocks():
+    """Every float "0.0" and 2 x 2 slots: the most brackets a byte a written
+    file holds, over several CHUNK_BYTES slices, stays under the bound."""
+    dims = DimVector((2, 2))
+    zeros = [np.zeros((1, 2, 2), dtype=complex)] * 2
+    dec = SeparableDecomposition(dims, np.zeros(4000), np.zeros((4000, 2), dtype=int), zeros)
+    raw = b"".join(spinsep.io.decomposition_chunks(dec)) + b"\n"
+    assert len(raw) > 4 * spinsep.io.CHUNK_BYTES
+    expected = spinsep.io.parse_decomposition_document(json.loads(raw))
+    assert_bit_equal(spinsep.io._read_canonical(raw), expected)
+
+
 @given(dec=decompositions())
 @settings(max_examples=100, deadline=None)
 @example(dec=SeparableDecomposition(DimVector((2,)), [], np.zeros((0, 1), dtype=int), [[]]))
