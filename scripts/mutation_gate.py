@@ -22,7 +22,7 @@ runs, since any mutation fails it.
 Usage: python scripts/mutation_gate.py [--list]
 Exit status: 0 if every mutant is killed and every equivalent survives,
 1 otherwise, 2 if the unmutated copy fails tier-1 or an old text no longer
-occurs exactly once.  A full run of 110 mutants took 30 minutes on two cores.
+occurs exactly once.  A full run of 114 mutants took 30 minutes on two cores.
 """
 
 import argparse
@@ -209,13 +209,14 @@ MUTATIONS = [
              "the rest work first, then fail on the directory \".\""),
     Mutation("projections.py", "if not np.isfinite(theta).all():", "if False:",
              "an infinite phase pair warns inside the sum, and NaN is named by the sum rule"),
-    Mutation("io.py", 'what = "factor entry" if finite[: len(dec.weights)].all() else "weight"',
-             'what = "factor entry"',
+    Mutation("io.py", 'what = "a factor entry" if np.isfinite(dec.weights).all() else "a weight"',
+             'what = "a factor entry"',
              "an infinite weight is reported as a non-finite factor entry"),
-    Mutation("io.py", "if not (finite := np.isfinite(values)).all():", "if False:",
-             "a NaN weight or factor entry is written as the bare token nan, which JSON lacks"),
+    Mutation("io.py", "if not np.isfinite(values).all():", "if False:",
+             "a NaN weight, factor or matrix entry is written as the bare token nan, which JSON "
+             "lacks"),
     Mutation("cli.py", "_refuse_non_finite(args.input, matrix, out)", "pass",
-             "permute names a NaN entry by json's \"Out of range float values\", not by --input"),
+             "permute names a NaN entry as the renderer's \"a matrix entry\", not by --input"),
     Mutation("decompositions.py",
              "if (w := self.weights).ndim != 1 or index.size != w.size * len(dims):", "if False:",
              "2-D weights are accepted, and a weight count off the index rows fails in reshape"),
@@ -277,8 +278,8 @@ MUTATIONS = [
     Mutation("decompositions.py", "stacks, rejected = {id(slot): slot for slot in dec.factors}, {}",
              "stacks, rejected = {id(slot): dec.factors[0] for slot in dec.factors}, {}",
              "every slot takes slot 0's screen, so a bad entry of another stack verifies"),
-    Mutation("io.py", 'pieces[:, 1:-1:2] = b",\\n        "',
-             'pieces[:, 1:-1:2] = b\',\\n      "factors": [\\n        \'',
+    Mutation("io.py", "pieces[:, 1:-1:2], pieces[:, -1] = strings[:at], slot, term",
+             "pieces[:, 1:-1:2], pieces[:, -1] = strings[:at], opener, term",
              "every slot opens with slot 0's \"factors\" key, so the file is not JSON"),
     Mutation("io.py", 'step = min(CHUNK_TERMS, max(1, CHUNK_BYTES // len(b"".join(pieces[0]))))',
              "step = CHUNK_TERMS",
@@ -314,8 +315,7 @@ MUTATIONS = [
              "for i in range(0, len(raw), CHUNK_BYTES):",
              "the header's dims brackets are counted, so no rank fits and every written file "
              "is read through its JSON tree"),
-    Mutation("io.py", """rows[:, 0] - len(b',\\n      "factors": ')""",
-             """rows[:, 0] - 1 - len(b',\\n      "factors": ')""",
+    Mutation("io.py", 'rows[:, 0] - opener.index(b"[")', 'rows[:, 0] - 1 - opener.index(b"[")',
              "each weight text is cut one byte early, so no written file re-renders and every "
              "one is read through its JSON tree"),
     Mutation("io.py", "brackets.append(at + i)", "brackets.append(at)",
@@ -355,6 +355,21 @@ MUTATIONS = [
     Mutation("decompositions.py", "sorted(min(uses) for uses in rejected.values())",
              "sorted(uses[-1] for uses in rejected.values())",
              "a bad entry of a shared stack is named at the last slot's first use"),
+    # Every layout text is cut from a frame that document_text renders.
+    Mutation("io.py", "pieces[:, 4 * c :: 4 * c], pieces[:, -1] = rows, end",
+             "pieces[:, 4::4], pieces[:, -1] = rows, end",
+             "every entry of a matrix is followed by the text between rows, so a d x d matrix "
+             "is written as d^2 rows of one entry"),
+    Mutation("io.py", '" " * (len(line) - len(line.lstrip()))', '""',
+             "a matrix is laid out as if it were the whole document, so every line inside it "
+             "lacks the indent of where it sits"),
+    Mutation("io.py", "head, opener, slot, term, tail = _texts(dec.dims)",
+             "head, opener, term, slot, tail = _texts(dec.dims)",
+             "the slot and term separators are swapped, so a term's slots close it and its "
+             "last slot runs into the next term"),
+    Mutation("io.py", "picks = (0, 1, 2, len(dims) + 1, -1)", "picks = (0, 1, 2, len(dims), -1)",
+             "the term separator is cut from the frame one place early, so a two-slot file ends "
+             "each term with a slot separator"),
     # Equivalent mutants.
     Mutation("decompositions.py",
              "del step  # (T - 1, b) integers: gone before the kernel's allocations", "pass",

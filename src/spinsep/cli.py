@@ -28,11 +28,8 @@ from .composite import DimVector, composite_spin, decode, permute_dims, reorder_
 from .decompositions import VerificationError, verify_decomposition
 from .io import (
     FileFormatError,
-    coefficients_document,
-    density_document,
-    document,
+    document_bytes,
     document_text,
-    matrix_entries,
     read_coefficients_file,
     read_density_file,
     write_decomposition_file,
@@ -78,13 +75,12 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a comma-separated list of integers: {text!r}") from err
 
 
-def _emit_document(doc: dict, path: str | None) -> None:
-    """Print or write ``doc``; ValueError on NaN or infinity, which JSON lacks."""
-    text = document_text(doc)
+def _emit_document(raw: bytes, path: str | None) -> None:
+    """Print or write the rendered document ``raw``."""
     if path is None:
-        print(text)
+        print(raw.decode())
     else:
-        write_file(path, [text.encode()])
+        write_file(path, [raw])
         print(f"wrote {path}")
 
 
@@ -111,11 +107,9 @@ def cmd_basis(args, tol: Tolerance) -> None:
         labels = [(j, k)]
     else:
         labels = [(j, k) for j in range(n) for k in range(n)]
-    matrices = []
-    for j, k in labels:
-        m = composite_spin(dims, decode(dims, j), decode(dims, k))
-        matrices.append({"j": j, "k": k, "matrix": matrix_entries(m)})
-    _emit_document(document(dims, "matrices", matrices), args.output)
+    matrices = [composite_spin(dims, decode(dims, j), decode(dims, k)) for j, k in labels]
+    frame = [{"j": j, "k": k, "matrix": "{}"} for j, k in labels]
+    _emit_document(document_bytes(dims, "matrices", frame, matrices), args.output)
 
 
 def cmd_transform(args, tol: Tolerance) -> None:
@@ -123,14 +117,12 @@ def cmd_transform(args, tol: Tolerance) -> None:
         given, dims = read_density_file(args.input)
         if args.strict:
             check_density(given, dims, tol)
-        coeffs = spin_table(given, dims)
-        out, doc = coeffs.table, coefficients_document(coeffs)
+        out, key = spin_table(given, dims).table, "coefficients"
     else:
         coeffs = read_coefficients_file(args.input)
-        given, out = coeffs.table, from_spin(coeffs)
-        doc = density_document(out, coeffs.dims)
+        given, out, key, dims = coeffs.table, from_spin(coeffs), "matrix", coeffs.dims
     _refuse_non_finite(args.input, given, out)
-    _emit_document(doc, args.output)
+    _emit_document(document_bytes(dims, key, "{}", [out]), args.output)
 
 
 # A witness reports as its kind, then its fields in dataclass order.
@@ -187,7 +179,7 @@ def cmd_certify(args, tol: Tolerance) -> None:
             else:
                 checks[check] = _report_json(report)
         doc = {"dims": list(dims), "l1_norm": norm, "checks": checks, "verdict": overall}
-        _emit_document(doc, None)
+        print(document_text(doc))
     else:
         dims_text = ",".join(str(d) for d in dims)
         print(f"dims: {dims_text} (N={dims.size})")
@@ -235,7 +227,7 @@ def cmd_werner(args, tol: Tolerance) -> None:
         write_decomposition_file(emit, dec)
     if out is not None:
         try:
-            _emit_document(density_document(rho.matrix, rho.dims), out)
+            _emit_document(document_bytes(rho.dims, "matrix", "{}", [rho.matrix]), out)
         except OSError:
             # A failed run leaves no output: the decomposition file goes too.
             if dec is not None:
@@ -250,7 +242,7 @@ def cmd_permute(args, tol: Tolerance) -> None:
     sigma = _parse_int_list(args.sigma, "--sigma")
     out = reorder_subsystems(matrix, dims, sigma)
     _refuse_non_finite(args.input, matrix, out)
-    _emit_document(density_document(out, permute_dims(dims, sigma)), args.output)
+    _emit_document(document_bytes(permute_dims(dims, sigma), "matrix", "{}", [out]), args.output)
 
 
 @functools.cache

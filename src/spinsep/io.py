@@ -1,17 +1,18 @@
 """Structured-text (JSON) file formats for matrices, coefficient tables,
-and separable decompositions.
+spin bases and separable decompositions.
 
 Every complex entry is serialised as a [real, imaginary] pair of decimal
 numbers; Python's shortest-repr float writing makes parse -> serialize ->
 parse the identity on the numeric content.  Every file is exactly
 ``json.dumps(document, indent=2)`` and a newline, as ASCII bytes, so its
-bytes are reproducible.  A decomposition file renders each distinct float and
-each distinct stack's blocks once (equal slots share one), as per term its
-weight, slot blocks and one separator, written a chunk of terms at a time
-(see ``decomposition_chunks``), so its whole text never exists.  A file as
-written is read by its distinct factor blocks, found by bracket rank, kept if
-it re-renders to its bytes (``_read_canonical``); any other is parsed with the
-cyclic collector paused (``_read``), each distinct number text converted once (``_Floats``).
+bytes are reproducible.  One renderer writes all four kinds of document: it
+renders each distinct float once and fills matrices into layout texts cut
+from frames that ``document_text`` renders (see ``_texts``); a decomposition
+renders each distinct stack once, a chunk of terms at a time (see
+``decomposition_chunks``).  A file as written is read by its distinct factor
+blocks, found by bracket rank, kept if it re-renders to its bytes
+(``_read_canonical``); any other is parsed with the cyclic collector paused
+(``_read``), each distinct number text converted once (``_Floats``).
 Matrices have one converter, a slot of them at a time (see ``_parse_stacks``);
 a walk entry by entry only names the first malformed one.
 """
@@ -40,10 +41,6 @@ CHUNK_TERMS, CHUNK_BYTES = 256, 1 << 19
 
 class FileFormatError(ValueError):
     """The document is structurally malformed (distinct from semantic errors)."""
-
-
-def matrix_entries(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _check_entries(rows, n: int, what: str) -> None:
@@ -122,10 +119,6 @@ def document(dims, key: str, value) -> dict:
     return {"format_version": FORMAT_VERSION, "dims": list(dims), key: value}
 
 
-def density_document(matrix: np.ndarray, dims: DimVector) -> dict:
-    return document(dims, "matrix", matrix_entries(matrix))
-
-
 def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
     """The N x N matrix under ``key`` and the dims; ValueError if the row
     count is not the dims product N."""
@@ -138,10 +131,6 @@ def _parse_square(doc, key: str, what: str) -> tuple[np.ndarray, DimVector]:
 
 def parse_density_document(doc) -> tuple[np.ndarray, DimVector]:
     return _parse_square(doc, "matrix", "matrix")
-
-
-def coefficients_document(coeffs: SpinCoefficients) -> dict:
-    return document(coeffs.dims, "coefficients", matrix_entries(coeffs.table))
 
 
 def parse_coefficients_document(doc) -> SpinCoefficients:
@@ -248,66 +237,81 @@ def write_file(path, chunks: Iterable[bytes]) -> None:
 
 
 @cache
-def _no_terms(dims: DimVector) -> bytes:
-    """``document_text`` of the terms document on ``dims`` with no term, rendered once."""
-    return document_text(document(dims, "terms", [])).encode()
+def _texts(dims: tuple[int, ...] | None, line: bytes = b"") -> tuple[bytes, ...]:
+    """Five layout texts of a frame ``document_text`` renders, cut at its "{}"s.
+    On ``dims``, a two-term decomposition: its header and first opener, "factors"
+    opener, slot and term separators, and tail.  Else a 2 x 2 matrix of [re, im]
+    pairs as deep as ``line`` is indented: its start, the texts within an entry,
+    between entries and between rows, and its end."""
+    if dims is None:
+        frame, picks = [[["{}"] * 2] * 2] * 2, (0, 1, 2, 4, 8)
+    else:
+        frame = document(dims, "terms", [{"weight": "{}", "factors": ["{}"] * len(dims)}] * 2)
+        picks = (0, 1, 2, len(dims) + 1, -1)
+    text = document_text(frame).replace('"{}"', "{}")
+    text = text.replace("\n", "\n" + " " * (len(line) - len(line.lstrip())))
+    return tuple(text.encode().split(b"{}")[i] for i in picks)
 
 
-@cache
-def _factor_template(shape: tuple[int, ...]) -> np.ndarray:
-    """A ``shape`` factor as it sits in a decomposition document, 8 spaces
-    deep: its literal text at the even places, a free odd place per float."""
-    placeholders = np.full((*shape, 2), "{}").tolist()
-    text = json.dumps(placeholders, indent=2).replace("\n", "\n        ").replace('"', "")
-    template = np.empty(2 * text.count("{}") + 1, dtype=object)
-    template[::2] = text.encode().split(b"{}")
-    return template
+def _reprs(values: np.ndarray, what: str) -> np.ndarray:
+    """The floats ``values`` as ``json.dumps`` writes them, by ``float.__repr__``,
+    each distinct float (told apart by its bits, so -0.0 and 0.0 stay apart)
+    rendered once; ValueError naming ``what`` on NaN or infinity, which JSON lacks."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is NaN or infinite, which JSON cannot hold")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = " ".join(map(float.__repr__, bits.view(float).tolist())).encode().split()
+    return np.array(text, dtype=object)[inverse]
+
+
+def _blocks(stack: np.ndarray, strings: np.ndarray, texts: tuple[bytes, ...]) -> np.ndarray:
+    """Each matrix of the (T, r, c) ``stack``, its entries' ``strings`` set in ``texts``."""
+    (t, r, c), (start, within, entries, rows, end) = stack.shape, texts
+    pieces = np.empty((t, 4 * r * c + 1), dtype=object)
+    pieces[:, 1::2] = strings.reshape(t, -1)
+    pieces[:, 0], pieces[:, 2::4], pieces[:, 4::4] = start, within, entries
+    pieces[:, 4 * c :: 4 * c], pieces[:, -1] = rows, end
+    return np.array(list(map(b"".join, pieces.tolist())), dtype=object)
+
+
+def document_bytes(dims, key: str, value, matrices) -> bytes:
+    """``document_text`` of the document holding ``value`` under ``key`` on ``dims``,
+    as ASCII, each "{}" in ``value`` standing for the next of the equally shaped
+    ``matrices``; ValueError on NaN or infinity, which JSON lacks."""
+    head, *tails = document_text(document(dims, key, value)).encode().split(b'"{}"')
+    stack = np.asarray(matrices, dtype=complex)
+    strings = _reprs(stack.ravel().view(float), "a matrix entry")
+    blocks = _blocks(stack, strings, _texts(None, head.rpartition(b"\n")[2]))
+    return b"".join([head, *chain.from_iterable(zip(blocks, tails))])
 
 
 def decomposition_chunks(dec: SeparableDecomposition) -> Iterator[bytes]:
     """``document_text`` of ``dec``'s terms document in consecutive ASCII pieces.
 
-    Each distinct float, told apart by its bits so that -0.0 and 0.0 stay
-    apart, is rendered once by ``float.__repr__``, the number ``json.dumps``
-    writes.  Each distinct stack's factors fill a tiled d_a x d_a template
-    with their entries' strings, once for the slots that share it.  A (T,
-    2b + 2) array holds per term its weight, per slot an opener (slot 0's
-    opens "factors") and block, and a separator into the next term or the
-    document's tail; the header and first opener are the first chunk, then
-    each chunk joins as many rows as the first fits in ``CHUNK_BYTES``, at
-    most ``CHUNK_TERMS``.  ValueError on NaN or infinity, which JSON lacks,
-    raised by this call, before any chunk.
+    Each distinct stack's factors are rendered once, for the slots that share
+    it.  A (T, 2b + 2) array holds per term its weight, per slot an opener (slot
+    0's opens "factors") and block, and a separator into the next term or the
+    tail, texts of the two-term frame on ``dec.dims``; its header is the first
+    chunk, then each chunk joins as many rows as the first fits in
+    ``CHUNK_BYTES``, at most ``CHUNK_TERMS``.  ValueError on NaN or infinity,
+    which JSON lacks, raised by this call, before any chunk.
     """
-    head = _no_terms(dec.dims)
     if not len(dec.weights):
-        return iter((head,))
-    stacks = {id(f): f for f in dec.factors}
-    entries = [f.ravel().view(float) for f in stacks.values()]
-    values = np.concatenate([dec.weights, *entries])
-    if not (finite := np.isfinite(values)).all():
-        what = "factor entry" if finite[: len(dec.weights)].all() else "weight"
-        raise ValueError(f"a {what} is NaN or infinite, which JSON cannot hold")
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = " ".join(map(float.__repr__, bits.view(float).tolist())).encode().split()
-    strings, at = np.array(text, dtype=object)[inverse], len(dec.weights)
-    opener = b'    {\n      "weight": '
-    pieces = np.empty((len(dec.weights), 2 * len(dec.dims) + 2), dtype=object)
-    pieces[:, 0] = strings[:at]
-    pieces[:, 1:-1:2] = b",\n        "
-    pieces[:, 1] = b',\n      "factors": [\n        '
-    blocks = {}
-    for key, slot in stacks.items():
-        rows, n = np.tile(_factor_template(slot.shape[1:]), (len(slot), 1)), 2 * slot.size
-        rows[:, 1::2], at = strings[at : at + n].reshape(len(slot), -1), at + n
-        blocks[key] = np.array(list(map(b"".join, rows.tolist())), dtype=object)
+        return iter((document_text(document(dec.dims, "terms", [])).encode(),))
+    head, opener, slot, term, tail = _texts(dec.dims)
+    factor, stacks = _texts(None, opener.rpartition(b"\n")[2]), {id(f): f for f in dec.factors}
+    what = "a factor entry" if np.isfinite(dec.weights).all() else "a weight"
+    values = [dec.weights, *(f.ravel().view(float) for f in stacks.values())]
+    strings, at = _reprs(np.concatenate(values), what), len(dec.weights)
+    pieces = np.empty((at, 2 * len(dec.dims) + 2), dtype=object)
+    pieces[:, 0], pieces[:, 1:-1:2], pieces[:, -1] = strings[:at], slot, term
+    pieces[:, 1], pieces[-1, -1], blocks = opener, tail, {}
+    for key, stack in stacks.items():
+        blocks[key] = _blocks(stack, strings[at : (at := at + 2 * stack.size)], factor)
     pieces[:, 2:-1:2] = np.transpose([blocks[id(f)][k] for f, k in zip(dec.factors, dec.index.T)])
-    pieces[:, -1] = b"\n      ]\n    },\n" + opener
-    pieces[-1, -1] = b"\n      ]\n    }\n  ]\n}"
     step = min(CHUNK_TERMS, max(1, CHUNK_BYTES // len(b"".join(pieces[0]))))
-    return chain(
-        (head.removesuffix(b"[]\n}") + b"[\n" + opener,),
-        (b"".join(pieces[i : i + step].ravel().tolist()) for i in range(0, len(pieces), step)),
-    )
+    rows = (b"".join(pieces[i : i + step].ravel().tolist()) for i in range(0, len(pieces), step))
+    return chain((head,), rows)
 
 
 def read_density_file(path) -> tuple[np.ndarray, DimVector]:
@@ -315,7 +319,7 @@ def read_density_file(path) -> tuple[np.ndarray, DimVector]:
 
 
 def write_density_file(path, matrix: np.ndarray, dims: DimVector) -> None:
-    write_file(path, [document_text(density_document(matrix, dims)).encode()])
+    write_file(path, [document_bytes(dims, "matrix", "{}", [matrix])])
 
 
 def read_coefficients_file(path) -> SpinCoefficients:
@@ -335,9 +339,13 @@ def _read_canonical(raw: bytes) -> SeparableDecomposition:
     the same double, so blocks are equal texts exactly when their entries are equal
     bits, and the JSON path also numbers entries by first use.
     """
-    dims = json.loads(raw[: (head := raw.index(b"[\n    {"))] + b"[]}")["dims"]
+    frame = _texts((2,))[0]  # from the "terms" [ to the first term's {, as on any dims
+    head = raw.index(frame[frame.rindex(b"[") : frame.rindex(b"{") + 1])
+    dims = DimVector(json.loads(raw[:head] + b"[]}")["dims"])
+    header, opener, _, term, _ = _texts(dims)
+    factor = _texts(None, opener.rpartition(b"\n")[2])
     codes, ends = np.frombuffer(raw, np.uint8), np.cumsum([0] + [2 * (1 + d + d * d) for d in dims])
-    dense = b"0.0".join(_factor_template((1, 1))[::2])  # the most brackets a byte a file holds
+    dense = b"0.0".join(factor[:2] + factor[4:])  # 1 x 1: the most brackets a byte a file holds
     most, brackets = 2 * dense.count(b"[") * (CHUNK_BYTES // len(dense) + 2), []
     for i in range(head, len(raw), CHUNK_BYTES):
         c = codes[i : i + CHUNK_BYTES]
@@ -347,9 +355,9 @@ def _read_canonical(raw: bytes) -> SeparableDecomposition:
     brackets = np.concatenate(brackets)
     rows = brackets[1:-1].reshape(-1, ends[-1] + 2)  # per term: "factors" [, its blocks, ]
     cut = lambda starts, stops: map(raw.__getitem__, map(slice, starts.tolist(), stops.tolist()))
-    lead = brackets[: -2 : ends[-1] + 2] + len(b']\n    },\n    {\n      "weight": ')
-    lead[0] -= len(b"\n    },")  # the first weight follows the "terms" [
-    weights = list(map(float, cut(lead, rows[:, 0] - len(b',\n      "factors": '))))
+    lead = brackets[: -2 : ends[-1] + 2] + len(term) - term.rindex(b"]")
+    lead[0] = len(header)  # the first weight follows the writer's first chunk
+    weights = list(map(float, cut(lead, rows[:, 0] - opener.index(b"["))))
     floats, index, mats = _Floats().__getitem__, [], []
     for first, last in zip(ends[:-1] + 1, ends[1:]):
         texts, number = cut(rows[:, first], rows[:, last] + 1), {}  # text -> its first-seen rank

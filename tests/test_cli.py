@@ -27,13 +27,9 @@ import spinsep.cli
 from spinsep.cli import main
 from spinsep.composite import kron_all
 from spinsep.werner import PRIME_LIMIT
-from spinsep.io import (
-    coefficients_document,
-    density_document,
-    read_decomposition_file,
-    read_density_file,
-    write_density_file,
-)
+from spinsep.io import read_decomposition_file, read_density_file, write_density_file
+
+from reference_io import coefficients_document, density_document
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from spinsep import DimVector, WernerSpec, to_spin, werner_density
 from spinsep.cli import main
-from spinsep.io import coefficients_document, density_document, document_text
+from spinsep.io import document_text
+
+from reference_io import coefficients_document, density_document
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "examples"
 

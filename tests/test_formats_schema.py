@@ -1,4 +1,5 @@
-"""The goldens and the writers' output validate against docs/formats.schema.json."""
+"""The goldens, the writers' output and the CLI's basis document validate
+against docs/formats.schema.json."""
 
 import json
 from pathlib import Path
@@ -12,9 +13,11 @@ from spinsep import (
     to_spin,
     werner_separable_decomposition,
 )
-from spinsep.io import coefficients_document, write_decomposition_file, write_density_file
+from spinsep.cli import main
+from spinsep.io import write_decomposition_file, write_density_file
 
 from conftest import mixed_to_norm
+from reference_io import coefficients_document
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -45,3 +48,11 @@ def test_written_files_and_coefficients_document(validator, tmp_path, rng):
     for doc in [*docs, coefficients_document(to_spin(rho))]:
         validator.validate(doc)
     assert not validator.is_valid({**docs[0], "format_version": True})
+
+
+@pytest.mark.parametrize("argv", [["--d", "3"], ["--dims", "2,3", "--label", "5,4"]], ids=str)
+def test_cli_basis_document(validator, argv, tmp_path, capsys):
+    assert main(["basis", *argv, "--output", str(tmp_path / "basis.json")]) == 0
+    doc = json.loads((tmp_path / "basis.json").read_text())
+    validator.validate(doc)
+    assert not validator.is_valid({**doc, "matrices": [{"j": 0, "matrix": [[[1.0, 0.0]]]}]})

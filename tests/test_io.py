@@ -1,17 +1,22 @@
-"""The decomposition writer, which renders each distinct float once (by
-its bits, so -0.0 and 0.0 apart), fills each distinct stack's factor
-blocks from those strings once for every slot that shares the stack, and
-writes ASCII bytes a chunk of whole terms at a time, against the one-pass
-indented encoder it replaces: the same bytes on certificate witnesses,
-Werner decompositions, parsed files, CLI output and random mixtures, files
-that read back bit-equal, no file on NaN, infinity, a misshapen factor or
-a missing slot, and a memory peak well below the file's size.  The readers
+"""The one renderer, which writes density, coefficient, basis and
+decomposition documents: it renders each distinct float once (by its bits,
+so -0.0 and 0.0 apart) and sets the strings in layout texts cut from frames
+that json.dumps renders.  Against the nested-list references and
+json.dumps(indent=2), the byte contract: the same bytes for every matrix
+document, on stdout and --output of every command that writes one, and on
+certificate witnesses, Werner decompositions, parsed files and random
+mixtures; no file on NaN or infinity, and for decompositions none on a
+misshapen factor or a missing slot either.  The decomposition writer
+renders each distinct stack once for every slot that shares it, writes
+ASCII bytes a chunk of whole terms at a time, with a memory peak well below
+the file's size, and files read back bit-equal.  The readers
 leave the cyclic collector as they found it.  A decomposition read converts
 each distinct number text once and reads every number form as json's own
 decoder does; density and coefficient reads keep that decoder."""
 
 import gc
 import json
+import math
 import os
 import re
 import threading
@@ -27,7 +32,14 @@ from spinsep import (
     DimVector,
     ProductTerm,
     SeparableDecomposition,
+    WernerSpec,
+    composite_spin,
+    decode,
+    from_spin,
+    permute_dims,
+    reorder_subsystems,
     sufficient_certificate,
+    werner_density,
     werner_separable_decomposition,
     werner_threshold,
 )
@@ -36,8 +48,7 @@ from spinsep.cli import main
 from spinsep.io import (
     CHUNK_TERMS,
     FileFormatError,
-    coefficients_document,
-    density_document,
+    document_bytes,
     document_text,
     read_coefficients_file,
     read_decomposition_file,
@@ -45,10 +56,16 @@ from spinsep.io import (
     write_decomposition_file,
     write_density_file,
 )
-from spinsep.transform import SpinCoefficients
+from spinsep.transform import SpinCoefficients, spin_table
 
 from conftest import mixed_to_norm
-from reference_io import reference_document
+from reference_io import (
+    basis_document,
+    coefficients_document,
+    density_document,
+    matrix_entries,
+    reference_document,
+)
 from reference_terms import from_terms
 
 
@@ -222,13 +239,14 @@ def test_non_square_factor_bytes(tmp_path):
         from_terms(DimVector((2, 2)), terms)
 
 
-def test_one_encoder_call_per_factor_shape(tmp_path, rng, monkeypatch):
-    """The 2x8 witness has over a hundred distinct 8x8 factors; the writer
-    calls json.dumps once per distinct factor shape and once for the header."""
+def test_one_encoder_call_per_frame(tmp_path, rng, monkeypatch):
+    """The 2x8 witness has over a hundred distinct factors of two shapes; the
+    writer calls json.dumps once for the two-term frame on its dims and once
+    for the 2 x 2 matrix frame at a factor's depth, whatever the shapes, and
+    not at all once both are cached."""
     dec = sufficient_certificate(mixed_to_norm(DimVector((2, 8)), 1.0, rng)).witness
     expected = reference_bytes(dec)
     assert sum(map(len, dec.factors)) > 100
-    shapes = {np.shape(f) for slot in dec.factors for f in slot}
     calls = []
     dumps = json.dumps
 
@@ -237,8 +255,11 @@ def test_one_encoder_call_per_factor_shape(tmp_path, rng, monkeypatch):
         return dumps(*args, **kwargs)
 
     monkeypatch.setattr("spinsep.io.json.dumps", counting)
+    spinsep.io._texts.cache_clear()
     assert written_bytes(dec, tmp_path / "dec.json") == expected
-    assert len(calls) <= len(shapes) + 1
+    assert len(calls) == 2
+    assert written_bytes(dec, tmp_path / "again.json") == expected
+    assert len(calls) == 2
 
 
 PURE = np.diag([1.0, 0.0])
@@ -258,8 +279,8 @@ def test_each_distinct_stack_rendered_once(build, stacks, tmp_path, monkeypatch)
     opens its own block, so the bytes are the reference's."""
     dec = build()
     assert len({id(slot) for slot in dec.factors}) == stacks
-    calls, template = [], spinsep.io._factor_template
-    monkeypatch.setattr(spinsep.io, "_factor_template", lambda s: calls.append(s) or template(s))
+    calls, blocks = [], spinsep.io._blocks
+    monkeypatch.setattr(spinsep.io, "_blocks", lambda *args: calls.append(args) or blocks(*args))
     assert written_bytes(dec, tmp_path / "dec.json") == reference_bytes(dec)
     assert len(calls) == stacks
 
@@ -337,6 +358,123 @@ def test_written_files_read_back_bit_equal(dec, tmp_path_factory):
     assert parsed.weights.tobytes() == dec.weights.tobytes()
     for a, (slot, read) in enumerate(zip(dec.factors, parsed.factors, strict=True)):
         assert read[parsed.index[:, a]].tobytes() == slot[dec.index[:, a]].tobytes()
+
+
+# Every float form json.dumps spells: signed zeros, subnormals, 1e+-300,
+# integral floats (the integers map to their nearest doubles) and the rest.
+matrix_floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 0.1])
+    | st.integers(-(2**60), 2**60).map(float)
+)
+
+
+def complex_stack(draw, t: int, r: int, c: int) -> np.ndarray:
+    values = draw(st.lists(matrix_floats, min_size=2 * t * r * c, max_size=2 * t * r * c))
+    return np.array(values).view(complex).reshape(t, r, c)
+
+
+@given(data=st.data(), dims=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (5,), (2, 2, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_matrix_documents_render_as_json_dumps(data, dims):
+    """Density, coefficient and basis documents, as ``document_bytes`` renders
+    them, are json.dumps(reference, indent=2) byte for byte; the density
+    document also for a real matrix and for one that is not square."""
+    dims, n = DimVector(dims), math.prod(dims)
+    table = complex_stack(data.draw, 1, n, n)[0]
+    coefficients = SpinCoefficients(dims, table)
+    got = document_bytes(dims, "coefficients", "{}", [table])
+    assert got == document_text(coefficients_document(coefficients)).encode()
+    stack = complex_stack(data.draw, data.draw(st.integers(1, 3)), n, n)
+    labels = [(j, (3 * j + 1) % (n * n)) for j in range(len(stack))]
+    frame = [{"j": j, "k": k, "matrix": "{}"} for j, k in labels]
+    got = document_bytes(dims, "matrices", frame, stack)
+    assert got == document_text(basis_document(dims, labels, stack)).encode()
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    for m in (table, complex_stack(data.draw, 1, *shape)[0], table.real):
+        expected = document_text(density_document(m, dims)).encode()
+        assert document_bytes(dims, "matrix", "{}", [m]) == expected
+
+
+@pytest.mark.parametrize(
+    "entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)], ids=str
+)
+def test_write_density_file_refuses_non_finite_entries(entry, tmp_path, monkeypatch):
+    """NaN and +-infinity raise ValueError before the file is opened, so
+    nothing is left at the path."""
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix[2, 1] = entry
+    opened = []
+    monkeypatch.setattr(spinsep.io, "write_file", lambda *args: opened.append(args))
+    path = tmp_path / "rho.json"
+    refusal = "^a matrix entry is NaN or infinite, which JSON cannot hold$"
+    with pytest.raises(ValueError, match=refusal):
+        write_density_file(path, matrix, DimVector((2, 2)))
+    assert not opened
+    assert not path.exists()
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        write_density_file(path, matrix, DimVector((2, 2)))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_document_text_refuses_non_finite(value):
+    """Frames and the certify --json report are rendered by document_text,
+    which refuses what JSON lacks instead of writing a bare NaN token."""
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        document_text({"l1_norm": value})
+
+
+# Entries that are not a density's, all finite: the commands write them as they are.
+FORMS = np.array([-0.0, 5e-324, 1e300, -1e-300, 2.0, 0.1, 1 / 3, -7.0]).view(complex)
+
+
+def cli_case(name: str, tmp_path) -> tuple[list[str], dict]:
+    """A command that writes a matrix document, and that document's reference."""
+    dims = DimVector((2, 3))
+    matrix = np.resize(FORMS, 36).reshape(6, 6) * np.arange(1, 37).reshape(6, 6)
+    src = tmp_path / "in.json"
+    if name == "basis":
+        labels = [(j, k) for j in range(6) for k in range(6)]
+        mats = [composite_spin(dims, decode(dims, j), decode(dims, k)) for j, k in labels]
+        return ["basis", "--dims", "2,3"], basis_document(dims, labels, mats)
+    if name == "from-spin":
+        coefficients = SpinCoefficients(dims, matrix)
+        src.write_text(document_text(coefficients_document(coefficients)))
+        argv = ["transform", "--input", str(src), "--direction", "from-spin"]
+        return argv, density_document(from_spin(coefficients), dims)
+    write_density_file(src, matrix, dims)
+    if name == "to-spin":
+        argv = ["transform", "--input", str(src), "--direction", "to-spin"]
+        return argv, coefficients_document(spin_table(matrix, dims))
+    if name == "werner":
+        rho = werner_density(WernerSpec(3, 2, 0.1))
+        argv = ["werner", "--p", "3", "--n", "2", "--s", "0.1"]
+        return argv, density_document(rho.matrix, rho.dims)
+    out = reorder_subsystems(matrix, dims, (2, 1))
+    argv = ["permute", "--input", str(src), "--sigma", "2,1"]
+    return argv, density_document(out, permute_dims(dims, (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "name, output",
+    [(name, output) for name in ("basis", "to-spin", "from-spin", "permute") for output in (0, 1)]
+    + [("werner", 1)],  # werner writes its density only to --output
+)
+def test_cli_matrix_documents_are_json_dumps(name, output, tmp_path, capsys):
+    """Each command prints, or writes to --output, json.dumps(reference,
+    indent=2) and a newline."""
+    argv, expected = cli_case(name, tmp_path)
+    text = document_text(expected) + "\n"
+    path = tmp_path / "out.json"
+    assert main(argv + ["--output", str(path)] * output) == 0
+    printed = capsys.readouterr().out
+    if output:
+        assert path.read_bytes() == text.encode()
+        assert printed.endswith(f"wrote {path}\n")
+    else:
+        assert printed == text
 
 
 class TestCliOutput:
@@ -607,7 +745,7 @@ def test_a_written_file_is_read_by_its_distinct_blocks(build, tmp_path, monkeypa
     assert parsed[0] == spinsep.io.document(got.dims, "terms", [])
     assert [len(mats) for mats in parsed[1:]] == [len(f) for f in got.factors]
     assert sum(map(len, got.factors)) < got.index.size
-    blocks = [json.dumps(spinsep.io.matrix_entries(m)) for f in got.factors for m in f]
+    blocks = [json.dumps(matrix_entries(m)) for f in got.factors for m in f]
     texts = set(re.findall(r"[-0-9.e+]+", " ".join(blocks)))
     assert len(misses) == len(set(misses)) == len(texts)
 
@@ -656,7 +794,8 @@ def test_a_bracket_dense_file_is_refused_before_its_brackets_are_listed(tmp_path
     one slice's offsets, not 16 bytes for every bracket of the file, and the
     JSON path names the fault."""
     path = tmp_path / "dense.json"
-    head = spinsep.io._no_terms(DimVector((2, 2))).removesuffix(b"[]\n}") + b"[\n    {"
+    no_terms = document_text(spinsep.io.document(DimVector((2, 2)), "terms", []))
+    head = no_terms.encode().removesuffix(b"[]\n}") + b"[\n    {"
     path.write_bytes(head + b"[" * 2_000_000)
     with pytest.raises(ValueError, match="more brackets than a written file holds"):
         spinsep.io._read_canonical(path.read_bytes())
