@@ -17,6 +17,9 @@ wall times of ``--repeat`` checks of its target by ``check_density``
 tests/reference_density.py (``check_eigvalsh_s``).  Run as a script, the
 BLAS runs on one thread unless the environment says otherwise.
 
+The Werner cases werner-2-11 and werner-2-12 run only when ``--cases``
+names them: building and assembling (2,12) peaks near 1.9 GB.
+
 Usage: python scripts/bench_assemble.py --out BENCH.json [--cases werner-3-5,...]
 """
 
@@ -58,7 +61,8 @@ from spinsep import separability  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from reference_density import reference_check_density  # noqa: E402
 
-WERNER = {f"werner-{p}-{n}": (p, n) for p, n in [(2, 8), (3, 5), (7, 3), (2, 10)]}
+WERNER = {f"werner-{p}-{n}": (p, n) for p, n in [(2, 8), (3, 5), (7, 3), (2, 10), (2, 11), (2, 12)]}
+LARGE = ("werner-2-11", "werner-2-12")  # left out of the default --cases
 MIXED = {f"mixed-{d}^{b}": (d,) * b for d, b in [(2, 7), (3, 5), (4, 4), (2, 8), (3, 6)]}
 DISTINCT = {"distinct-2^7": (2000, 7)}
 NORM = 0.95
@@ -142,7 +146,8 @@ def measure(dec, target, repeat: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=str, required=True)
-    parser.add_argument("--cases", type=str, default=",".join([*WERNER, *MIXED, *DISTINCT]))
+    default = [name for name in [*WERNER, *MIXED, *DISTINCT] if name not in LARGE]
+    parser.add_argument("--cases", type=str, default=",".join(default))
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

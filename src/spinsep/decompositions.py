@@ -9,11 +9,11 @@ factors across thousands of terms, so a decomposition is held by columns:
 - ``factors[a]``, a (K_a, d_a, d_a) complex stack: the entries of slot a
   that its terms use.
 
-Builders pass the columns to ``SeparableDecomposition(dims, weights, index,
-factors)``, the only constructor, which refuses a misshapen factor or column
-and an index entry outside its slot's stack.  Equal slots (by shape and
-bytes) share one read-only stack.  Verification screens each distinct
-stack at once, and checks one at a time only the factors it rejects.
+Builders pass the columns to ``SeparableDecomposition(dims, weights, index, factors)``,
+the only constructor, which refuses a misshapen factor or column and an index entry
+outside its slot's stack.  Equal slots (by shape and bytes) share one read-only stack.
+``assemble`` sorts the rows by one packed int64 key each.  Verification screens each
+distinct stack at once, and checks one at a time only the factors it rejects.
 """
 
 from __future__ import annotations
@@ -94,27 +94,27 @@ class SeparableDecomposition:
     def assemble(self) -> np.ndarray:
         """Sum of weights[t] * (x)_a factors[a][index[t, a]] over all terms.
 
-        Sorted index rows sharing their first a entries form a run at depth
-        a; a run at depth b has its summed weights as value.  For a = b - 1
-        down to h, the values of a run's sub-runs, which differ in slot a,
-        go to a zero (runs, value size, K_a) block at (run, :, slot-a entry),
-        whose product, as K_a columns, with slot a's (K_a, d_a^2) stack appends
-        its axes.  A depth with fewer sub-runs than runs * K_a / d_a^2
-        instead multiplies each sub-run's value by its own factor and sums
-        per run.  One matrix product meets the values at depth h with each
-        run's product of its first h factors.  h minimises the entries held at
-        once, counted from the runs: it is 0 unless the runs stay many
-        toward depth 0, as when terms do not share factors.
+        Rows are sorted by one key each, their C-order rank over the K_a, an int64 while
+        prod K_a < 2^63: a stable argsort of it is lexsort's order, and rows in order skip
+        it.  Larger products are lexsorted.  Sorted index rows sharing their first a entries
+        form a run at depth a; a run at depth b has its summed weights as value.  For a = b - 1
+        down to h, the values of a run's sub-runs, which differ in slot a, go to a zero (runs,
+        value size, K_a) block at (run, :, slot-a entry), whose product, as K_a columns, with
+        slot a's (K_a, d_a^2) stack appends its axes.  A depth with fewer sub-runs than runs *
+        K_a / d_a^2 instead multiplies each sub-run's value by its own factor and sums per run.
+        One matrix product meets the values at depth h with each run's product of its first h
+        factors.  h minimises the entries held at once, counted from the runs: it is 0 unless
+        the runs stay many toward depth 0, as when terms do not share factors.
         """
         dims, b, n = self.dims, len(self.dims), self.dims.size
         if not len(self.weights):
             return np.zeros((n, n), dtype=complex)
         tables = [f.reshape(len(f), -1) for f in self.factors]
-        # Rows in order, as a certificate's, skip the sort: lexsort is stable.
-        step = self.index[1:] - self.index[:-1]
-        in_order = (np.take_along_axis(step, (step != 0).argmax(axis=1)[:, None], 1) >= 0).all()
-        order = slice(None) if in_order else np.lexsort(self.index.T[::-1])
-        del step  # (T - 1, b) integers: gone before the kernel's allocations
+        if math.prod(shape := [len(f) for f in self.factors]) < 2**63:
+            key = np.ravel_multi_index(self.index.T, shape)
+            order = slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
+        else:
+            order = np.lexsort(self.index.T[::-1])
         idx = self.index[order]
         # new[t, a]: row t is the first of a run of equal idx[:, :a]
         new = np.ones((len(idx), b + 1), dtype=bool)

@@ -1,6 +1,6 @@
-"""Generalised Werner family on n d-level systems: construction, closed-form
-spin coefficients, the exact full-separability threshold for prime d, and
-the explicit decomposition attaining it."""
+"""Generalised Werner family on n d-level systems: the matrix, a density by its
+closed-form spectrum, closed-form spin coefficients, the exact full-separability
+threshold for prime d, and the explicit decomposition attaining it."""
 
 from __future__ import annotations
 
@@ -13,10 +13,11 @@ import numpy as np
 
 from .composite import DimVector, digit_table, encode
 from .decompositions import SeparableDecomposition
-from .linalg import DensityMatrix, check_density
+from .linalg import DensityMatrix
 from .projections import ProjectionSpec, subgroup_projection
 from .separability import NORM_SLACK, WEIGHT_FLOOR
-# Not called here: perfbench/layers.py wraps this name for its traced run.
+# Not called here: perfbench/layers.py wraps check_density and cyclic_family_density here.
+from .linalg import check_density  # noqa: F401
 from .projections import cyclic_family_density  # noqa: F401
 from .spin import SpinLabel
 from .transform import SpinCoefficients
@@ -73,7 +74,14 @@ def _require_prime(p: int) -> None:
 
 
 def werner_density(spec: WernerSpec) -> DensityMatrix:
-    """The Werner matrix itself; defined for any d >= 2."""
+    """The Werner matrix itself; defined for any d >= 2, a density by its spectrum.
+
+    The matrix built is real and exactly symmetric: a I + t J_G, a = fl((1 - s)/N) >= 0,
+    t >= 0, J_G the all-ones block on the d repeated-index kets, save a rounding of at
+    most u(a + t) <= u on each of their d diagonal entries.  a I + t J_G has spectrum
+    {a, a + d t} >= 0, so by Weyl lambda_min >= -u > -2^-52, the CLI's least --tol, and
+    |trace - 1| is about N u at most.  WernerSpec refuses s outside [0, 1], NaN included.
+    """
     dims = spec.dims
     n = dims.size
     psi = np.zeros(n)
@@ -81,7 +89,7 @@ def werner_density(spec: WernerSpec) -> DensityMatrix:
         psi[encode(dims, (k,) * spec.n)] = 1.0
     psi /= math.sqrt(spec.d)
     m = (1.0 - spec.s) / n * np.eye(n, dtype=complex) + spec.s * np.outer(psi, psi)
-    return check_density(m, dims)
+    return DensityMatrix(m, dims)
 
 
 def ind_set(p: int, n: int) -> tuple[tuple[int, ...], ...]:

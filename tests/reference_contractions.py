@@ -53,7 +53,8 @@ def certificate_witness(rho):
 
 
 def assemble(dec):
-    """``dec.assemble()`` with a tensordot per block and for the meeting product."""
+    """``dec.assemble()`` with a tensordot per block and for the meeting product,
+    its rows put in order by lexsort, not by a packed key."""
     dims, b, n = dec.dims, len(dec.dims), dec.dims.size
     if not len(dec.weights):
         return np.zeros((n, n), dtype=complex)

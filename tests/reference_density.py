@@ -1,7 +1,8 @@
-"""Reference oracle: the original one-matrix density check, which decides
+"""Reference oracles: the original one-matrix density check, which decides
 positivity from the lowest eigenvalue that ``eigvalsh`` returns and never
 factorises.  ``check_density`` must match it byte for byte: the same
-return or exception type, message and worst value."""
+return or exception type, message and worst value.  And the Werner matrix
+as ``werner_density`` built it when ``check_density`` validated it."""
 
 import math
 
@@ -14,6 +15,8 @@ from spinsep import (
     NegativeEigenvalueError,
     NotHermitianError,
     TraceError,
+    check_density,
+    encode,
 )
 
 
@@ -52,3 +55,15 @@ def outcome(check, m, dims, tol=DEFAULT_TOLERANCE):
     except (InvalidDensityError, ValueError) as err:
         return type(err), str(err), repr(getattr(err, "worst", None))
     return None
+
+
+def reference_werner_density(spec):
+    """W(s) built as ``werner_density`` builds it, then passed through ``check_density``."""
+    dims = spec.dims
+    n = dims.size
+    psi = np.zeros(n)
+    for k in range(spec.d):
+        psi[encode(dims, (k,) * spec.n)] = 1.0
+    psi /= math.sqrt(spec.d)
+    m = (1.0 - spec.s) / n * np.eye(n, dtype=complex) + spec.s * np.outer(psi, psi)
+    return check_density(m, dims)

@@ -1,11 +1,13 @@
 """The spin transform, the certificate's slot contractions and ``assemble``
 contract with ``np.dot`` on the operands ``np.tensordot`` builds, so every
 result equals the tensordot form's (tests/reference_contractions.py) bit for
-bit, compared through ``view(np.int64)``.  From b = 2 up, tensordot hands
+bit, compared through ``view(np.int64)``.  ``assemble`` sorts its rows by a
+packed key where the reference lexsorts them, into the same order.  From b = 2 up, tensordot hands
 dot the certificate's grid as a transposed (Fortran-order) view, not a copy,
 and so does the library; the b = 2 examples pin that case."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +99,59 @@ def test_assemble_is_tensordot_bit_for_bit(dims, terms, most, own, seed):
     factors = [rng.normal(size=(k, d, d, 2)).view(complex)[..., 0] for k, d in zip(counts, dims)]
     dec = SeparableDecomposition(dims, rng.random(terms), index, factors)
     assert_same_bits(dec.assemble(), assemble(dec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=shapes(),
+    terms=st.integers(1, 80),
+    pool=st.integers(1, 80),
+    ordered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=DimVector((2, 2)), terms=60, pool=3, ordered=False, seed=0)
+@example(dims=DimVector((3, 2, 2)), terms=50, pool=10, ordered=True, seed=1)
+def test_packed_key_sorts_as_lexsort_bit_for_bit(dims, terms, pool, ordered, seed):
+    """Rows drawn from a pool of ``pool`` rows, so that many repeat, either
+    sorted or shuffled: the stable argsort of the packed key puts equal rows
+    in lexsort's order, so every run's weights are summed in the same order."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 9, len(dims))
+    rows = np.stack([rng.integers(0, k, pool) for k in counts], axis=1)
+    rows = rows[rng.integers(0, pool, terms)]
+    if ordered:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    factors = [rng.normal(size=(k, d, d, 2)).view(complex)[..., 0] for k, d in zip(counts, dims)]
+    dec = SeparableDecomposition(dims, rng.random(terms), rows, factors)
+    assert_same_bits(dec.assemble(), assemble(dec))
+
+
+def recording(calls, name):
+    """np.<name>, appending (name, length of the last axis) of its input to ``calls``."""
+    real = getattr(np, name)
+
+    def call(a, *args, **kwargs):
+        calls.append((name, np.shape(a)[-1]))
+        return real(a, *args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("entries, sort", [(511, "argsort"), (512, "lexsort")])
+def test_key_bound_at_2_to_the_63(monkeypatch, entries, sort):
+    """Seven qubit slots of 512 terms, each slot using ``entries`` factors:
+    511^7 < 2^63 keys fit an int64 and 512^7 = 2^63 do not, so only those
+    rows are lexsorted."""
+    rng = np.random.default_rng(entries)
+    used = [np.r_[np.arange(entries), rng.integers(0, entries, 512 - entries)] for _ in range(7)]
+    index = np.stack([rng.permutation(col) for col in used], axis=1)
+    factors = [rng.normal(size=(entries, 2, 2, 2)).view(complex)[..., 0] for _ in range(7)]
+    dec = SeparableDecomposition(DimVector((2,) * 7), rng.random(512), index, factors)
+    assert [len(f) for f in dec.factors] == [entries] * 7
+    calls = []
+    monkeypatch.setattr(np, "argsort", recording(calls, "argsort"))
+    monkeypatch.setattr(np, "lexsort", recording(calls, "lexsort"))
+    got = dec.assemble()
+    monkeypatch.undo()
+    assert [c for c in calls if c[1] == 512] == [(sort, 512)]
+    assert_same_bits(got, assemble(dec))

@@ -335,16 +335,28 @@ def test_verify_memory_stays_bounded():
 
 def test_sorted_rows_skip_the_sort(monkeypatch, rng):
     """Certificate rows come in order and assemble without a sort; Werner
-    rows do not, and are sorted once."""
+    rows do not, and are sorted once, by a stable argsort of their packed keys."""
     calls = []
-    real = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+    real_argsort, real_lexsort = np.argsort, np.lexsort
+
+    def argsort(a, *args, kind=None, **kwargs):
+        calls.append(("argsort", kind, len(a)))
+        return real_argsort(a, *args, kind=kind, **kwargs)
+
+    def lexsort(keys):
+        calls.append(("lexsort", None, len(keys[0])))
+        return real_lexsort(keys)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    monkeypatch.setattr(np, "lexsort", lexsort)
     rho = mixed_to_norm(DimVector((2, 2, 2)), 0.9, rng)
     dec = sufficient_certificate(rho).witness
-    assert calls == []
+    calls.clear()
     assert np.abs(dec.assemble() - reference_assemble(dec)).max() <= 1e-12
-    assert calls == []
+    assert [c for c in calls if c[:2] != ("argsort", None)] == []  # the axis order is argsorted
     werner = werner_separable_decomposition(2, 3)
     target = werner_density(WernerSpec(2, 3, 0.2)).matrix
     assert np.abs(werner.assemble() - target).max() <= 1e-12
-    assert calls == [1]
+    assert [c for c in calls if c[:2] != ("argsort", None)] == [
+        ("argsort", "stable", len(werner.weights))
+    ]

@@ -201,6 +201,8 @@ def test_bad_argument_is_a_usage_error(monkeypatch, capsys, name, argv, named):
     [
         (["--cases", "werner-2-3"], "--cases: unknown case 'werner-2-3'"),
         (["--repeat", "0"], "--repeat must be at least 1"),
+        (["--cases", "werner-2-13"], "known: werner-2-8, werner-3-5, werner-7-3, werner-2-10, "
+         "werner-2-11, werner-2-12, mixed-"),
     ],
 )
 def test_bench_assemble_bad_argument(monkeypatch, capsys, tmp_path, argv, named):

@@ -4,6 +4,7 @@ import pytest
 from spinsep import (
     INSEPARABLE,
     DimVector,
+    TraceError,
     WernerSpec,
     check_density,
     encode,
@@ -19,11 +20,15 @@ from spinsep import (
 )
 
 import spinsep.werner
+from spinsep.cli import MIN_TOL, _tolerance
 from spinsep.werner import PRIME_LIMIT, is_prime, werner_bound
 
 from conftest import residual_flags
+from reference_density import reference_werner_density
 
 PRIME_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]
+# Every d = 2..7 with every n >= 2 that keeps N = d^n <= 343.
+CLOSED_FORM_GRID = [(d, n) for d in range(2, 8) for n in range(2, 9) if d**n <= 343]
 
 
 def extreme_norm(p, n):
@@ -54,6 +59,40 @@ class TestWernerDensity:
     def test_composite_dimension_allowed(self):
         w = werner_density(WernerSpec(4, 2, 0.1))
         check_density(w.matrix, w.dims)
+
+    @pytest.mark.parametrize("d, n", CLOSED_FORM_GRID)
+    def test_closed_form_spectrum_holds(self, d, n):
+        """No factorisation guards the matrix any more: it must be the one that
+        check_density used to pass, bit for bit, a density at the default tolerance,
+        and at the CLI's least --tol its lowest eigenvalue clears -2^-52.  There its
+        trace, within N u of 1, may miss by a few ulps, and check_density then
+        refuses it for its trace alone."""
+        rng = np.random.default_rng(100 * d + n)
+        for s in (0.0, werner_bound(d, n), float(rng.random()), 1.0):
+            spec = WernerSpec(d, n, s)
+            got, expected = werner_density(spec), reference_werner_density(spec)
+            assert got.dims == expected.dims
+            assert got.matrix.dtype == expected.matrix.dtype == complex
+            assert got.matrix.tobytes() == expected.matrix.tobytes()
+            check_density(got.matrix, got.dims)
+            assert np.linalg.eigvalsh(got.matrix)[0] >= -(2.0**-52)
+            miss = abs(got.matrix.trace() - 1.0)
+            assert miss <= d**n * 2.0**-53
+            if miss <= MIN_TOL:
+                check_density(got.matrix, got.dims, _tolerance(MIN_TOL))
+            else:
+                with pytest.raises(TraceError):
+                    check_density(got.matrix, got.dims, _tolerance(MIN_TOL))
+
+    def test_builds_without_a_factorisation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the spectrum is known in closed form")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for d, n in [(2, 6), (3, 4), (5, 3), (4, 2)]:
+            spec = WernerSpec(d, n, werner_bound(d, n))
+            assert werner_density(spec).matrix.shape == (d**n, d**n)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
