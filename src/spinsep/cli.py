@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -127,13 +129,35 @@ def cmd_transform(args, tol: Tolerance) -> None:
 
 # A witness reports as its kind, then its fields in dataclass order.
 _KINDS = {NecessaryViolation: "necessary-violation", NegativeEigenvalue: "negative-eigenvalue"}
+_FRAMES: dict[tuple, list[str]] = {}  # report shape -> the texts around one render's "{}"s
 
 
-def _report_json(report) -> dict:
-    """A check's verdict and its witness as plain values (None if it has none)."""
-    kind = _KINDS.get(type(report.witness))
-    witness = None if kind is None else {"kind": kind, **vars(report.witness)}
-    return {"verdict": report.verdict, "witness": witness}
+def _json_value(v) -> str:
+    """A string, int or float as ``json.dumps`` writes it; ValueError on NaN or infinity."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    return (float if isinstance(v, float) else int).__repr__(v)
+
+
+def report_text(dims, norm, reports: dict, overall: str) -> str:
+    """``document_text`` of the certify report, its values set in a frame cached per shape."""
+    key = (len(dims), *((name, _KINDS.get(type(r.witness))) for name, r in reports.items()))
+    frame, values, checks = _FRAMES.get(key), [*dims, norm], {}
+    for name, report in reports.items():
+        fields = vars(report.witness) if (kind := _KINDS.get(type(report.witness))) else {}
+        for v in (report.verdict, *fields.values()):
+            values.extend(v) if type(v) is tuple else values.append(v)
+        if frame is None:
+            holes = {k: ["{}"] * len(v) if type(v) is tuple else "{}" for k, v in fields.items()}
+            entry = {"verdict": "{}", "witness": {"kind": kind, **holes} if kind else None}
+            check, _, r = name.rstrip("]").partition("[")  # "peres[2]": checks["peres"]["2"]
+            (checks.setdefault(check, {}) if r else checks)[r or check] = entry
+    if frame is None:
+        doc = {"dims": ["{}"] * len(dims), "l1_norm": "{}", "checks": checks, "verdict": "{}"}
+        _FRAMES[key] = frame = document_text(doc).split('"{}"')
+    return frame[0] + "".join(map(str.__add__, map(_json_value, [*values, overall]), frame[1:]))
 
 
 def cmd_certify(args, tol: Tolerance) -> None:
@@ -161,7 +185,8 @@ def cmd_certify(args, tol: Tolerance) -> None:
     # check that disagrees means a bug or a tolerance too loose to trust.
     if {SEPARABLE, INSEPARABLE} <= verdicts:
         against = "; ".join(
-            f"{name} says inseparable with witness {_report_json(r)['witness']}"
+            f"{name} says inseparable with witness "
+            f"{dict(kind=_KINDS[type(r.witness)], **vars(r.witness))}"
             for name, r in reports.items()
             if r.verdict == INSEPARABLE
         )
@@ -171,18 +196,9 @@ def cmd_certify(args, tol: Tolerance) -> None:
     overall = next((v for v in (INSEPARABLE, SEPARABLE) if v in verdicts), INCONCLUSIVE)
 
     if args.json:
-        checks: dict[str, dict] = {}
-        for name, report in reports.items():
-            check, _, r = name.rstrip("]").partition("[")  # "peres[2]": checks["peres"]["2"]
-            if r:
-                checks.setdefault(check, {})[r] = _report_json(report)
-            else:
-                checks[check] = _report_json(report)
-        doc = {"dims": list(dims), "l1_norm": norm, "checks": checks, "verdict": overall}
-        print(document_text(doc))
+        print(report_text(dims, norm, reports, overall))
     else:
-        dims_text = ",".join(str(d) for d in dims)
-        print(f"dims: {dims_text} (N={dims.size})")
+        print(f"dims: {','.join(map(str, dims))} (N={dims.size})")
         print(f"spin L1 norm: {norm!r}")
         for name, report in reports.items():
             print(f"{name}: {report.verdict}")

@@ -113,6 +113,7 @@ class SeparableDecomposition:
         if math.prod(shape := [len(f) for f in self.factors]) < 2**63:
             key = np.ravel_multi_index(self.index.T, shape)
             order = slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
+            del key  # 8 bytes a term that nothing reads once sorted
         else:
             order = np.lexsort(self.index.T[::-1])
         idx = self.index[order]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from functools import cache
@@ -210,7 +211,8 @@ def _read(path, parse, parse_float=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=parse_float)
+        with open(os.fspath(path), encoding="utf-8") as fh:  # fspath: an int is not a file
+            doc = json.load(fh, parse_float=parse_float)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise FileFormatError(f"{path}: {err}") from err
     else:

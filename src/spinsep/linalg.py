@@ -84,16 +84,17 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def density_screen(stack: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Per matrix of a (K, d, d) array, (K,) arrays ``ok, asym, trace, lo``:
-    the worst |m - m^dag| entry, NaN or infinite for a matrix with a NaN or
-    infinite entry, the trace, and the lowest eigenvalue of (m + m^dag)/2,
-    solved at once for the matrices Hermitian and of trace one within tol.
-    lo is NaN for the rest, where the solve fails, and for all on a
-    LinAlgError.  ok is lo >= -tol.abs_eps.
-    """
+    """Per matrix of a (K, d, d) array, (K,) arrays ``ok, asym, trace, lo``: the worst
+    |m - m^dag| entry, NaN or infinite for a matrix with a NaN or infinite entry, the trace
+    (a miss of one summed again by math.fsum), and the lowest eigenvalue of (m + m^dag)/2,
+    solved at once for the matrices Hermitian and of trace one within tol.  lo is NaN for
+    the rest, where the solve fails, and for all on a LinAlgError.  ok is lo >= -tol.abs_eps."""
     with np.errstate(over="ignore", invalid="ignore"):
         asym = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        trace = stack.trace(axis1=1, axis2=2)
+        trace = np.asarray(stack.trace(axis1=1, axis2=2), dtype=complex)
+        for k in np.flatnonzero(~(abs(trace - 1.0) <= tol.abs_eps)):
+            with suppress(OverflowError, ValueError):  # past a double, or inf - inf: kept
+                trace[k] = complex(math.fsum((d := stack[k].diagonal()).real), math.fsum(d.imag))
         solve = (asym <= tol.abs_eps) & (abs(trace - 1.0) <= tol.abs_eps)
         lo = np.full(len(stack), np.nan)
         with suppress(np.linalg.LinAlgError):

@@ -1,6 +1,9 @@
 import argparse
+import dataclasses
 import importlib.util
+import itertools
 import json
+import math
 import os
 import runpy
 import sys
@@ -10,10 +13,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsep import (
     DEFAULT_TOLERANCE,
+    INCONCLUSIVE,
+    INSEPARABLE,
+    SEPARABLE,
+    CertificateReport,
     DimVector,
+    NecessaryViolation,
+    NegativeEigenvalue,
     SpinCoefficients,
     WernerSpec,
     composite_spin,
@@ -24,12 +35,12 @@ from spinsep import (
     werner_density,
 )
 import spinsep.cli
-from spinsep.cli import main
+from spinsep.cli import MIN_TOL, main, report_text
 from spinsep.composite import kron_all
 from spinsep.werner import PRIME_LIMIT
 from spinsep.io import read_decomposition_file, read_density_file, write_density_file
 
-from reference_io import coefficients_document, density_document
+from reference_io import coefficients_document, density_document, report_document
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -504,6 +515,109 @@ class TestCertify:
         assert captured.err == "error: [Errno 2] No such file or directory: 'nope.json'\n"
         assert Path("E.json").read_text() == "kept\n"
 
+    def test_missing_input_is_named_as_given(self, tmp_path, monkeypatch, capsys):
+        """The input is opened by the path as given, not as pathlib normalises it."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", "--input", "./nope.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: './nope.json'\n"
+
+
+# Floats as reports may hold them: any finite double, its edge cases and
+# integral values, each also as a numpy scalar.
+report_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1.0, -2.0, 3e16]
+)
+report_floats = report_floats | report_floats.map(np.float64)
+# Every subset of the checks that certify can run, as (necessary, peres, sufficient).
+CHECK_SUBSETS = [flags for flags in itertools.product([False, True], repeat=3) if any(flags)]
+
+
+def check_names(b: int, flags) -> list[str]:
+    necessary, peres, sufficient = flags
+    return (
+        ["necessary"] * necessary
+        + [f"peres[{r}]" for r in range(1, b + 1) if peres]
+        + ["sufficient"] * sufficient
+    )
+
+
+@st.composite
+def certify_reports(draw):
+    """(dims, norm, reports, overall) of a report on b = 2..6 subsystems: the
+    checks of any subset certify runs, each with any verdict text and a witness
+    of no kind (none, or an object such as a decomposition), a necessary
+    violation or a negative eigenvalue."""
+    b = draw(st.integers(2, 6))
+    digits = st.tuples(*[st.integers(0, 12)] * b)
+    witnesses = (
+        st.sampled_from([None, object()])
+        | st.builds(NecessaryViolation, digits, digits, digits, digits, report_floats, report_floats)
+        | st.builds(NegativeEigenvalue, st.integers(1, b), report_floats)
+    )
+    verdicts = st.sampled_from([SEPARABLE, INSEPARABLE, INCONCLUSIVE]) | st.text()
+    reports = {
+        name: CertificateReport(draw(verdicts), witness=draw(witnesses))
+        for name in check_names(b, draw(st.sampled_from(CHECK_SUBSETS)))
+    }
+    dims = draw(st.lists(st.integers(2, 12), min_size=b, max_size=b))
+    return dims, draw(report_floats), reports, draw(verdicts)
+
+
+class TestReportText:
+    """``report_text`` against ``json.dumps(report_document(...), indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certify_reports())
+    def test_equals_json_dumps_of_the_reference(self, case):
+        assert report_text(*case) == json.dumps(report_document(*case), indent=2)
+
+    def test_witness_kind_is_part_of_the_shape(self):
+        """Reports that differ only in a witness's kind each get their own frame."""
+        violation = NecessaryViolation((0, 1), (1, 0), (0, 0), (1, 1), 0.125, 0.25)
+        for witness in (None, violation, NegativeEigenvalue(1, -0.5), object(), violation):
+            reports = {"necessary": CertificateReport(INSEPARABLE, witness=witness)}
+            case = ([2, 3], 1.5, reports, INSEPARABLE)
+            assert report_text(*case) == json.dumps(report_document(*case), indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(certify_reports(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_float_raises(self, case, bad, data):
+        """NaN or infinity in any float field raises, as ``allow_nan=False`` does."""
+        dims, norm, reports, overall = case
+        fields = [(None, "norm")] + [
+            (name, field)
+            for name, report in reports.items()
+            for field in ("bound", "magnitude", "value")
+            if hasattr(report.witness, field)
+        ]
+        name, field = data.draw(st.sampled_from(fields))
+        if name is None:
+            norm = bad
+        else:
+            witness = dataclasses.replace(reports[name].witness, **{field: bad})
+            reports = {**reports, name: dataclasses.replace(reports[name], witness=witness)}
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            report_text(dims, norm, reports, overall)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", ["necessary_check", "peres_check", "sufficient_certificate"])
+    def test_non_finite_value_prints_nothing(self, check, bad, werner_file, monkeypatch, capsys):
+        if check == "peres_check":
+            report = CertificateReport(INSEPARABLE, witness=NegativeEigenvalue(1, bad))
+            monkeypatch.setattr(spinsep.cli, check, lambda rho, r, tol: report)
+        else:
+            violation = NecessaryViolation((0, 1), (1, 0), (0, 0), (1, 1), 0.125, bad)
+            report = CertificateReport(INSEPARABLE, witness=violation)
+            if check == "sufficient_certificate":  # its norm is the report's
+                report = CertificateReport(INCONCLUSIVE, l1_norm=bad)
+            monkeypatch.setattr(spinsep.cli, check, lambda rho, tol: report)
+        assert main(["certify", "--input", str(werner_file), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Out of range float values are not JSON compliant: {bad!r}\n"
+
 
 def exact_trace_density(dims: DimVector) -> np.ndarray:
     """Near-mixed density with a dyadic diagonal summing to exactly one."""
@@ -525,6 +639,16 @@ class TestTolerance:
         capsys.readouterr()
         assert main(["--tol", "1e-17", "certify", "--input", str(src), "--all", "--json"]) == 3
         assert "--tol" in capsys.readouterr().err
+
+    def test_werner_output_certified_at_the_least_tol(self, tmp_path, capsys):
+        """W(2,6) at s*: its strided trace misses one by 2 ulps, more than the least
+        --tol, while the exact sum of its diagonal is one, so certify takes it."""
+        out = str(tmp_path / "w.json")
+        assert main(["werner", "--p", "2", "--n", "6", "--output", out]) == 0
+        capsys.readouterr()
+        assert abs(read_density_file(out)[0].trace() - 1.0) > MIN_TOL
+        assert main(["--tol", repr(MIN_TOL), "certify", "--input", out, "--all"]) == 0
+        assert capsys.readouterr().out.endswith("verdict: inconclusive\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3", "0.5", "10"])
     def test_out_of_range_or_non_finite_exits_3(self, werner_file, capsys, value):

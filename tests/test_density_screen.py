@@ -23,6 +23,7 @@ from spinsep import (
     ProductTerm,
     SeparableDecomposition,
     Tolerance,
+    TraceError,
     WernerSpec,
     sufficient_certificate,
     verify_decomposition,
@@ -211,6 +212,32 @@ class TestCheckDensityAgainstOriginal:
         assert np.isfinite(lo[ok]).all()
         ok, _, _, _ = density_screen(np.array(stack + [_overflow(projection(3, rng), rng)]), TOL)
         assert not (ok & ~np.array(expected + [False])).any()
+
+
+class TestExactTrace:
+    """A trace whose fast sum misses one is summed again by math.fsum."""
+
+    def test_a_fast_miss_that_sums_to_one_passes(self):
+        m, tol = np.eye(243, dtype=complex) / 243, Tolerance(2.0**-52)
+        assert abs(m.trace() - 1.0) > tol.abs_eps  # 1.0000000000000004
+        ok, _, trace, _ = density_screen(m[None], tol)
+        assert ok[0] and trace[0] == 1.0
+        check_density(m, DimVector((3,) * 5), tol)
+
+    def test_a_real_stack_is_summed_as_complex(self):
+        ok, _, trace, _ = density_screen(np.eye(243)[None] / 243, Tolerance(2.0**-52))
+        assert ok[0] and trace.dtype == complex and trace[0] == 1.0
+
+    @pytest.mark.parametrize("diag, fast", [([1e308, 1e308], np.inf), ([np.inf, -np.inf], np.nan)])
+    def test_an_exact_sum_that_fails_keeps_the_fast_one(self, diag, fast):
+        """fsum raises OverflowError past a double and ValueError on inf - inf."""
+        ok, _, trace, _ = density_screen(np.diag(diag).astype(complex)[None], TOL)
+        assert not ok[0]
+        np.testing.assert_equal(trace[0], complex(fast, 0.0))
+
+    def test_an_overflowing_trace_is_named_as_summed(self):
+        with pytest.raises(TraceError, match=r"trace is inf\+0j"):
+            check_density(np.diag([1e308, 1e308]).astype(complex), DimVector((2,)))
 
 
 class TestScreenedEigenvalues:

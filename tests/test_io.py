@@ -608,6 +608,21 @@ def test_integer_too_large_for_a_double_is_format_error(where, named, tmp_path):
         read_decomposition_file(path)
 
 
+@pytest.mark.parametrize("defect", ["no factors", "no weight", "a list"])
+def test_term_without_weight_or_factors_is_format_error(defect, tmp_path):
+    doc = reference_document(werner_separable_decomposition(2, 2))
+    term = doc["terms"][1]
+    doc["terms"][1] = {
+        "no factors": {"weight": term["weight"]},
+        "no weight": {"factors": term["factors"]},
+        "a list": [term["weight"], term["factors"]],
+    }[defect]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="^term 1: need weight and factors$"):
+        read_decomposition_file(path)
+
+
 # Number texts as a hand-written file may spell them: signed zeros, one
 # value in two spellings, exponents in both cases, the least subnormal, a
 # double's overflow, integers, and an integer too large for a double.

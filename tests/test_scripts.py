@@ -58,6 +58,44 @@ def test_mutation_gate_lists_its_mutants(monkeypatch, capsys):
     assert sum(line.strip().startswith("equivalent: ") for line in lines) == len(MUTATIONS) - len(run)
 
 
+def test_mutation_gate_runs_only_the_listed_mutants(tmp_path, monkeypatch, capsys):
+    """--only runs the unmutated check, then each listed mutant in the order given,
+    on a stub suite that fails whenever a mutation is applied."""
+    gate = load_script("mutation_gate")
+    picked = [i for i, m in enumerate(gate.MUTATIONS) if not m.equivalent][:3][::-1]
+    spinsep_dir = tmp_path / "src" / "spinsep"
+    spinsep_dir.mkdir(parents=True)
+    for i in picked:
+        m = gate.MUTATIONS[i]
+        with open(spinsep_dir / m.file, "a") as fh:
+            fh.write(m.old + "\n")
+    runs = []
+
+    def tier1(repo):
+        texts = "".join(f.read_text() for f in sorted((repo / "src" / "spinsep").iterdir()))
+        applied = [i for i in picked if gate.MUTATIONS[i].new in texts]
+        runs.append(applied)
+        return (1, "1 failed", "tests/stub.py::t") if applied else (0, "1 passed", "")
+
+    monkeypatch.setattr(gate, "ROOT", tmp_path)
+    monkeypatch.setattr(gate, "_tier1", tier1)
+    monkeypatch.setattr(sys, "argv", ["mutation_gate.py", "--only", ",".join(map(str, picked))])
+    assert gate.main() == 0
+    assert runs == [[]] + [[i] for i in picked]
+    assert capsys.readouterr().out.splitlines()[-1] == "3 run, 0 wrong"
+
+
+@pytest.mark.parametrize(
+    "only, named",
+    [("1,x", "not a list of integers: '1,x'"), ("-1", "no mutant -1"), ("9999", "no mutant 9999")],
+)
+def test_mutation_gate_refuses_a_bad_only(monkeypatch, capsys, only, named):
+    with pytest.raises(SystemExit) as exc:
+        run_script("mutation_gate", ["--only", only], monkeypatch)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 # The gate in its own process, with a one-file ROOT and, in place of the
 # unmutated tier-1 run, a child that writes its pid and waits.
 GATE_UNDER_SIGTERM = """

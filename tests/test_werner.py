@@ -4,7 +4,6 @@ import pytest
 from spinsep import (
     INSEPARABLE,
     DimVector,
-    TraceError,
     WernerSpec,
     check_density,
     encode,
@@ -63,10 +62,9 @@ class TestWernerDensity:
     @pytest.mark.parametrize("d, n", CLOSED_FORM_GRID)
     def test_closed_form_spectrum_holds(self, d, n):
         """No factorisation guards the matrix any more: it must be the one that
-        check_density used to pass, bit for bit, a density at the default tolerance,
-        and at the CLI's least --tol its lowest eigenvalue clears -2^-52.  There its
-        trace, within N u of 1, may miss by a few ulps, and check_density then
-        refuses it for its trace alone."""
+        check_density used to pass, bit for bit, a density at the default tolerance
+        and at the CLI's least --tol, where its lowest eigenvalue clears -2^-52.  Its
+        fast trace, within N u of 1, may miss by a few ulps; the exact sum does not."""
         rng = np.random.default_rng(100 * d + n)
         for s in (0.0, werner_bound(d, n), float(rng.random()), 1.0):
             spec = WernerSpec(d, n, s)
@@ -76,13 +74,8 @@ class TestWernerDensity:
             assert got.matrix.tobytes() == expected.matrix.tobytes()
             check_density(got.matrix, got.dims)
             assert np.linalg.eigvalsh(got.matrix)[0] >= -(2.0**-52)
-            miss = abs(got.matrix.trace() - 1.0)
-            assert miss <= d**n * 2.0**-53
-            if miss <= MIN_TOL:
-                check_density(got.matrix, got.dims, _tolerance(MIN_TOL))
-            else:
-                with pytest.raises(TraceError):
-                    check_density(got.matrix, got.dims, _tolerance(MIN_TOL))
+            assert abs(got.matrix.trace() - 1.0) <= d**n * 2.0**-53
+            check_density(got.matrix, got.dims, _tolerance(MIN_TOL))
 
     def test_builds_without_a_factorisation(self, monkeypatch):
         def fail(*args, **kwargs):
